@@ -26,7 +26,7 @@ from .dstoch import (
 )
 from .errors import NotCyclicOfOrderK, PeriodMismatchError
 from .scalar import ScalarInput
-from .volterra import SolverConfig, TimeGrid, Trajectory, as_path, march_solve
+from .volterra import SolverConfig, TimeGrid, Trajectory, _SmoothPath, as_path, march_solve
 
 
 @dataclass
@@ -215,13 +215,10 @@ def rescaling_check(m, tau, nu, cfg: SolverConfig, *, period=2.0 * np.pi,
     return float(np.abs(scaled.values - base.values).max())
 
 
-class _RescaledPath:
+class _RescaledPath(_SmoothPath):
     def __init__(self, path, scale):
         self.path = path
         self.scale = scale
-
-    def __call__(self, t):
-        return self.path(self.scale * t)
 
     def many(self, ts):
         return self.path.many(self.scale * np.asarray(ts, dtype=float))

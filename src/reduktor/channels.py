@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dstoch import DStochMatrix, validate_dstoch, compression_many
+from .volterra import _SmoothPath
 from .errors import (
     BlockIndexOutOfRange,
+    InputValidationError,
     NonHermitianModelError,
     NonUnitaryBasisError,
 )
@@ -48,6 +50,8 @@ class BathModel:
             raise NonHermitianModelError(
                 f"expected blocks of shape (n2, n2, n, n), got {blocks.shape}")
         n2, n = blocks.shape[0], blocks.shape[2]
+        if not np.isfinite(blocks).all():
+            raise InputValidationError("bath model blocks have non-finite entries")
         herm_dev = np.abs(blocks - np.conj(blocks.transpose(1, 0, 3, 2))).max()
         if herm_dev > TOL_HERMITIAN:
             raise NonHermitianModelError(
@@ -56,6 +60,8 @@ class BathModel:
             basis = np.eye(n, dtype=complex)
         else:
             basis = np.asarray(basis, dtype=complex)
+            if not np.isfinite(basis).all():
+                raise InputValidationError("measurement basis has non-finite entries")
             dev = np.abs(basis.conj().T @ basis - np.eye(n)).max()
             if dev > TOL_UNITARY:
                 raise NonUnitaryBasisError(
@@ -108,27 +114,15 @@ class BathModel:
         return _BathPath(self)
 
 
-class _BathPath:
+class _BathPath(_SmoothPath):
     """Callable M(t) with batched evaluation; smooth (no jumps)."""
 
     def __init__(self, model):
         self.model = model
         self.n = model.n
 
-    def __call__(self, t):
-        return self.model.m_many(np.array([t]))[0]
-
     def many(self, ts):
         return self.model.m_many(ts)
-
-    def left(self, t):
-        return self(t)
-
-    def right(self, t):
-        return self(t)
-
-    def jump_times(self, t0, t1):
-        return np.empty(0)
 
 
 @dataclass

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -136,13 +135,6 @@ def _say(args, msg):
         print(msg)
 
 
-def _workers(args):
-    if args.workers is not None:
-        return max(1, int(args.workers))
-    env = os.environ.get("REDUKTOR_WORKERS")
-    return max(1, int(env)) if env else 1
-
-
 def _seed(args, cfg):
     if args.seed is not None:
         return int(args.seed)
@@ -182,10 +174,9 @@ def cmd_simulate(args):
     nu = float(cfg.get("nu", 0.0))
     R = int(cfg.get("R", 10000))
     seed = _seed(args, cfg)
-    workers = _workers(args)
     source = _source_from(cfg)
-    est = monte_carlo_average(source, nu, grid.t_max, R, seed, workers=workers)
-    _write(args.out, mc_estimate_to_csv(est, nu=nu, T=grid.t_max, workers=None))
+    est = monte_carlo_average(source, nu, grid.t_max, R, seed)
+    _write(args.out, mc_estimate_to_csv(est, nu=nu, T=grid.t_max))
     _say(args, f"mean max stderr = {est.stderr.max():.6g} over {R} histories")
     return EXIT_OK
 
@@ -196,7 +187,6 @@ def cmd_compare(args):
     nu = float(cfg.get("nu", 0.0))
     R = int(cfg.get("R", 10000))
     seed = _seed(args, cfg)
-    workers = _workers(args)
     thresholds = cfg.get("thresholds", {})
     tol_series = float(thresholds.get("solver_vs_series", 1e-6))
     sigmas = float(thresholds.get("mc_sigmas", 3.0))
@@ -219,7 +209,7 @@ def cmd_compare(args):
             "advice": f"{exc} -- refine grid.steps so that h * nu <= 0.5"}
         failure = True
 
-    est = monte_carlo_average(source, nu, grid.t_max, R, seed, workers=workers)
+    est = monte_carlo_average(source, nu, grid.t_max, R, seed)
     band = sigmas * est.stderr + 1e-12
     within = np.abs(est.mean - traj.final) <= band
     ok = bool(within.all())
@@ -257,7 +247,7 @@ def cmd_asymptote(args):
         "blocks": [list(b) for b in report.partition.blocks],
         "id_sector": list(report.partition.id_sector),
     }
-    print(json.dumps(verdict, indent=2, sort_keys=True))
+    _say(args, json.dumps(verdict, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -331,7 +321,8 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="random seed (overrides config)")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker count (default env REDUKTOR_WORKERS or 1)")
+                       help="accepted for compatibility and ignored, as is "
+                            "REDUKTOR_WORKERS; Monte Carlo runs on one thread")
         p.add_argument("--quiet", action="store_true",
                        help="suppress summary lines")
         p.set_defaults(fn=fn)

@@ -10,6 +10,7 @@ witness search that characterizes matrices of unit compression.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import (
     ColSumViolation,
     DimensionTooLargeForExhaustive,
     EmptySampleListError,
+    InputValidationError,
     InvalidPartitionError,
     NegativeEntryError,
     NotSquareError,
@@ -49,6 +51,8 @@ class DStochMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NotSquareError(f"expected a square matrix, got shape {a.shape}")
         n = a.shape[0]
+        if not np.isfinite(a).all():
+            raise InputValidationError("matrix has non-finite entries")
         low = a.min()
         if low < -tol_entry:
             idx = tuple(int(i) for i in np.unravel_index(np.argmin(a), a.shape))
@@ -93,11 +97,17 @@ def is_dstoch(raw, tol_sum=TOL_SUM, tol_entry=TOL_ENTRY) -> bool:
 
 
 def dstoch_residual(raw) -> float:
-    """Largest violation of the doubly stochastic constraints."""
+    """Largest violation of the doubly stochastic constraints.
+
+    Infinite for a matrix with a non-finite entry: such an entry makes its
+    row sum NaN or infinite, and NaN is mapped to infinity so that no
+    ``res > tol`` test can pass it.
+    """
     a = np.asarray(raw, dtype=float)
-    return float(max(np.abs(a.sum(axis=1) - 1.0).max(),
-                     np.abs(a.sum(axis=0) - 1.0).max(),
-                     max(0.0, -a.min())))
+    res = float(max(np.abs(a.sum(axis=1) - 1.0).max(),
+                    np.abs(a.sum(axis=0) - 1.0).max(),
+                    max(0.0, -a.min())))
+    return math.inf if math.isnan(res) else res
 
 
 def zero_sum_basis(n) -> np.ndarray:

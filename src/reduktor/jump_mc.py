@@ -9,13 +9,13 @@ validated.
 
 Determinism contract: history r uses its own counter-based random stream
 keyed by (seed, r), and the reduction over histories runs in fixed index
-order, so results are bit-identical for a given (seed, R) regardless of
-how many workers are used.
+order, so results are bit-identical for a given (seed, R).  The histories
+run on one thread: the per-history work holds the GIL, so threads cannot
+share it out.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,7 @@ from .dstoch import dstoch_residual, validate_dstoch
 from .errors import InputValidationError
 from .volterra import as_path
 
-CHUNK = 2048  # fixed chunking; workers only schedule chunks
+CHUNK = 2048  # histories per partial sum; fixed, so the summation order is too
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,9 @@ def monte_carlo_average(m, nu, T, R, seed, *, workers=1,
                         product_tol=1e-9) -> McEstimate:
     """Average the composed evolution over R independent histories.
 
-    Deterministic for fixed (seed, R) independent of ``workers``: chunk
-    boundaries are fixed, each history has its own keyed stream, and the
-    chunk sums are combined in index order.
+    Deterministic for fixed (seed, R): chunk boundaries are fixed, each
+    history has its own keyed stream, and the chunk sums are combined in
+    index order.  ``workers`` is accepted for compatibility and ignored.
     """
     if R < 100:
         raise ValueError(f"need at least 100 histories, got {R}")
@@ -137,15 +137,8 @@ def monte_carlo_average(m, nu, T, R, seed, *, workers=1,
         mean = path.many(np.array([T]))[0]
         return McEstimate(mean=mean, stderr=np.zeros_like(mean),
                           n_samples=R, seed=int(seed))
-    bounds = [(lo, min(lo + CHUNK, R)) for lo in range(0, R, CHUNK)]
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            partials = list(pool.map(
-                lambda b: _chunk_sums(path, nu, T, seed, b[0], b[1], product_tol),
-                bounds))
-    else:
-        partials = [_chunk_sums(path, nu, T, seed, lo, hi, product_tol)
-                    for lo, hi in bounds]
+    partials = [_chunk_sums(path, nu, T, seed, lo, min(lo + CHUNK, R), product_tol)
+                for lo in range(0, R, CHUNK)]
     total = np.sum(np.stack([p[0] for p in partials]), axis=0)
     total_sq = np.sum(np.stack([p[1] for p in partials]), axis=0)
     mean = total / R
@@ -154,15 +147,13 @@ def monte_carlo_average(m, nu, T, R, seed, *, workers=1,
     return McEstimate(mean=mean, stderr=stderr, n_samples=R, seed=int(seed))
 
 
-def mc_estimate_to_csv(est: McEstimate, *, nu=None, T=None, workers=None) -> str:
+def mc_estimate_to_csv(est: McEstimate, *, nu=None, T=None) -> str:
     """Mean block then stderr block, with commented metadata headers."""
     meta = [f"# histories={est.n_samples}", f"# seed={est.seed}"]
     if nu is not None:
         meta.insert(0, f"# nu={nu:.17g}")
     if T is not None:
         meta.insert(1, f"# T={T:.17g}")
-    if workers is not None:
-        meta.append(f"# workers={workers}")
     lines = meta + ["# mean"]
     for row in est.mean:
         lines.append(",".join(f"{x:.17g}" for x in row))

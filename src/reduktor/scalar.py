@@ -27,7 +27,7 @@ from .errors import (
     ValidationFailure,
     ValueEscapeError,
 )
-from .volterra import TimeGrid, Trajectory, march_solve, SolverConfig
+from .volterra import SolverConfig, TimeGrid, Trajectory, _march, march_solve
 
 SCALAR_ESCAPE_TOL = 1e-7
 
@@ -199,10 +199,10 @@ def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid, *,
                  escape_tol=SCALAR_ESCAPE_TOL) -> ScalarTrajectory:
     """Trapezoid marching of the scalar equation.
 
-    Works on the rescaled unknown N(t) = e^{nu t} beta(t) and divides by
-    the discrete growth factor of the scheme.  Quadrature panels use
-    one-sided limits at discontinuities of alpha, which therefore must sit
-    on grid nodes.
+    The n = 1 case of the matrix march: works on the rescaled unknown
+    N(t) = e^{nu t} beta(t) and divides by the discrete growth factor of
+    the scheme.  Quadrature panels use one-sided limits at discontinuities
+    of alpha, which therefore must sit on grid nodes.
     """
     if nu < 0:
         raise ValueError("nu must be >= 0")
@@ -216,33 +216,14 @@ def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid, *,
     for j in jump_idx:
         aL[j] = float(alpha.left(ts[j]))
         aR[j] = float(alpha.right(ts[j]))
-
-    def march(lo, hi):
-        denom = 1.0 - nu * h / 2.0 * hi[0]
-        NL = np.empty(K + 1)
-        NR = np.empty(K + 1)
-        NL[0] = NR[0] = hi[0]
-        for k in range(1, K + 1):
-            acc = 0.5 * lo[k] * NR[0]
-            if k > 1:
-                acc += 0.5 * np.dot(hi[k - 1:0:-1], NL[1:k])
-                acc += 0.5 * np.dot(lo[k - 1:0:-1], NR[1:k])
-            NL[k] = (lo[k] + nu * h * acc) / denom
-            NR[k] = NL[k] + (hi[k] - lo[k])
-        return NL, NR
-
-    NL, NR = march(aL, aR)
-    # unit input through the same arithmetic path, so the normalized
-    # solution of the unit problem is exactly one at every node
-    ones = np.ones(K + 1)
-    _, s = march(ones, ones)
-    betaR = NR / s
-    betaL = NL / s
+    out, left, _ = _march(aL[:, None, None], aR[:, None, None], jump_idx,
+                          np.ones(K + 1), h, nu)
+    betaR = out[:, 0, 0]
     lo, hi = betaR.min(), betaR.max()
     if lo < -escape_tol or hi > 1.0 + escape_tol:
         k = int(np.argmin(betaR) if lo < -escape_tol else np.argmax(betaR))
         raise ValueEscapeError(k, float(betaR[k]))
-    jumps_log = [(float(ts[j]), float(betaL[j]), float(betaR[j])) for j in jump_idx]
+    jumps_log = [(float(ts[j]), float(left[j][0, 0]), float(betaR[j])) for j in jump_idx]
     return ScalarTrajectory(grid=grid, beta=betaR, jumps=jumps_log)
 
 

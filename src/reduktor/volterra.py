@@ -9,22 +9,37 @@ equivalently, with N(t) = e^{nu t} Mbar(t),
 
     N(T) = M(T) + nu * int_0^T M(T-t) N(t) dt.
 
-The solvers march the rescaled equation with the composite trapezoid rule
-on a uniform grid.  The back-rescaling divides by the scheme's own
-discrete growth factor (the trapezoid solution of the scalar unit problem
-n(T) = 1 + nu * int n), not by e^{nu T}: the two agree to O(h^2), but the
-discrete factor is exactly the row/column-sum mode of the marched
-solution, so every output node is doubly stochastic to machine precision
-instead of drifting by e^{T nu^3 h^2 / 12}.
+The equation has no differential form, so every marching solver (this
+module's ``march_solve`` and ``march_solve_general``, and the scalar
+route) runs one kernel, ``_march``, that marches
 
-A generalized kernel form with arrival weight a(T) and memory weight
-b(t, T), constrained by int_0^T b(t, T) dt = 1 - a(T), is solved by the
-same marching scheme.
+    X(T_k) = a(T_k) M(T_k) + sum_{t <= k} c_t(k) M(T_k - t) X(t)
+
+with the composite trapezoid rule on a uniform grid, the endpoint t = k
+solved implicitly.  ``march_solve`` uses a = 1 and c = nu h trapezoid;
+the generalized kernel form with arrival weight a(T) and memory weight
+b(t, T), constrained by int_0^T b(t, T) dt = 1 - a(T), uses
+c = trapezoid * b(t, T_k).
+
+The back-rescaling divides by the scheme's own discrete growth factor
+(the same recursion run on M = 1), not by e^{nu T}: the two agree to
+O(h^2), but the discrete factor is exactly the row/column-sum mode of the
+marched solution, so every output node is doubly stochastic to machine
+precision instead of drifting by e^{T nu^3 h^2 / 12}.
 
 Sources are callables t -> (n, n) array; objects may additionally expose
 ``many(ts)`` for batched evaluation and ``left``/``right``/``jump_times``
 for piecewise-continuous inputs, in which case quadrature panels never
-straddle a discontinuity (jumps must sit on grid nodes).
+straddle a discontinuity (jumps must sit on grid nodes).  A panel that
+ends on jump nodes pairs the right limit of M with the left limit of X
+and vice versa, averaged.  With node averages Mbar = (ML + MR) / 2,
+Xbar = (XL + XR) / 2 and jumps D = MR - ML, XR - XL = a D, that pair is
+
+    (MR[s] XL[t] + ML[s] XR[t]) / 2 = Mbar[s] Xbar[t] - D[s] a[t] D[t] / 4,
+
+so each step is still one contraction of Mbar with Xbar.  The only extra
+terms are the t = 0 endpoint, which uses the left limit ML[k], and the
+pairs where both t and k - t are jump nodes; neither depends on X.
 """
 
 from __future__ import annotations
@@ -39,6 +54,7 @@ from scipy import stats
 from .dstoch import DStochMatrix, dstoch_residual
 from .errors import (
     GridTooCoarseError,
+    InputValidationError,
     KernelNormalizationViolation,
     TailBoundExceededError,
     UnsupportedOrderError,
@@ -138,15 +154,16 @@ def kernel_normalization_residual(kernel: Kernel, T, quad_steps=1000) -> float:
 
 # -- time-path protocol ------------------------------------------------------
 
-class _CallablePath:
-    """Wrap a plain callable as a smooth time path."""
+class _SmoothPath:
+    """Time-path protocol with the defaults of a continuous source.
 
-    def __init__(self, fn):
-        self._fn = fn
+    Subclasses define ``__call__`` or ``many`` (each default calls the
+    other) and override ``left``, ``right`` and ``jump_times`` only when
+    the source jumps.
+    """
 
     def __call__(self, t):
-        out = self._fn(t)
-        return np.asarray(getattr(out, "entries", out), dtype=float)
+        return self.many(np.array([float(t)]))[0]
 
     def many(self, ts):
         return np.stack([self(t) for t in np.asarray(ts, dtype=float)])
@@ -161,26 +178,30 @@ class _CallablePath:
         return np.empty(0)
 
 
-class ConstantPath:
+class _CallablePath(_SmoothPath):
+    """Wrap a plain callable as a smooth time path."""
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def __call__(self, t):
+        out = self._fn(t)
+        return np.asarray(getattr(out, "entries", out), dtype=float)
+
+
+class ConstantPath(_SmoothPath):
     """Time-independent matrix source."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
+        if not np.isfinite(self.matrix).all():
+            raise InputValidationError("constant source has non-finite entries")
 
     def __call__(self, t):
         return self.matrix
 
     def many(self, ts):
         return np.broadcast_to(self.matrix, (len(ts),) + self.matrix.shape)
-
-    def left(self, t):
-        return self.matrix
-
-    def right(self, t):
-        return self.matrix
-
-    def jump_times(self, t0, t1):
-        return np.empty(0)
 
 
 def as_path(m):
@@ -230,86 +251,117 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 def _validate_nodes(values, tol, what="trajectory"):
     for k, m in enumerate(values):
         res = dstoch_residual(m)
-        if res > tol:
+        if not res <= tol:
             raise ValidationFailure(k, res, detail=what)
 
 
-def _unit_growth(nu, h, steps) -> np.ndarray:
-    """Trapezoid solution of n(T) = 1 + nu * int_0^T n(t) dt on the grid.
+def _conv(S, Y, k, bk):
+    """sum_{t<k} bk[t] S[k - t] Y[t]; unit weights when bk is None.
 
-    Equals ((1 + nu h / 2) / (1 - nu h / 2))^k; computed by the recursion
-    so it shares the scheme's arithmetic exactly.
+    1 x 1 stacks (the unit mode, scalar inputs) take ``np.dot``, which is
+    faster there than ``np.einsum``.
     """
-    s = np.empty(steps + 1)
-    s[0] = 1.0
-    q = nu * h / 2.0
-    for k in range(1, steps + 1):
-        acc = 0.5 * s[0] + s[1:k].sum()
-        s[k] = (1.0 + nu * h * acc) / (1.0 - q)
-    return s
+    if S.shape[-1] == 1:
+        y = Y[:k, 0, 0] if bk is None else bk[:k] * Y[:k, 0, 0]
+        return np.dot(S[k:0:-1, 0, 0], y)
+    if bk is None:
+        return np.einsum("tij,tjk->ik", S[k:0:-1], Y[:k])
+    return np.einsum("t,tij,tjk->ik", bk[:k], S[k:0:-1], Y[:k])
+
+
+def _march(ML, MR, jump_idx, a, h, b):
+    """Trapezoid march of X(T_k) = a_k M(T_k) + sum_{t<=k} c_t(k) M(T_k - t) X(t).
+
+    ML and MR are the (K+1, n, n) left and right limits of M on the grid,
+    equal off the jump nodes ``jump_idx`` (all > 0); ``a`` holds the
+    arrival weights per node.  The weights are c_t(k) = w_t b(t, T_k) with
+    trapezoid weights w; ``b`` is a number when the memory weight is
+    constant, so the history is stored pre-weighted, and otherwise a
+    callable k -> b(T_0..T_k, T_k).  The endpoint t = k is solved
+    implicitly.
+
+    Returns the node values and the left limits at the jump nodes, both
+    divided by the unit mode sigma, and sigma itself, shape (K+1, 1, 1).
+    sigma is the same recursion run on M = 1 through the same arithmetic,
+    so a unit input normalizes to exactly one.
+    """
+    K = len(ML) - 1
+    jumps = {j: MR[j] - ML[j] for j in jump_idx}
+    Mbar = 0.5 * (ML + MR) if jumps else ML
+    unit = np.ones((K + 1, 1, 1))
+    varying = callable(b)
+    w = np.full(K + 1, h)
+    w[0] = 0.5 * h
+    if not varying:
+        w *= b
+    pairs = {}  # k -> jump nodes t with k - t also a jump node
+    for t in jumps:
+        for s in jumps:
+            if t + s <= K:
+                pairs.setdefault(t + s, []).append(t)
+    # H[t] = w_t Xbar(t), laid out like Mbar: for a constant source (zero
+    # stride in t) that makes H contiguous in t, which einsum sums fast
+    X, H = np.empty_like(Mbar), np.empty_like(Mbar)
+    sigma, Hs = np.empty_like(unit), np.empty_like(unit)
+    X[0] = a[0] * MR[0]
+    sigma[0] = a[0]
+    H[0] = w[0] * X[0]
+    Hs[0] = w[0] * sigma[0]
+    left = {}
+    diag = None
+    for k in range(1, K + 1):
+        bk = np.asarray(b(k), dtype=float) if varying else None
+        ck = 0.5 * h * (bk[k] if varying else b)
+        if ck != diag:
+            diag = ck
+            pref = np.linalg.inv(np.eye(ML.shape[-1]) - ck * MR[0])
+            pref_s = np.linalg.inv([[1.0 - ck]])[0, 0]
+        rhs = a[k] * ML[k] + _conv(Mbar, H, k, bk)
+        c = w if bk is None else w[:k + 1] * bk
+        if k in jumps:
+            rhs -= 0.5 * c[0] * (jumps[k] @ X[0])
+        for t in pairs.get(k, ()):
+            rhs -= 0.25 * c[t] * a[t] * (jumps[k - t] @ jumps[t])
+        X[k] = pref @ rhs
+        if k in jumps:
+            left[k] = X[k].copy()
+            X[k] += a[k] * jumps[k]
+            H[k] = w[k] * 0.5 * (left[k] + X[k])
+        else:
+            H[k] = w[k] * X[k]
+        sigma[k] = pref_s * (a[k] + _conv(unit, Hs, k, bk))
+        Hs[k] = w[k] * sigma[k]
+    X /= sigma
+    return X, {j: left[j] / sigma[j] for j in left}, sigma
 
 
 def march_solve(m, cfg: SolverConfig, *, tol_traj=TOL_TRAJ) -> Trajectory:
     """March the rescaled equation N(T) = M(T) + nu int_0^T M(T-t) N(t) dt.
 
-    Composite trapezoid on the uniform grid; the implicit endpoint term is
-    solved exactly through a precomputed factor.  The output is N divided
-    by the discrete growth factor, validated doubly stochastic at every
-    node within tol_traj.
+    Composite trapezoid on the uniform grid with the implicit endpoint
+    term solved exactly; jumps of the source use one-sided limits.  The
+    output is N divided by the discrete growth factor, validated doubly
+    stochastic at every node and every left limit within tol_traj.
     """
     path = as_path(m)
-    grid, nu, h = cfg.grid, cfg.nu, cfg.grid.h
-    K = grid.steps
+    grid = cfg.grid
     ts = grid.nodes
     jumps = np.asarray(path.jump_times(0.0, grid.t_max), dtype=float)
-    s = _unit_growth(nu, h, K)
-    q = nu * h / 2.0
-
-    if jumps.size == 0:
-        M = np.asarray(path.many(ts), dtype=float)
-        n = M.shape[-1]
-        pref = np.linalg.inv(np.eye(n) - q * M[0])
-        N = np.empty_like(M)
-        N[0] = M[0]
-        for k in range(1, K + 1):
-            acc = 0.5 * (M[k] @ N[0])
-            if k > 1:
-                acc += np.einsum("tij,tjk->ik", M[k - 1:0:-1], N[1:k])
-            N[k] = pref @ (M[k] + nu * h * acc)
-        out = N / s[:, None, None]
-        _validate_nodes(out, tol_traj)
-        return Trajectory(grid=grid, values=out)
-
-    # Piecewise-continuous source: one-sided limits at jump nodes so the
-    # trapezoid rule never straddles a discontinuity.
     jump_idx = sorted({grid.index_of(t) for t in jumps if 0.0 < t <= grid.t_max})
-    ML = np.asarray(path.many(ts), dtype=float).copy()
-    MR = ML.copy()
+    ML = MR = np.asarray(path.many(ts), dtype=float)
+    if jump_idx:
+        ML, MR = ML.copy(), ML.copy()
+        for j in jump_idx:
+            ML[j] = np.asarray(path.left(ts[j]), dtype=float)
+            MR[j] = np.asarray(path.right(ts[j]), dtype=float)
+    out, left, _ = _march(ML, MR, jump_idx, np.ones(grid.steps + 1), grid.h, cfg.nu)
+    _validate_nodes(out, tol_traj)
     for j in jump_idx:
-        ML[j] = np.asarray(path.left(ts[j]), dtype=float)
-        MR[j] = np.asarray(path.right(ts[j]), dtype=float)
-    n = ML.shape[-1]
-    pref = np.linalg.inv(np.eye(n) - q * MR[0])
-    NL = np.empty_like(ML)
-    NR = np.empty_like(ML)
-    NL[0] = NR[0] = MR[0]
-    for k in range(1, K + 1):
-        acc = 0.5 * (ML[k] @ NR[0])
-        if k > 1:
-            acc += 0.5 * np.einsum("tij,tjk->ik", MR[k - 1:0:-1], NL[1:k])
-            acc += 0.5 * np.einsum("tij,tjk->ik", ML[k - 1:0:-1], NR[1:k])
-        NL[k] = pref @ (ML[k] + nu * h * acc)
-        NR[k] = NL[k] + (MR[k] - ML[k])
-    outL = NL / s[:, None, None]
-    outR = NR / s[:, None, None]
-    _validate_nodes(outR, tol_traj)
-    for j in jump_idx:
-        res = dstoch_residual(outL[j])
-        if res > tol_traj:
+        res = dstoch_residual(left[j])
+        if not res <= tol_traj:
             raise ValidationFailure(j, res, detail="left limit")
-    return Trajectory(grid=grid, values=outR,
-                      jump_nodes=tuple(jump_idx),
-                      left_values={j: outL[j] for j in jump_idx})
+    return Trajectory(grid=grid, values=out, jump_nodes=tuple(jump_idx),
+                      left_values=left)
 
 
 def march_solve_general(m, kernel: Kernel, grid: TimeGrid, *,
@@ -327,28 +379,10 @@ def march_solve_general(m, kernel: Kernel, grid: TimeGrid, *,
     path = as_path(m)
     if np.asarray(path.jump_times(0.0, grid.t_max)).size:
         raise ValueError("the generalized-kernel solver requires a continuous source")
-    h, K = grid.h, grid.steps
     ts = grid.nodes
     M = np.asarray(path.many(ts), dtype=float)
-    n = M.shape[-1]
-    eye = np.eye(n)
-    out = np.empty_like(M)
-    sigma = np.empty(K + 1)
-    a0 = float(kernel.a(0.0))
-    out[0] = a0 * M[0]
-    sigma[0] = a0
-    for k in range(1, K + 1):
-        T = ts[k]
-        bw = np.asarray(kernel.b(ts[:k + 1], T), dtype=float)
-        aT = float(kernel.a(T))
-        w = np.full(k + 1, h)
-        w[0] = w[-1] = h / 2.0
-        acc = np.einsum("t,tij,tjk->ik", (w * bw)[:k], M[k:0:-1], out[:k])
-        diag = w[-1] * bw[-1]
-        rhs = aT * M[k] + acc
-        out[k] = np.linalg.solve(eye - diag * M[0], rhs)
-        sigma[k] = (aT + float(np.dot((w * bw)[:k], sigma[:k]))) / (1.0 - diag)
-    out /= sigma[:, None, None]
+    a = np.broadcast_to(np.asarray(kernel.a(ts), dtype=float), ts.shape)
+    out, _, _ = _march(M, M, [], a, grid.h, lambda k: kernel.b(ts[:k + 1], ts[k]))
     _validate_nodes(out, tol_traj)
     return Trajectory(grid=grid, values=out)
 

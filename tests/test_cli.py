@@ -47,6 +47,16 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "cfg.json", B=complex_to_pairs(bad))
         assert run(["solve", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("source", [
+        {"constant_M": [[float("nan"), 0.5], [0.5, 0.5]]},
+        {"B": [[[[[float("nan"), 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]]]},
+    ])
+    def test_non_finite_input_writes_nothing(self, tmp_path, source):
+        cfg = write_config(tmp_path / "cfg.json", **source)
+        out = tmp_path / "traj.csv"
+        assert run(["solve", "--config", cfg, "--out", out]) == 2
+        assert not out.exists()
+
     def test_numerical_failure(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json",
                            constant_M=[[0.7, 0.4], [0.4, 0.7]])
@@ -169,6 +179,13 @@ class TestAsymptoteAndGenericity:
         assert verdict["final_distance"] < 1e-3
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,c_value,distance"
+
+    def test_asymptote_quiet(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "rep.csv"
+        assert run(["asymptote", "--config", cfg, "--out", out, "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text().startswith("t,c_value,distance")
 
     def test_genericity_spin_flip(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",

@@ -8,6 +8,7 @@ from reduktor.dstoch import (
     compression,
     compression_many,
     decomposability_witness,
+    dstoch_residual,
     perm_matrix,
     single_block_partition,
     support_blocks,
@@ -18,6 +19,7 @@ from reduktor.dstoch import (
 from reduktor.errors import (
     DimensionTooLargeForExhaustive,
     EmptySampleListError,
+    InputValidationError,
     InvalidPartitionError,
     NegativeEntryError,
     NotSquareError,
@@ -60,6 +62,13 @@ class TestValidate:
         bad = np.array([[1.1, -0.1], [-0.1, 1.1]])
         with pytest.raises(NegativeEntryError):
             validate_dstoch(bad)
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf):
+            m = np.array([[bad, 0.5], [0.5, 0.5]])
+            assert dstoch_residual(m) == np.inf
+            with pytest.raises(InputValidationError):
+                validate_dstoch(m)
 
     def test_tiny_negative_clamped(self):
         m = validate_dstoch(np.array([[1.0 + 1e-13, -1e-13], [-1e-13, 1.0 + 1e-13]]))
