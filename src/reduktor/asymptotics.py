@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .dstoch import (
     BlockPartition,
@@ -163,26 +162,28 @@ def cyclic_order(p, tol=1e-12, max_order=64):
 def cyclic_example(p, k, nu, T, *, steps=600) -> CyclicReport:
     """Constant permutation input: closed-form trajectory and its limit.
 
-    For M(t) = P the averaged evolution is exp(nu t (P - 1)) P, obtained
-    from the constant-input reduction of the integral equation; the limit
-    as t grows is the power average (1/k) sum_{i=1..k} P^i.
+    For M(t) = P the averaged evolution is exp(nu t (P - 1)) P, from the
+    constant-input reduction of the integral equation.  As P^k = 1, the
+    spectral projectors Pi_q = (1/k) sum_{r<k} omega^{-q r} P^r with
+    omega = e^{2 pi i / k} give it exactly as
+    Re sum_q omega^q e^{nu t (omega^q - 1)} Pi_q.  For q != 0,
+    |e^{nu t (omega^q - 1)}| = e^{-nu t (1 - cos(2 pi q / k))} decays to 0,
+    so the limit is Pi_0, the power average (1/k) sum_{r<k} P^r.
     """
     p = np.asarray(getattr(p, "entries", p), dtype=float)
-    n = p.shape[0]
     order = cyclic_order(p)
     if order != k:
         raise NotCyclicOfOrderK(
             f"matrix has cyclic order {order}, expected {k}")
     grid = TimeGrid(t_max=float(T), steps=int(steps))
-    gen = nu * (p - np.eye(n))
-    values = np.stack([sla.expm(gen * t) @ p for t in grid.nodes])
+    q = np.arange(k)
+    omega = np.exp(2j * np.pi * q / k)
+    powers = np.stack([np.linalg.matrix_power(p, r) for r in q])
+    proj = np.tensordot(np.conj(omega[np.outer(q, q) % k]), powers, 1) / k
+    modes = omega * np.exp(nu * np.outer(grid.nodes, omega - 1.0))
+    values = np.tensordot(modes, proj, 1).real
     traj = Trajectory(grid=grid, values=values)
-    acc = np.eye(n)
-    limit = np.zeros((n, n))
-    for _ in range(k):
-        acc = acc @ p
-        limit += acc
-    limit /= k
+    limit = proj[0].real
     residual = float(np.abs(values[-1] - limit).max())
     return CyclicReport(trajectory=traj, limit=limit, limit_residual=residual)
 

@@ -98,17 +98,9 @@ class McEstimate:
 
 def _chunk_sums(m_path, nu, T, seed, lo, hi, product_tol):
     """Entrywise sum and sum of squares over histories lo..hi-1."""
-    n = m_path(0.0).shape[0]
-    total = np.zeros((n, n))
-    total_sq = np.zeros((n, n))
+    total = total_sq = 0.0
     for r in range(lo, hi):
-        stream = _stream(seed, r)
-        real = sample_realization(nu, T, stream)
-        gaps = np.asarray(real.gaps)
-        mats = m_path.many(gaps)
-        prod = mats[0]
-        for g in mats[1:]:
-            prod = g @ prod
+        prod = evolve_realization(m_path, sample_realization(nu, T, _stream(seed, r)))
         if product_tol is not None:
             res = dstoch_residual(prod)
             if res > product_tol:

@@ -342,22 +342,26 @@ _B_LAST_ROW = np.array([-0.5, 2.0 + 2.0j, 1.0 - 3.0j])
 _B_INIT = np.array([0.25, 0.25, 0.25 - 0.25j])
 
 
-def _companion_real6(last_row_complex):
-    """Real 6x6 embedding [[Re, -Im], [Im, Re]] of a complex companion."""
-    c = np.zeros((3, 3), dtype=complex)
+def _companion(last_row):
+    """Companion matrix of the cubic y^(3) = last_row . (y, y', y'')."""
+    c = np.zeros((3, 3), dtype=last_row.dtype)
     c[0, 1] = 1.0
     c[1, 2] = 1.0
-    c[2, :] = last_row_complex
-    top = np.hstack([c.real, -c.imag])
-    bot = np.hstack([c.imag, c.real])
-    return np.vstack([top, bot])
+    c[2, :] = last_row
+    return c
 
 
 def _expm_states(system, y0, ts):
     """Rows of exp(system * t) @ y0 for each t via eigendecomposition."""
-    w, v = np.linalg.eig(np.asarray(system, dtype=float))
+    w, v = np.linalg.eig(system)
     coef = np.linalg.solve(v, np.asarray(y0, dtype=complex))
-    return np.real(np.exp(np.outer(ts, w))[:, None, :] * (v * coef)).sum(axis=2)
+    return (np.exp(np.outer(ts, w))[:, None, :] * (v * coef)).sum(axis=2)
+
+
+def _channel_states(ts):
+    """Real (a, a', a'') and complex (b, b', b'') channel states at ts."""
+    a = _expm_states(_companion(_A_LAST_ROW), _A_INIT, ts).real
+    return a, _expm_states(_companion(_B_LAST_ROW), _B_INIT, ts)
 
 
 @dataclass
@@ -371,35 +375,19 @@ class TrigSolution:
 
     def states_at(self, ts):
         """Channel states at arbitrary times (exact, for residual oracles)."""
-        ts = np.asarray(ts, dtype=float)
-        a = _expm_states(_companion_matrix_a(), _A_INIT, ts)
-        z = _expm_states(_companion_real6(_B_LAST_ROW),
-                         np.concatenate([_B_INIT.real, _B_INIT.imag]), ts)
-        return a, z[:, :3] + 1j * z[:, 3:]
-
-
-def _companion_matrix_a():
-    c = np.zeros((3, 3))
-    c[0, 1] = 1.0
-    c[1, 2] = 1.0
-    c[2, :] = _A_LAST_ROW
-    return c
+        return _channel_states(np.asarray(ts, dtype=float))
 
 
 def trig_ode_solve(grid: TimeGrid, *, imag_tol=1e-7) -> TrigSolution:
     """Solve the raised-cosine input case through the channel ODEs.
 
-    The two cubics are integrated as first-order systems (the complex one
-    as a 6-dimensional real system) by exact matrix exponentials of their
-    companion matrices, and beta is reconstructed as
-    e^{-t} (a + b e^{it} + conj(b) e^{-it}).  Raises when the reconstruction
-    has imaginary residue above imag_tol.
+    The two cubics are integrated as first-order systems by exact matrix
+    exponentials of their companion matrices (real for a, complex for b),
+    and beta is reconstructed as e^{-t} (a + b e^{it} + conj(b) e^{-it}).
+    Raises when the reconstruction has imaginary residue above imag_tol.
     """
     ts = grid.nodes
-    a_state = _expm_states(_companion_matrix_a(), _A_INIT, ts)
-    z = _expm_states(_companion_real6(_B_LAST_ROW),
-                     np.concatenate([_B_INIT.real, _B_INIT.imag]), ts)
-    b_state = z[:, :3] + 1j * z[:, 3:]
+    a_state, b_state = _channel_states(ts)
     b = b_state[:, 0]
     osc = np.exp(1j * ts)
     recon = a_state[:, 0] + b * osc + np.conj(b) * np.conj(osc)

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import stats
 
 from .dstoch import DStochMatrix, dstoch_residual
 from .errors import (
@@ -416,10 +415,28 @@ def _series_levels(M, h, K):
         yield F, u
 
 
+def _poisson_sf(k, mu):
+    """P[X > k] for X ~ Poisson(mu), mu > 0, by direct summation.
+
+    Sums the pmf from k + 1 upward, each term formed on its own as
+    exp(-mu + j log mu - lgamma(j + 1)), so nothing drifts or underflows as
+    a running product would (that reaches 0 once mu > 745).  Stops when a
+    term falls below 1e-17 of the running sum, but never while j <= mu,
+    where the terms still grow.
+    """
+    log_mu, total, j = math.log(mu), 0.0, k + 1
+    while True:
+        term = math.exp(-mu + j * log_mu - math.lgamma(j + 1))
+        total += term
+        if j > mu and term <= 1e-17 * total:
+            return total
+        j += 1
+
+
 def _pick_series_order(nu, T, n_max, tail_tol):
     mu = nu * T
     if n_max is not None:
-        tail = float(stats.poisson.sf(n_max, mu)) if mu > 0 else 0.0
+        tail = _poisson_sf(n_max, mu) if mu > 0 else 0.0
         if tail > tail_tol:
             raise TailBoundExceededError(
                 f"Poisson tail P[K > {n_max}] = {tail:.3e} exceeds {tail_tol:g} at nu*T={mu:g}")
@@ -427,9 +444,9 @@ def _pick_series_order(nu, T, n_max, tail_tol):
     if mu == 0:
         return 0, 0.0
     k = max(1, int(math.ceil(mu)))
-    while float(stats.poisson.sf(k, mu)) > tail_tol:
+    while (tail := _poisson_sf(k, mu)) > tail_tol:
         k += 1
-    return k, float(stats.poisson.sf(k, mu))
+    return k, tail
 
 
 def neumann_series(m, cfg: SolverConfig, T, *, tail_tol=DEFAULT_TAIL_TOL) -> SeriesResult:

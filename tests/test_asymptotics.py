@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from reduktor.asymptotics import (
     convergence_report,
@@ -120,6 +121,14 @@ class TestCyclic:
         expected[:3, :3] = 1.0 / 3.0
         expected[3:, 3:] = 1.0 / 3.0
         np.testing.assert_allclose(rep.limit, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("k, copies", [(3, 1), (3, 2), (5, 1)])
+    def test_matches_matrix_exponential(self, k, copies):
+        p = np.kron(np.eye(copies), cyclic_permutation(k))
+        rep = cyclic_example(p, k, 1.3, 30.0)
+        gen = 1.3 * (p - np.eye(len(p)))
+        expected = np.stack([sla.expm(gen * t) @ p for t in rep.trajectory.times])
+        np.testing.assert_allclose(rep.trajectory.values, expected, rtol=0, atol=1e-12)
 
     def test_generator_spectrum(self):
         # nu (P - 1) has nonpositive real parts; the per-cycle ones

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,3 +240,11 @@ class TestScalarCommand:
             "grid": {"t_max": 1.0, "steps": 100},
         }))
         assert run(["scalar", "--config", cfg]) == 1
+
+
+def test_cli_imports_without_scipy():
+    # scipy is a test-only dependency; the library must not load it
+    code = ("import reduktor.cli, sys; "
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from reduktor.dstoch import compression_many, theta
 from reduktor.errors import (
@@ -16,6 +21,8 @@ from reduktor.volterra import (
     SolverConfig,
     TimeGrid,
     Trajectory,
+    _pick_series_order,
+    _poisson_sf,
     derivative_consistency,
     kernel_normalization_residual,
     march_solve,
@@ -161,6 +168,34 @@ class TestSeries:
         cfg = SolverConfig(nu=1.0, grid=TimeGrid(2.0, 200))
         res = neumann_series(generic_model.m_path(), cfg, 2.0)
         assert 0.0 <= res.tail_bound <= 1e-10
+
+
+class TestPoissonTail:
+    """The numpy-only Poisson tail, checked against scipy as an oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mu=st.floats(0.0, 1000.0, exclude_min=True), data=st.data())
+    def test_sf_matches_scipy(self, mu, data):
+        k = data.draw(st.integers(0, int(mu + 60)))
+        # scipy flushes tails below the normal range to zero
+        assert _poisson_sf(k, mu) == pytest.approx(
+            float(stats.poisson.sf(k, mu)), rel=1e-11, abs=np.finfo(float).tiny)
+
+    def test_series_order_matches_scipy_pick(self):
+        def pick(mu, tol):
+            k = max(1, math.ceil(mu))
+            while stats.poisson.sf(k, mu) > tol:
+                k += 1
+            return k
+
+        for mu in np.linspace(0.02, 60.0, 151):
+            for tol in (1e-6, 1e-10, 1e-12, 1e-14):
+                assert _pick_series_order(mu, 1.0, None, tol)[0] == pick(mu, tol)
+
+    def test_explicit_order_below_mean(self):
+        # an explicit n_max below nu*T sums the tail across the mode
+        _, tail = _pick_series_order(4.0, 10.0, 30, 1.0)
+        assert tail == pytest.approx(float(stats.poisson.sf(30, 40.0)), rel=1e-11)
 
 
 class TestSchemeConvergence:
