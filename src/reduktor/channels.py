@@ -28,6 +28,7 @@ from .errors import (
 TOL_HERMITIAN = 1e-12
 TOL_UNITARY = 1e-10
 TOL_OFFDIAG = 1e-10
+M_BLOCK_BYTES = 1 << 20  # working memory of one block of BathModel.m_many
 
 
 class BathModel:
@@ -79,6 +80,9 @@ class BathModel:
         # the measurement basis come from G e^{-i w t} G^dag.
         big_basis = np.kron(np.eye(n2), basis)
         self._g = big_basis.conj().T @ evecs
+        self._gh = self._g.conj().T
+        # times per m_many block: two complex (block, n n2, n n2) stacks
+        self._block = max(1, M_BLOCK_BYTES // (32 * (n * n2) ** 2))
 
     @classmethod
     def from_joint_generator(cls, joint, n, n2, basis=None):
@@ -100,14 +104,29 @@ class BathModel:
         return (v * np.exp(-1j * self._evals * t)) @ v.conj().T
 
     def m_many(self, ts) -> np.ndarray:
-        """Evaluate M(t) for a batch of times; returns (len(ts), n, n)."""
+        """Evaluate M(t) for a batch of times; returns (len(ts), n, n).
+
+        Times run in blocks of ``self._block``, each one BLAS product
+        (G e^{-i w t}) @ G^dag whose two complex (block, n n2, n n2) stacks
+        take at most M_BLOCK_BYTES = 1 MiB together (or one time's worth,
+        if larger).  The output is the only array that grows with len(ts),
+        and a time's value does not depend on the rest of the batch.
+        """
         ts = np.asarray(ts, dtype=float)
-        phases = np.exp(-1j * np.outer(ts, self._evals))
-        g = self._g
-        c = np.einsum("ik,tk,jk->tij", g, phases, g.conj())
+        out = np.empty((len(ts), self.n, self.n))
+        for lo in range(0, len(ts), self._block):
+            out[lo:lo + self._block] = self._m_block(ts[lo:lo + self._block])
+        out /= self.n2
+        return out
+
+    def _m_block(self, ts):
+        """n2 M(t) for one block of times (the stacks die on return)."""
         n, n2 = self.n, self.n2
-        c = c.reshape(len(ts), n2, n, n2, n)
-        return (np.abs(c) ** 2).sum(axis=(1, 3)) / n2
+        phases = np.exp(-1j * np.outer(ts, self._evals))
+        c = (self._g * phases[:, None, :]).reshape(-1, n * n2) @ self._gh
+        sq = c.real ** 2
+        sq += c.imag ** 2
+        return sq.reshape(len(ts), n2, n, n2, n).sum(axis=(1, 3))
 
     def m_path(self):
         """Time path handle consumed by the solvers."""

@@ -10,7 +10,6 @@ witness search that characterizes matrices of unit compression.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,18 +95,21 @@ def is_dstoch(raw, tol_sum=TOL_SUM, tol_entry=TOL_ENTRY) -> bool:
             and np.abs(a.sum(axis=0) - 1.0).max() <= tol_sum)
 
 
-def dstoch_residual(raw) -> float:
+def dstoch_residual(raw):
     """Largest violation of the doubly stochastic constraints.
 
-    Infinite for a matrix with a non-finite entry: such an entry makes its
-    row sum NaN or infinite, and NaN is mapped to infinity so that no
-    ``res > tol`` test can pass it.
+    Accepts one (n, n) matrix, for which it returns a float, or an
+    (..., n, n) stack, for which it returns one residual per matrix.  A
+    matrix with a non-finite entry has an infinite residual: such an entry
+    makes its row sum NaN or infinite, and NaN is mapped to infinity so
+    that no ``res > tol`` test can pass it.
     """
     a = np.asarray(raw, dtype=float)
-    res = float(max(np.abs(a.sum(axis=1) - 1.0).max(),
-                    np.abs(a.sum(axis=0) - 1.0).max(),
-                    max(0.0, -a.min())))
-    return math.inf if math.isnan(res) else res
+    res = np.maximum(np.abs(a.sum(axis=-1) - 1.0).max(axis=-1),
+                     np.abs(a.sum(axis=-2) - 1.0).max(axis=-1))
+    res = np.maximum(res, np.maximum(0.0, -a.min(axis=(-2, -1))))
+    res = np.where(np.isnan(res), np.inf, res)
+    return float(res) if a.ndim == 2 else res
 
 
 def zero_sum_basis(n) -> np.ndarray:

@@ -7,11 +7,18 @@ inter-event gaps, and the histories are averaged entrywise.  This is the
 discretization-free oracle against which the quadrature solvers are
 validated.
 
+Evaluation is batched.  The gaps of BATCH consecutive histories go to one
+``many`` call of the source, histories with the same number of gaps are
+multiplied together as stacked products, and the batch's products are
+checked for double stochasticity in one pass.  ``evolve_realization`` is
+the one-history case of the same product routine.
+
 Determinism contract: history r uses its own counter-based random stream
-keyed by (seed, r), and the reduction over histories runs in fixed index
-order, so results are bit-identical for a given (seed, R).  The histories
-run on one thread: the per-history work holds the GIL, so threads cannot
-share it out.
+keyed by (seed, r).  Within each fixed chunk of CHUNK histories the
+products are summed in history-index order, and the chunk sums are
+combined in chunk order, so results are bit-identical for a given
+(seed, R).  The histories run on one thread: the per-history work holds
+the GIL, so threads cannot share it out.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .errors import InputValidationError
 from .volterra import as_path
 
 CHUNK = 2048  # histories per partial sum; fixed, so the summation order is too
+BATCH = 64    # histories per path.many call; bounds the batch's working memory
 
 
 @dataclass(frozen=True)
@@ -58,13 +66,25 @@ def _stream(seed, index):
     return np.random.Generator(np.random.Philox(key=[int(seed), int(index)]))
 
 
+def _draw_jumps(nu, T, stream):
+    """Sorted reduction instants of one history: count, then positions."""
+    k = int(stream.poisson(nu * T)) if nu > 0 else 0
+    return np.sort(stream.uniform(0.0, T, size=k)) if k else np.empty(0)
+
+
 def sample_realization(nu, T, stream) -> PoissonRealization:
     """Draw one Poisson realization: count, then sorted uniform positions."""
     if nu < 0 or T <= 0:
         raise ValueError("need nu >= 0 and T > 0")
-    k = int(stream.poisson(nu * T)) if nu > 0 else 0
-    times = np.sort(stream.uniform(0.0, T, size=k)) if k else np.empty(0)
-    return PoissonRealization(T=float(T), jumps=tuple(times))
+    return PoissonRealization(T=float(T), jumps=tuple(_draw_jumps(nu, T, stream)))
+
+
+def _products(mats):
+    """Ordered products mats[:, -1] @ ... @ mats[:, 0] of a (B, k, n, n) stack."""
+    out = mats[:, 0]
+    for j in range(1, mats.shape[1]):
+        out = mats[:, j] @ out
+    return out
 
 
 def evolve_realization(m, r: PoissonRealization) -> np.ndarray:
@@ -73,13 +93,8 @@ def evolve_realization(m, r: PoissonRealization) -> np.ndarray:
     The factor for the final gap is applied last (leftmost), so with one
     event at t1 the product is M(T - t1) @ M(t1).
     """
-    path = as_path(m)
-    gaps = r.gaps
-    mats = path.many(np.asarray(gaps))
-    out = mats[0]
-    for g in mats[1:]:
-        out = g @ out
-    return out
+    mats = np.asarray(as_path(m).many(np.asarray(r.gaps)), dtype=float)
+    return _products(mats[None])[0]
 
 
 @dataclass
@@ -96,18 +111,39 @@ class McEstimate:
         validate_dstoch(self.mean, tol_sum=tol, tol_entry=tol)
 
 
-def _chunk_sums(m_path, nu, T, seed, lo, hi, product_tol):
-    """Entrywise sum and sum of squares over histories lo..hi-1."""
+def _batch_products(path, nu, T, seed, lo, hi):
+    """Evolution products of histories lo..hi-1, shape (hi - lo, n, n).
+
+    One ``path.many`` call covers the gaps of every history; histories with
+    the same number of gaps are multiplied together as stacked products.
+    """
+    gaps = [np.diff(np.concatenate(([0.0], _draw_jumps(nu, T, _stream(seed, r)), [T])))
+            for r in range(lo, hi)]
+    counts = np.array([len(g) for g in gaps])
+    starts = np.cumsum(counts) - counts
+    mats = np.asarray(path.many(np.concatenate(gaps)), dtype=float)
+    prods = np.empty((hi - lo,) + mats.shape[1:])
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        prods[rows] = _products(mats[starts[rows, None] + np.arange(k)])
+    return prods
+
+
+def _chunk_sums(path, nu, T, seed, lo, hi, product_tol):
+    """Entrywise sum and sum of squares over histories lo..hi-1, in index order."""
     total = total_sq = 0.0
-    for r in range(lo, hi):
-        prod = evolve_realization(m_path, sample_realization(nu, T, _stream(seed, r)))
+    for start in range(lo, hi, BATCH):
+        prods = _batch_products(path, nu, T, seed, start, min(start + BATCH, hi))
         if product_tol is not None:
-            res = dstoch_residual(prod)
-            if res > product_tol:
+            res = dstoch_residual(prods)
+            bad = np.flatnonzero(~(res <= product_tol))
+            if bad.size:
                 raise InputValidationError(
-                    f"history {r} produced a non-stochastic product (residual {res:.3e})")
-        total += prod
-        total_sq += prod * prod
+                    f"history {start + bad[0]} produced a non-stochastic product "
+                    f"(residual {res[bad[0]]:.3e})")
+        for prod in prods:
+            total += prod
+            total_sq += prod * prod
     return total, total_sq
 
 

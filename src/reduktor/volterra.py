@@ -247,11 +247,18 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _validate_nodes(values, tol, what="trajectory"):
-    for k, m in enumerate(values):
-        res = dstoch_residual(m)
-        if not res <= tol:
-            raise ValidationFailure(k, res, detail=what)
+def _validate_nodes(values, tol, what="trajectory", nodes=None):
+    """Raise ValidationFailure at the first matrix of a stack not within tol.
+
+    The failure names that matrix by its entry of ``nodes``, by default by
+    its index in the stack.
+    """
+    res = dstoch_residual(values)
+    bad = np.flatnonzero(~(res <= tol))
+    if bad.size:
+        k = bad[0]
+        raise ValidationFailure(int(k if nodes is None else nodes[k]), float(res[k]),
+                                detail=what)
 
 
 def _conv(S, Y, k, bk):
@@ -355,10 +362,9 @@ def march_solve(m, cfg: SolverConfig, *, tol_traj=TOL_TRAJ) -> Trajectory:
             MR[j] = np.asarray(path.right(ts[j]), dtype=float)
     out, left, _ = _march(ML, MR, jump_idx, np.ones(grid.steps + 1), grid.h, cfg.nu)
     _validate_nodes(out, tol_traj)
-    for j in jump_idx:
-        res = dstoch_residual(left[j])
-        if not res <= tol_traj:
-            raise ValidationFailure(j, res, detail="left limit")
+    if jump_idx:
+        _validate_nodes(np.stack([left[j] for j in jump_idx]), tol_traj, "left limit",
+                        jump_idx)
     return Trajectory(grid=grid, values=out, jump_nodes=tuple(jump_idx),
                       left_values=left)
 

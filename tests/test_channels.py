@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import linalg as sla
@@ -122,6 +124,59 @@ class TestMOfT:
         ms = generic_model.m_many(np.linspace(0.0, 6.0, 40))
         for m in ms:
             assert compression(m) <= 1.0 + 1e-10
+
+
+def rotated_model(n, n2, seed):
+    """Random model measured in a random basis."""
+    base = random_model(n, n2, seed=seed)
+    basis = random_unitary(np.random.default_rng(seed), n)
+    return BathModel.from_joint_generator(base.joint_generator, n, n2, basis=basis)
+
+
+def m_reference(model, t):
+    """M(t) from the propagator at one time, without the cached G."""
+    n, n2 = model.n, model.n2
+    big = np.kron(np.eye(n2), model.basis)
+    c = (big.conj().T @ model.propagator(t) @ big).reshape(n2, n, n2, n)
+    return (np.abs(c) ** 2).sum(axis=(0, 2)) / n2
+
+
+class TestMMany:
+    SHAPES = [(2, 1), (3, 2), (8, 4)]
+
+    @pytest.mark.parametrize("n, n2", SHAPES)
+    def test_matches_propagator_at_block_edges(self, n, n2):
+        model = rotated_model(n, n2, seed=17)
+        block = model._block
+        for length in (0, 1, block - 1, block, block + 1, 4001):
+            ts = np.linspace(0.0, 7.0, length)
+            got = model.m_many(ts)
+            assert got.shape == (length, n, n)
+            want = np.array([m_reference(model, t) for t in ts]).reshape(length, n, n)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n, n2", SHAPES)
+    def test_value_independent_of_batch(self, n, n2):
+        model = rotated_model(n, n2, seed=23)
+        ts = np.linspace(0.0, 7.0, 4001)
+        batch = model.m_many(ts)
+        block = model._block
+        for i in sorted({0, 1, block - 1, block, block + 1, 2 * block + 5, 2000, 4000}):
+            if i < len(ts):
+                np.testing.assert_array_equal(model.m_many(ts[i:i + 1])[0], batch[i])
+                np.testing.assert_array_equal(model.m_many(ts[i:])[0], batch[i])
+
+    def test_block_memory_bounded(self):
+        model = rotated_model(8, 4, seed=29)
+        ts = np.linspace(0.0, 7.0, 4001)
+        model.m_many(ts[:10])
+        tracemalloc.start()
+        try:
+            out = model.m_many(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * 2 ** 20
 
 
 class TestSecondOrder:

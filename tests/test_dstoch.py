@@ -70,6 +70,17 @@ class TestValidate:
             with pytest.raises(InputValidationError):
                 validate_dstoch(m)
 
+    def test_residual_of_stack(self):
+        sym = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
+        stack = np.stack([np.eye(3), sym, 1.5 * sym, 2.0 / 3.0 - np.eye(3)])
+        stack = np.concatenate([stack, np.full((1, 3, 3), np.nan)])
+        res = dstoch_residual(stack)
+        assert res.shape == (5,)
+        np.testing.assert_array_equal(res, [dstoch_residual(m) for m in stack])
+        assert res[-1] == np.inf
+        assert isinstance(dstoch_residual(stack[0]), float)
+        assert dstoch_residual(stack.reshape(5, 1, 3, 3)).shape == (5, 1)
+
     def test_tiny_negative_clamped(self):
         m = validate_dstoch(np.array([[1.0 + 1e-13, -1e-13], [-1e-13, 1.0 + 1e-13]]))
         assert m.entries.min() == 0.0

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from reduktor.dstoch import dstoch_residual
 from reduktor.errors import InputValidationError
 from reduktor.jump_mc import (
+    BATCH,
+    CHUNK,
     PoissonRealization,
     evolve_realization,
     monte_carlo_average,
@@ -14,6 +18,31 @@ from reduktor.presets import random_model
 from reduktor.volterra import ConstantPath, SolverConfig, TimeGrid, march_solve
 
 SYM_M = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
+
+
+def reference_average(path, nu, T, R, seed):
+    """Mean and stderr from one history at a time, summed in index order
+    within each chunk of CHUNK histories, then over chunks."""
+    total = total_sq = 0.0
+    for lo in range(0, R, CHUNK):
+        part = part_sq = 0.0
+        for r in range(lo, min(lo + CHUNK, R)):
+            prod = evolve_realization(path, sample_realization(nu, T, _stream(seed, r)))
+            part += prod
+            part_sq += prod * prod
+        total += part
+        total_sq += part_sq
+    mean = total / R
+    var = np.maximum(total_sq - R * mean * mean, 0.0) / (R - 1)
+    return mean, np.sqrt(var / R)
+
+
+def first_bad_history(path, nu, T, seed, tol):
+    r = 0
+    while dstoch_residual(
+            evolve_realization(path, sample_realization(nu, T, _stream(seed, r)))) <= tol:
+        r += 1
+    return r
 
 
 class TestRealization:
@@ -107,3 +136,37 @@ class TestAverage:
         double = monte_carlo_average(generic_model.m_path(), 1.0, 2.0, 8000, seed=3)
         ratio = double.stderr.max() / base.stderr.max()
         assert abs(ratio - 1.0 / np.sqrt(2.0)) < 0.2 / np.sqrt(2.0)
+
+
+class TestBatched:
+    R = 2 * CHUNK + 37
+
+    @pytest.mark.parametrize("source", ["bath", "constant"])
+    def test_matches_per_history_loop(self, generic_model, source):
+        path = generic_model.m_path() if source == "bath" else ConstantPath(SYM_M)
+        est = monte_carlo_average(path, 1.0, 2.0, self.R, seed=19)
+        mean, stderr = reference_average(path, 1.0, 2.0, self.R, seed=19)
+        np.testing.assert_allclose(est.mean, mean, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(est.stderr, stderr, rtol=0.0, atol=1e-15)
+
+    def test_names_first_non_stochastic_history(self):
+        # a source that is not stochastic for short gaps only, so the first
+        # bad history lies past the first batch
+        def source(t):
+            return SYM_M * (1.5 if t < 2e-4 else 1.0)
+
+        bad = first_bad_history(source, 1.0, 2.0, 31, 1e-9)
+        assert bad > BATCH
+        with pytest.raises(InputValidationError, match=f"history {bad} produced"):
+            monte_carlo_average(source, 1.0, 2.0, bad + CHUNK, seed=31)
+
+    def test_memory_bounded(self, generic_model):
+        path = generic_model.m_path()
+        monte_carlo_average(path, 1.0, 2.0, 200, seed=2)
+        tracemalloc.start()
+        try:
+            monte_carlo_average(path, 1.0, 2.0, 20000, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6

@@ -23,6 +23,7 @@ from reduktor.volterra import (
     Trajectory,
     _pick_series_order,
     _poisson_sf,
+    _validate_nodes,
     derivative_consistency,
     kernel_normalization_residual,
     march_solve,
@@ -109,6 +110,14 @@ class TestMarch:
         cfg = SolverConfig(nu=1.0, grid=TimeGrid(2.0, 100))
         with pytest.raises(ValidationFailure):
             march_solve(ConstantPath(bad), cfg)
+
+    def test_validation_names_first_non_finite_node(self):
+        values = np.broadcast_to(SYM_M, (12, 3, 3)).copy()
+        values[5, 1, 2] = values[9, 0, 0] = np.nan
+        with pytest.raises(ValidationFailure) as err:
+            _validate_nodes(values, 1e-9)
+        assert err.value.node == 5
+        assert err.value.residual == np.inf
 
     def test_nu_elimination_rescaling(self, generic_model):
         # solving with (M(t), nu) equals solving with (M(s t), s nu) on the
