@@ -28,7 +28,7 @@ from .errors import (
 TOL_HERMITIAN = 1e-12
 TOL_UNITARY = 1e-10
 TOL_OFFDIAG = 1e-10
-M_BLOCK_BYTES = 1 << 20  # working memory of one block of BathModel.m_many
+M_BLOCK_BYTES = 1 << 18  # working memory of one block of BathModel.m_many
 
 
 class BathModel:
@@ -108,9 +108,10 @@ class BathModel:
 
         Times run in blocks of ``self._block``, each one BLAS product
         (G e^{-i w t}) @ G^dag whose two complex (block, n n2, n n2) stacks
-        take at most M_BLOCK_BYTES = 1 MiB together (or one time's worth,
-        if larger).  The output is the only array that grows with len(ts),
-        and a time's value does not depend on the rest of the batch.
+        take at most M_BLOCK_BYTES = 256 KiB together (or one time's worth,
+        if larger), small enough to stay in a core's L2 cache.  The output
+        is the only array that grows with len(ts), and a time's value does
+        not depend on the rest of the batch.
         """
         ts = np.asarray(ts, dtype=float)
         out = np.empty((len(ts), self.n, self.n))

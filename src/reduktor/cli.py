@@ -349,6 +349,9 @@ def main(argv=None) -> int:
     except ReduktorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not an input error
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -40,6 +40,15 @@ Xbar = (XL + XR) / 2 and jumps D = MR - ML, XR - XL = a D, that pair is
 so each step is still one contraction of Mbar with Xbar.  The only extra
 terms are the t = 0 endpoint, which uses the left limit ML[k], and the
 pairs where both t and k - t are jump nodes; neither depends on X.
+
+The realization-count series and the derivative-consistency residual are
+oracles for that kernel and share none of its code.  Each needs the
+explicit trapezoid convolution
+
+    G[j] = h ( sum_{t <= j} M[j - t] F[t] - M[j] F[0] / 2 - M[0] F[j] / 2 )
+
+at every node, which ``_trapezoid_convolution`` sums lag-major: one BLAS
+product per lag covers all nodes, where a march steps node by node.
 """
 
 from __future__ import annotations
@@ -401,23 +410,44 @@ class SeriesResult:
     tail_bound: float
 
 
+def _trapezoid_convolution(M, F, h):
+    """Explicit trapezoid convolution of M with F at every node.
+
+    Returns G with G[j] = h (sum_{t<=j} M[j-t] F[t] - M[j] F[0] / 2 - M[0] F[j] / 2)
+    and G[0] = 0.  The sum runs lag-major: F is laid out as A of shape
+    (n, (K+1) m), and lag l adds the single BLAS product M[l] @ A[:, :(K+1-l) m]
+    into the columns of nodes l..K, so the loop takes K+1 products, each
+    for all nodes at once.  G is a view of that layout.
+    """
+    K1, n, m = F.shape
+    A = F.transpose(1, 0, 2).reshape(n, K1 * m)
+    full = np.zeros_like(A)
+    buf = np.empty_like(A)
+    for lag in range(K1):
+        cols = (K1 - lag) * m
+        np.matmul(M[lag], A[:, :cols], out=buf[:, :cols])
+        full[:, lag * m:] += buf[:, :cols]
+    out = full.reshape(n, K1, m).transpose(1, 0, 2)
+    out -= 0.5 * (M[:K1] @ F[0])
+    out -= 0.5 * (M[0] @ F)
+    out *= h
+    out[0] = 0.0
+    return out
+
+
 def _series_levels(M, h, K):
-    """Generator of iterated-integral levels F_1 = M, F_m = conv(M, F_{m-1})."""
+    """Generator of iterated-integral levels F_1 = M, F_m = conv(M, F_{m-1}).
+
+    Yields each level with its unit series u_m, the same recursion on
+    M = 1, which is a cumulative sum.
+    """
     F = M.copy()
     u = np.ones(K + 1)
     yield F, u
     while True:
-        Fn = np.zeros_like(F)
-        un = np.zeros(K + 1)
-        for j in range(1, K + 1):
-            acc = 0.5 * (M[j] @ F[0]) + 0.5 * (M[0] @ F[j])
-            uacc = 0.5 * (u[0] + u[j])
-            if j > 1:
-                acc += np.einsum("tij,tjk->ik", M[j - 1:0:-1], F[1:j])
-                uacc += u[1:j].sum()
-            Fn[j] = h * acc
-            un[j] = h * uacc
-        F, u = Fn, un
+        F = _trapezoid_convolution(M, F, h)
+        u = h * (np.cumsum(u) - 0.5 * (u[0] + u))
+        u[0] = 0.0
         yield F, u
 
 
@@ -461,7 +491,8 @@ def neumann_series(m, cfg: SolverConfig, T, *, tail_tol=DEFAULT_TAIL_TOL) -> Ser
     Evaluates sum_{k=0}^{n_max} nu^k F_{k+1}(T) over the normalizing unit
     series, where F_1 = M and F_{m+1}(T) = int_0^T M(T-t) F_m(t) dt by
     iterated trapezoid quadrature.  The e^{-nu T} prefactor cancels in the
-    normalization, so no large exponentials are formed.
+    normalization, so no large exponentials are formed.  Each level is
+    formed at every node up to T (see ``neumann_series_trajectory``).
     """
     traj = neumann_series_trajectory(m, cfg, tail_tol=tail_tol, horizon=T)
     nmax, tail = _pick_series_order(cfg.nu, T, cfg.n_max, tail_tol)
@@ -471,7 +502,13 @@ def neumann_series(m, cfg: SolverConfig, T, *, tail_tol=DEFAULT_TAIL_TOL) -> Ser
 
 def neumann_series_trajectory(m, cfg: SolverConfig, *, tail_tol=DEFAULT_TAIL_TOL,
                               horizon=None) -> Trajectory:
-    """Series evaluation at every grid node up to the horizon."""
+    """Series evaluation at every grid node up to the horizon.
+
+    Level F_{m+1} is the trapezoid convolution of M with F_m at all K + 1
+    nodes at once: K + 1 lag-major BLAS products of M[l] with the level
+    laid out as an (n, (K+1) n) array, O(K^2 n^3) work per level.  The
+    unit series, the same recursion on M = 1, is a cumulative sum.
+    """
     grid, nu = cfg.grid, cfg.nu
     h = grid.h
     if h * nu > 0.5:
@@ -518,9 +555,8 @@ def derivative_consistency(m, traj: Trajectory, cfg: SolverConfig, k=1) -> float
     """
     if k != 1:
         raise UnsupportedOrderError(f"only k=1 is implemented, got k={k}")
-    grid, nu, h = cfg.grid, cfg.nu, cfg.grid.h
-    K = grid.steps
-    ts = grid.nodes
+    nu, h = cfg.nu, cfg.grid.h
+    ts = cfg.grid.nodes
     path = as_path(m)
     M = np.asarray(path.many(ts), dtype=float)
     Mbar = traj.values
@@ -534,13 +570,7 @@ def derivative_consistency(m, traj: Trajectory, cfg: SolverConfig, k=1) -> float
 
     dM = fd(M)
     dMbar = fd(Mbar)
-    ew = np.exp(nu * ts)
     lag = Mbar[0] - np.eye(M.shape[-1])
-    worst = 0.0
-    for j in range(1, K + 1):
-        w = np.full(j + 1, h)
-        w[0] = w[-1] = h / 2.0
-        integ = np.einsum("t,tij,tjk->ik", w * ew[:j + 1], M[j::-1], dMbar[:j + 1])
-        rhs = np.exp(-nu * ts[j]) * (dM[j] + nu * (M[j] @ lag) + nu * integ)
-        worst = max(worst, float(np.abs(dMbar[j] - rhs).max()))
-    return worst
+    integ = _trapezoid_convolution(M, np.exp(nu * ts)[:, None, None] * dMbar, h)
+    rhs = np.exp(-nu * ts)[:, None, None] * (dM + nu * (M @ lag) + nu * integ)
+    return float(np.abs(dMbar - rhs)[1:].max())

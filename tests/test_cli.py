@@ -10,6 +10,8 @@ import pytest
 from reduktor.cli import complex_to_pairs, main
 from reduktor.presets import spin_flip_model
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def write_config(path, **overrides):
     model = spin_flip_model()
@@ -65,6 +67,16 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "cfg.json",
                            constant_M=[[0.7, 0.4], [0.4, 0.7]])
         assert run(["solve", "--config", cfg]) == 3
+
+    def test_singular_step_is_numerical_failure(self, tmp_path, capsys):
+        # h nu / 2 = 1 makes the implicit step I - M(0) singular
+        cfg = write_config(tmp_path / "cfg.json", nu=2.0,
+                           constant_M=[[0.5, 0.5], [0.5, 0.5]],
+                           grid={"t_max": 2.0, "steps": 2})
+        out = tmp_path / "traj.csv"
+        assert run(["solve", "--config", cfg, "--out", out]) == 3
+        assert not out.exists()
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -170,6 +182,17 @@ class TestCompare:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["pairs"]["march_vs_series"]["max_abs"] < 1e-12
         assert verdict["pairs"]["march_vs_mc"]["max_abs"] < 1e-12
+
+    def test_shipped_constant_matrix(self, tmp_path):
+        # the shipped matrix at nu T = 10: about 30 series levels at K = 1000
+        shipped = json.loads((CONFIGS / "constant_matrix.json").read_text())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(shipped, grid={"t_max": 10.0, "steps": 1000},
+                                       R=2000)))
+        out = tmp_path / "verdict.json"
+        assert run(["compare", "--config", cfg, "--out", out, "--quiet"]) == 0
+        verdict = json.loads(out.read_text())
+        assert verdict["pairs"]["march_vs_series"]["max_abs"] < 1e-12
 
 
 class TestAsymptoteAndGenericity:
