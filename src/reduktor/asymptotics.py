@@ -59,7 +59,7 @@ def delta_statistic(alpha: ScalarInput, horizon=40.0, steps=20000) -> DeltaEstim
         for a, b in zip(edges[:-1], edges[1:]):
             inner = base[(base > a + pad) & (base < b - pad)]
             xs = np.concatenate([[a], inner, [b]])
-            vals = np.asarray(alpha.values(xs), dtype=float)
+            vals = np.asarray(alpha.many(xs), dtype=float)
             vals[0] = float(alpha.right(a))
             vals[-1] = float(alpha.left(b))
             fs = vals * np.exp(-xs)

@@ -31,8 +31,11 @@ TOL_OFFDIAG = 1e-10
 M_BLOCK_BYTES = 1 << 18  # working memory of one block of BathModel.m_many
 
 
-class BathModel:
+class BathModel(_SmoothPath):
     """System-bath generator blocks plus a measurement basis.
+
+    The model is itself the smooth time path t -> M(t) that the solvers
+    consume: ``many`` is ``m_many``.
 
     Parameters
     ----------
@@ -129,20 +132,11 @@ class BathModel:
         sq += c.imag ** 2
         return sq.reshape(len(ts), n2, n, n2, n).sum(axis=(1, 3))
 
+    many = m_many
+
     def m_path(self):
-        """Time path handle consumed by the solvers."""
-        return _BathPath(self)
-
-
-class _BathPath(_SmoothPath):
-    """Callable M(t) with batched evaluation; smooth (no jumps)."""
-
-    def __init__(self, model):
-        self.model = model
-        self.n = model.n
-
-    def many(self, ts):
-        return self.model.m_many(ts)
+        """Time path handle consumed by the solvers: the model itself."""
+        return self
 
 
 @dataclass

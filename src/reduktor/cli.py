@@ -82,6 +82,14 @@ def _grid_from(cfg):
         raise ConfigError(f"config needs grid.t_max and grid.steps: {exc}") from exc
 
 
+def _nu_from(cfg):
+    """The reduction rate; every command that solves requires it."""
+    try:
+        return float(cfg["nu"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config needs a numeric nu: {exc!r}") from exc
+
+
 def _model_from(cfg) -> BathModel:
     try:
         n = int(cfg["n"])
@@ -144,7 +152,7 @@ def _seed(args, cfg):
 def cmd_solve(args):
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
-    nu = float(cfg.get("nu", 0.0))
+    nu = _nu_from(cfg)
     source = _source_from(cfg)
     traj = march_solve(source, SolverConfig(nu=nu, grid=grid))
     _write(args.out, trajectory_to_csv(traj))
@@ -158,7 +166,7 @@ def cmd_solve(args):
 def cmd_series(args):
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
-    nu = float(cfg.get("nu", 0.0))
+    nu = _nu_from(cfg)
     n_max = cfg.get("N_max")
     source = _source_from(cfg)
     traj = neumann_series_trajectory(
@@ -171,7 +179,7 @@ def cmd_series(args):
 def cmd_simulate(args):
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
-    nu = float(cfg.get("nu", 0.0))
+    nu = _nu_from(cfg)
     R = int(cfg.get("R", 10000))
     seed = _seed(args, cfg)
     source = _source_from(cfg)
@@ -184,7 +192,7 @@ def cmd_simulate(args):
 def cmd_compare(args):
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
-    nu = float(cfg.get("nu", 0.0))
+    nu = _nu_from(cfg)
     R = int(cfg.get("R", 10000))
     seed = _seed(args, cfg)
     thresholds = cfg.get("thresholds", {})
@@ -232,7 +240,7 @@ def cmd_compare(args):
 def cmd_asymptote(args):
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
-    nu = float(cfg.get("nu", 1.0))
+    nu = _nu_from(cfg)
     thresholds = cfg.get("thresholds", {})
     source = _source_from(cfg)
     report = convergence_report(
@@ -272,8 +280,8 @@ def cmd_genericity(args):
 def cmd_scalar(args):
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
-    nu = float(cfg.get("nu", 1.0))
     alpha = _scalar_input_from(cfg)
+    nu = _nu_from(cfg)
     traj = scalar_march(alpha, nu, grid)
     _write(args.out, scalar_trajectory_to_csv(traj))
     notes = []

@@ -4,19 +4,18 @@ A doubly stochastic matrix has nonnegative entries and all row and column
 sums equal to one.  This module provides validated construction, the
 compression functional (the spectral norm of the restriction to the
 zero-sum subspace), block-uniform projectors, and a decomposability
-witness search that characterizes matrices of unit compression.
+witness, read off the support graph, that characterizes matrices of unit
+compression.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ColSumViolation,
-    DimensionTooLargeForExhaustive,
     EmptySampleListError,
     InputValidationError,
     InvalidPartitionError,
@@ -28,7 +27,6 @@ from .errors import (
 TOL_SUM = 1e-9
 TOL_ENTRY = 1e-12
 UNIT_COMPRESSION_TOL = 1e-8
-EXHAUSTIVE_DIM_CAP = 8
 
 
 def _entries(m):
@@ -258,30 +256,38 @@ def _partition_from_components(comps) -> BlockPartition:
     return BlockPartition(blocks=blocks, id_sector=ids)
 
 
-def decomposability_witness(m, tol=UNIT_COMPRESSION_TOL, *,
-                            support_tol=1e-9,
-                            max_exhaustive_n=EXHAUSTIVE_DIM_CAP):
+def decomposability_witness(m, tol=UNIT_COMPRESSION_TOL, *, support_tol=1e-9):
     """Find a permutation P making P @ M block-decomposable.
 
     Returns (perm, BlockPartition) when compression(M) >= 1 - tol and the
-    exhaustive search over permutations finds a disconnected support
-    pattern; returns None when compression(M) < 1 - tol.  Unit compression
-    is equivalent to decomposability after a permutation, so the search is
-    complete for exact inputs.
+    support splits; returns None otherwise.  The witness comes from the
+    connected components of the bipartite row/column support graph: each
+    component's sorted rows are sent onto its sorted columns, so P @ M has
+    support only inside the column sets, which form the partition.  A
+    component with unequal row and column counts (impossible for a doubly
+    stochastic M) gives None.  Unit compression is equivalent to
+    decomposability after a permutation, so for exact inputs a witness
+    exists exactly when the compression is one.
     """
     a = _entries(m)
     n = a.shape[0]
     if compression(a) < 1.0 - tol:
         return None
-    if n > max_exhaustive_n:
-        raise DimensionTooLargeForExhaustive(
-            f"exhaustive permutation search capped at n={max_exhaustive_n}, got n={n}")
-    for perm in itertools.permutations(range(n)):
-        pa = perm_matrix(perm) @ a
-        comps = _support_components(pa, support_tol)
-        if len(comps) >= 2:
-            return perm, _partition_from_components(comps)
-    return None
+    bipartite = np.zeros((2 * n, 2 * n))
+    bipartite[:n, n:] = a  # rows are nodes 0..n-1, columns n..2n-1
+    perm = [0] * n
+    blocks = []
+    for comp in _support_components(bipartite, support_tol):
+        rows = [i for i in comp if i < n]
+        cols = [j - n for j in comp if j >= n]
+        if len(rows) != len(cols):
+            return None
+        for i, j in zip(rows, cols):
+            perm[i] = j
+        blocks.append(tuple(cols))
+    if len(blocks) < 2:
+        return None
+    return tuple(perm), _partition_from_components(sorted(blocks))
 
 
 def support_blocks(samples, tol=1e-8) -> BlockPartition:

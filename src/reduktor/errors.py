@@ -64,10 +64,6 @@ class EmptySampleListError(InputValidationError):
     pass
 
 
-class DimensionTooLargeForExhaustive(InputValidationError):
-    pass
-
-
 # -- bath models ------------------------------------------------------------
 
 class NonHermitianModelError(InputValidationError):

@@ -8,6 +8,11 @@ the averaged evolution:
     beta(T) = e^{-nu T} alpha(T)
               + nu e^{-nu T} int_0^T alpha(T-t) beta(t) e^{nu t} dt.
 
+Scalar inputs are time paths of the same protocol as the matrix sources
+(``volterra._SmoothPath``, exported here as ``ScalarInput``) whose
+``many`` returns a 1-d array of values; ``LiftedPath`` is the matrix path
+alpha(t) * 1 + (1 - alpha(t)) * Theta_n of an input.
+
 Three solution methods are provided: trapezoid marching (any input), an
 exact polynomial method of steps for the alternating 1/0 input with period
 tau, and a constant-coefficient ODE reconstruction for the raised-cosine
@@ -27,34 +32,16 @@ from .errors import (
     ValidationFailure,
     ValueEscapeError,
 )
-from .volterra import SolverConfig, TimeGrid, Trajectory, _march, march_solve
+from .volterra import TimeGrid, Trajectory, _limits, _march, _SmoothPath
 
 SCALAR_ESCAPE_TOL = 1e-7
 
 
 # -- scalar inputs -----------------------------------------------------------
 
-class ScalarInput:
-    """Base class for inputs alpha(t) with values in [0, 1].
-
-    Subclasses provide ``value`` (right-continuous), one-sided limits, and
-    the set of discontinuities in an interval.
-    """
-
-    def value(self, t):
-        raise NotImplementedError
-
-    def values(self, ts):
-        return np.array([self.value(t) for t in np.asarray(ts, dtype=float)])
-
-    def left(self, t):
-        return self.value(t)
-
-    def right(self, t):
-        return self.value(t)
-
-    def jump_times(self, t0, t1):
-        return np.empty(0)
+# Inputs alpha(t) with values in [0, 1]: right-continuous time paths whose
+# ``many`` returns a 1-d array.
+ScalarInput = _SmoothPath
 
 
 class ConstantInput(ScalarInput):
@@ -63,10 +50,7 @@ class ConstantInput(ScalarInput):
             raise ValueError(f"constant input must lie in [0, 1], got {c}")
         self.c = float(c)
 
-    def value(self, t):
-        return self.c
-
-    def values(self, ts):
+    def many(self, ts):
         return np.full(len(np.atleast_1d(ts)), self.c)
 
 
@@ -95,10 +79,7 @@ class PiecewiseInput(ScalarInput):
         pad = 32.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(r))
         return np.floor(r + pad).astype(int)
 
-    def value(self, t):
-        return self._segment(int(self._segment_index(np.asarray(t / self.tau))))
-
-    def values(self, ts):
+    def many(self, ts):
         ks = self._segment_index(np.asarray(ts, dtype=float) / self.tau)
         pat = np.asarray(self.pattern)
         return pat[ks % len(pat)]
@@ -107,10 +88,7 @@ class PiecewiseInput(ScalarInput):
         k = int(round(t / self.tau))
         if abs(t - k * self.tau) <= 1e-12 * max(1.0, t) and k >= 1:
             return self._segment(k - 1)
-        return self.value(t)
-
-    def right(self, t):
-        return self.value(t)
+        return self(t)
 
     def jump_times(self, t0, t1):
         k0 = max(1, int(np.ceil(t0 / self.tau - 1e-12)))
@@ -129,10 +107,7 @@ class CosineInput(ScalarInput):
         self.mean = float(mean)
         self.amplitude = float(amplitude)
 
-    def value(self, t):
-        return self.mean + self.amplitude * np.cos(t)
-
-    def values(self, ts):
+    def many(self, ts):
         return self.mean + self.amplitude * np.cos(np.asarray(ts, dtype=float))
 
 
@@ -151,10 +126,7 @@ class TabulatedInput(ScalarInput):
         self.times = times
         self.table = values
 
-    def value(self, t):
-        return float(np.interp(t, self.times, self.table))
-
-    def values(self, ts):
+    def many(self, ts):
         return np.interp(np.asarray(ts, dtype=float), self.times, self.table)
 
 
@@ -206,18 +178,10 @@ def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid, *,
     """
     if nu < 0:
         raise ValueError("nu must be >= 0")
-    h, K = grid.h, grid.steps
     ts = grid.nodes
-    jumps = np.asarray(alpha.jump_times(0.0, grid.t_max), dtype=float)
-    jump_idx = sorted({grid.index_of(t) for t in jumps if 0.0 < t <= grid.t_max})
-
-    aR = np.asarray(alpha.values(ts), dtype=float).copy()
-    aL = aR.copy()
-    for j in jump_idx:
-        aL[j] = float(alpha.left(ts[j]))
-        aR[j] = float(alpha.right(ts[j]))
-    out, left, _ = _march(aL[:, None, None], aR[:, None, None], jump_idx,
-                          np.ones(K + 1), h, nu)
+    aL, aR, jump_idx = _limits(alpha, grid)
+    out, left, _ = _march(aL.reshape(-1, 1, 1), aR.reshape(-1, 1, 1), jump_idx,
+                          np.ones(grid.steps + 1), grid.h, nu)
     betaR = out[:, 0, 0]
     lo, hi = betaR.min(), betaR.max()
     if lo < -escape_tol or hi > 1.0 + escape_tol:
@@ -229,30 +193,27 @@ def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid, *,
 
 # -- lift to matrices --------------------------------------------------------
 
-class LiftedPath:
+def _lift(a, n):
+    """a * 1 + (1 - a) * Theta_n: an (n, n) matrix for a number, a stack for an array."""
+    a = np.asarray(a, dtype=float)[..., None, None]
+    return a * np.eye(n) + (1.0 - a) * theta(n).entries
+
+
+class LiftedPath(_SmoothPath):
     """Matrix path alpha(t) * 1 + (1 - alpha(t)) * Theta_n."""
 
     def __init__(self, alpha: ScalarInput, n):
         self.alpha = alpha
         self.n = int(n)
-        self._eye = np.eye(self.n)
-        self._theta = theta(self.n).entries
-
-    def _lift(self, a):
-        return a * self._eye + (1.0 - a) * self._theta
-
-    def __call__(self, t):
-        return self._lift(float(self.alpha.value(t)))
 
     def many(self, ts):
-        a = np.asarray(self.alpha.values(ts), dtype=float)
-        return a[:, None, None] * self._eye + (1.0 - a)[:, None, None] * self._theta
+        return _lift(self.alpha.many(ts), self.n)
 
     def left(self, t):
-        return self._lift(float(self.alpha.left(t)))
+        return _lift(self.alpha.left(t), self.n)
 
     def right(self, t):
-        return self._lift(float(self.alpha.right(t)))
+        return _lift(self.alpha.right(t), self.n)
 
     def jump_times(self, t0, t1):
         return self.alpha.jump_times(t0, t1)
@@ -262,17 +223,13 @@ def lift_scalar(traj: ScalarTrajectory, n) -> Trajectory:
     """Lift a scalar trajectory to matrices beta * 1 + (1 - beta) * Theta_n."""
     if n < 2:
         raise ValueError("matrix lift needs n >= 2")
-    eye = np.eye(n)
-    th = theta(n).entries
-    b = traj.beta
-    values = b[:, None, None] * eye + (1.0 - b)[:, None, None] * th
+    values = _lift(traj.beta, n)
     for k, m in enumerate(values):
         lo = m.min()
         if lo < -1e-9:
             raise ValidationFailure(k, float(-lo), "lifted trajectory")
     jump_nodes = tuple(traj.grid.index_of(t) for t, _, _ in traj.jumps)
-    left_values = {traj.grid.index_of(t): lo * eye + (1.0 - lo) * th
-                   for t, lo, _ in traj.jumps}
+    left_values = {traj.grid.index_of(t): _lift(lo, n) for t, lo, _ in traj.jumps}
     return Trajectory(grid=traj.grid, values=values,
                       jump_nodes=jump_nodes, left_values=left_values)
 
@@ -398,8 +355,3 @@ def trig_ode_solve(grid: TimeGrid, *, imag_tol=1e-7) -> TrigSolution:
     return TrigSolution(trajectory=ScalarTrajectory(grid=grid, beta=beta),
                         a_state=a_state, b_state=b_state,
                         imag_residual=imag_res)
-
-
-def scalar_march_as_matrix(alpha: ScalarInput, nu, grid: TimeGrid, n) -> Trajectory:
-    """Full matrix solve of the lifted input (cross-validation helper)."""
-    return march_solve(LiftedPath(alpha, n), SolverConfig(nu=nu, grid=grid))

@@ -27,9 +27,13 @@ O(h^2), but the discrete factor is exactly the row/column-sum mode of the
 marched solution, so every output node is doubly stochastic to machine
 precision instead of drifting by e^{T nu^3 h^2 / 12}.
 
-Sources are callables t -> (n, n) array; objects may additionally expose
-``many(ts)`` for batched evaluation and ``left``/``right``/``jump_times``
-for piecewise-continuous inputs, in which case quadrature panels never
+Sources are time paths: subclasses of ``_SmoothPath``, which supplies
+``__call__``, ``many(ts)`` for batched evaluation and the one-sided limits
+``left``/``right`` with ``jump_times`` of a continuous source.  Constant
+matrices, bath models (``channels.BathModel``), scalar inputs alpha(t)
+(``scalar``) and their matrix lifts are all such paths; ``as_path`` wraps
+a plain callable t -> (n, n) array.  ``_limits`` samples every path's
+one-sided limits on the grid for the marches, so quadrature panels never
 straddle a discontinuity (jumps must sit on grid nodes).  A panel that
 ends on jump nodes pairs the right limit of M with the left limit of X
 and vice versa, averaged.  With node averages Mbar = (ML + MR) / 2,
@@ -167,7 +171,8 @@ class _SmoothPath:
 
     Subclasses define ``__call__`` or ``many`` (each default calls the
     other) and override ``left``, ``right`` and ``jump_times`` only when
-    the source jumps.
+    the source jumps.  A matrix path's ``many`` returns an (len(ts), n, n)
+    stack, a scalar input's a 1-d array of len(ts) values.
     """
 
     def __call__(self, t):
@@ -350,6 +355,25 @@ def _march(ML, MR, jump_idx, a, h, b):
     return X, {j: left[j] / sigma[j] for j in left}, sigma
 
 
+def _limits(path, grid):
+    """Left and right limits of a path at the grid nodes, and its jump nodes.
+
+    Returns (ML, MR, jump_idx): ``path.many`` at the nodes, with the
+    one-sided limits put in at the jump nodes in (0, t_max], which must lie
+    on the grid.  ML and MR are one array when there is no jump.
+    """
+    ts = grid.nodes
+    jumps = np.asarray(path.jump_times(0.0, grid.t_max), dtype=float)
+    jump_idx = sorted({grid.index_of(t) for t in jumps if 0.0 < t <= grid.t_max})
+    ML = MR = np.asarray(path.many(ts), dtype=float)
+    if jump_idx:
+        ML, MR = ML.copy(), ML.copy()
+        for j in jump_idx:
+            ML[j] = path.left(ts[j])
+            MR[j] = path.right(ts[j])
+    return ML, MR, jump_idx
+
+
 def march_solve(m, cfg: SolverConfig, *, tol_traj=TOL_TRAJ) -> Trajectory:
     """March the rescaled equation N(T) = M(T) + nu int_0^T M(T-t) N(t) dt.
 
@@ -358,17 +382,8 @@ def march_solve(m, cfg: SolverConfig, *, tol_traj=TOL_TRAJ) -> Trajectory:
     output is N divided by the discrete growth factor, validated doubly
     stochastic at every node and every left limit within tol_traj.
     """
-    path = as_path(m)
     grid = cfg.grid
-    ts = grid.nodes
-    jumps = np.asarray(path.jump_times(0.0, grid.t_max), dtype=float)
-    jump_idx = sorted({grid.index_of(t) for t in jumps if 0.0 < t <= grid.t_max})
-    ML = MR = np.asarray(path.many(ts), dtype=float)
-    if jump_idx:
-        ML, MR = ML.copy(), ML.copy()
-        for j in jump_idx:
-            ML[j] = np.asarray(path.left(ts[j]), dtype=float)
-            MR[j] = np.asarray(path.right(ts[j]), dtype=float)
+    ML, MR, jump_idx = _limits(as_path(m), grid)
     out, left, _ = _march(ML, MR, jump_idx, np.ones(grid.steps + 1), grid.h, cfg.nu)
     _validate_nodes(out, tol_traj)
     if jump_idx:

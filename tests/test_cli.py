@@ -195,6 +195,26 @@ class TestCompare:
         assert verdict["pairs"]["march_vs_series"]["max_abs"] < 1e-12
 
 
+@pytest.mark.parametrize("command, shipped", [
+    ("solve", "spin_flip.json"), ("series", "spin_flip.json"),
+    ("simulate", "spin_flip.json"), ("compare", "spin_flip.json"),
+    ("asymptote", "spin_flip.json"), ("scalar", "scalar_alternating.json"),
+])
+def test_missing_nu_is_config_error(tmp_path, capsys, command, shipped):
+    # no command falls back to a default reduction rate
+    cfg = json.loads((CONFIGS / shipped).read_text())
+    del cfg["nu"]
+    cfg["grid"] = {"t_max": 2.0, "steps": 200}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out", out]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and "nu" in captured.err
+
+
 class TestAsymptoteAndGenericity:
     def test_asymptote_verdict(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",

@@ -17,7 +17,6 @@ from reduktor.dstoch import (
     validate_dstoch,
 )
 from reduktor.errors import (
-    DimensionTooLargeForExhaustive,
     EmptySampleListError,
     InputValidationError,
     InvalidPartitionError,
@@ -26,6 +25,25 @@ from reduktor.errors import (
     RowSumViolation,
 )
 from reduktor.presets import random_model
+
+from dstoch_reference import exhaustive_witness
+
+
+def assert_witness_splits(m, witness, support_tol=1e-9):
+    """perm is a permutation, the partition covers every index, and
+    perm_matrix(perm) @ m has no support between two of its parts."""
+    perm, part = witness
+    n = m.shape[0]
+    assert sorted(perm) == list(range(n))
+    assert part.covers(n)
+    comps = list(part.blocks) + [(i,) for i in part.id_sector]
+    assert len(comps) >= 2
+    label = np.empty(n, dtype=int)
+    for k, c in enumerate(comps):
+        label[list(c)] = k
+    pm = perm_matrix(perm) @ m
+    across = label[:, None] != label[None, :]
+    assert np.abs(pm[across]).max(initial=0.0) <= support_tol
 
 
 def random_dstoch(rng, n, n_perms=4):
@@ -196,9 +214,46 @@ class TestDecomposability:
                 if a is not b:
                     assert np.abs(check[np.ix_(a, b)]).max() < 1e-12
 
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionTooLargeForExhaustive):
-            decomposability_witness(np.eye(9), max_exhaustive_n=8)
+    def test_permuted_block_matrix_beyond_exhaustive_reach(self):
+        # n = 10: a search over all 10! permutations would be out of reach
+        rng = np.random.default_rng(11)
+        m = np.zeros((10, 10))
+        for lo, hi in ((0, 3), (3, 7), (7, 8), (8, 10)):
+            k = hi - lo
+            perms = [np.eye(k)[rng.permutation(k)] for _ in range(3)]
+            w = rng.dirichlet(np.ones(3))
+            m[lo:hi, lo:hi] = sum(wk * p for wk, p in zip(w, perms))
+        rows, cols = rng.permutation(10), rng.permutation(10)
+        m = m[rows][:, cols]
+        witness = decomposability_witness(m)
+        assert witness is not None
+        assert_witness_splits(m, witness)
+
+    def test_connected_support_within_tol_of_unit_compression(self):
+        # compression 1 - 6e-9 passes tol = 1e-8, but the support is connected
+        eps = 3e-9
+        m = np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
+        assert compression(m) >= 1.0 - 1e-8
+        assert exhaustive_witness(m) is None
+        assert decomposability_witness(m) is None
+
+    def test_agrees_with_exhaustive_search(self):
+        # random convex combinations of permutations, n = 2..6: a witness
+        # exists exactly when the exhaustive search finds one, and it
+        # splits; the partition itself may differ from the search's
+        rng = np.random.default_rng(2024)
+        found = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            k = int(rng.integers(1, 4))
+            w = rng.dirichlet(np.ones(k))
+            m = sum(wk * np.eye(n)[rng.permutation(n)] for wk in w)
+            got, want = decomposability_witness(m), exhaustive_witness(m)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert_witness_splits(m, got)
+                found += 1
+        assert 50 < found < 300
 
     def test_agrees_with_compression_on_grid(self):
         # every convex combination of <= 3 permutations of S_3 on a

@@ -98,7 +98,7 @@ def test_general_kernel(n, kernel):
 def test_scalar_march(alpha):
     traj = scalar_march(alpha, NU, GRID)
     ts = GRID.nodes
-    lo = np.asarray(alpha.values(ts), dtype=float)
+    lo = np.asarray(alpha.many(ts), dtype=float)
     hi = lo.copy()
     for t, _, _ in traj.jumps:
         j = GRID.index_of(t)

@@ -11,7 +11,6 @@ from reduktor.scalar import (
     lift_scalar,
     piecewise_delay_solve,
     scalar_march,
-    scalar_march_as_matrix,
     scalar_trajectory_to_csv,
     trig_ode_solve,
 )
@@ -31,17 +30,17 @@ class TestInputs:
 
     def test_piecewise_values_and_limits(self):
         alpha = PiecewiseInput(tau=0.5)
-        assert alpha.value(0.0) == 1.0
-        assert alpha.value(0.49) == 1.0
-        assert alpha.value(0.5) == 0.0
+        assert alpha(0.0) == 1.0
+        assert alpha(0.49) == 1.0
+        assert alpha(0.5) == 0.0
         assert alpha.left(0.5) == 1.0
         assert alpha.right(0.5) == 0.0
         np.testing.assert_allclose(alpha.jump_times(0.0, 2.0), [0.5, 1.0, 1.5, 2.0])
 
     def test_tabulated_interpolates(self):
         alpha = TabulatedInput([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
-        assert alpha.value(0.5) == 0.5
-        np.testing.assert_allclose(alpha.values([0.0, 1.5]), [0.0, 0.5])
+        assert alpha(0.5) == 0.5
+        np.testing.assert_allclose(alpha.many([0.0, 1.5]), [0.0, 0.5])
 
 
 class TestScalarMarch:
@@ -211,7 +210,7 @@ class TestLift:
         nu = 1.3
         grid = TimeGrid(3.0, 600)
         scalar = scalar_march(alpha, nu, grid)
-        matrix = scalar_march_as_matrix(alpha, nu, grid, 3)
+        matrix = march_solve(LiftedPath(alpha, 3), SolverConfig(nu=nu, grid=grid))
         lifted = lift_scalar(scalar, 3)
         assert np.abs(lifted.values - matrix.values).max() < 1e-9
 
