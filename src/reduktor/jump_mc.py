@@ -14,11 +14,13 @@ checked for double stochasticity in one pass.  ``evolve_realization`` is
 the one-history case of the same product routine.
 
 Determinism contract: history r uses its own counter-based random stream
-keyed by (seed, r).  Within each fixed chunk of CHUNK histories the
-products are summed in history-index order, and the chunk sums are
-combined in chunk order, so results are bit-identical for a given
-(seed, R).  The histories run on one thread: the per-history work holds
-the GIL, so threads cannot share it out.
+keyed by (seed, r): one generator per call, reset before each history to
+the fresh state of that key, so the draws are those of a new generator.
+Within each fixed chunk of CHUNK histories the products are accumulated
+from zero in history-index order, and the chunk sums are combined in
+chunk order, so results are bit-identical for a given (seed, R).  The
+histories run on one thread: the per-history work holds the GIL, so
+threads cannot share it out.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .dstoch import dstoch_residual, validate_dstoch
 from .errors import InputValidationError
-from .volterra import as_path
+from .volterra import _matrix_stack, as_path
 
 CHUNK = 2048  # histories per partial sum; fixed, so the summation order is too
 BATCH = 64    # histories per path.many call; bounds the batch's working memory
@@ -66,6 +68,19 @@ def _stream(seed, index):
     return np.random.Generator(np.random.Philox(key=[int(seed), int(index)]))
 
 
+def _rekeyed_streams(seed):
+    """``r -> _stream(seed, r)`` from one generator, reset to key (seed, r),
+    counter 0 and an empty buffer; a new Philox per history costs more."""
+    gen = _stream(seed, 0)
+    fresh = gen.bit_generator.state
+
+    def stream(r):
+        fresh["state"]["key"][1] = r
+        gen.bit_generator.state = fresh
+        return gen
+    return stream
+
+
 def _draw_jumps(nu, T, stream):
     """Sorted reduction instants of one history: count, then positions."""
     k = int(stream.poisson(nu * T)) if nu > 0 else 0
@@ -93,7 +108,7 @@ def evolve_realization(m, r: PoissonRealization) -> np.ndarray:
     The factor for the final gap is applied last (leftmost), so with one
     event at t1 the product is M(T - t1) @ M(t1).
     """
-    mats = np.asarray(as_path(m).many(np.asarray(r.gaps)), dtype=float)
+    mats = _matrix_stack(as_path(m), np.asarray(r.gaps))
     return _products(mats[None])[0]
 
 
@@ -111,17 +126,21 @@ class McEstimate:
         validate_dstoch(self.mean, tol_sum=tol, tol_entry=tol)
 
 
-def _batch_products(path, nu, T, seed, lo, hi):
+def _batch_products(path, nu, T, stream, lo, hi):
     """Evolution products of histories lo..hi-1, shape (hi - lo, n, n).
 
-    One ``path.many`` call covers the gaps of every history; histories with
-    the same number of gaps are multiplied together as stacked products.
+    One ``np.diff`` of every history's 0, jumps, T laid end to end gives
+    the gaps (less the T -> 0 steps), and one ``path.many`` call covers
+    them; histories with the same number of gaps are multiplied together
+    as stacked products.
     """
-    gaps = [np.diff(np.concatenate(([0.0], _draw_jumps(nu, T, _stream(seed, r)), [T])))
-            for r in range(lo, hi)]
-    counts = np.array([len(g) for g in gaps])
+    jumps = [_draw_jumps(nu, T, stream(r)) for r in range(lo, hi)]
+    counts = np.array([len(j) + 1 for j in jumps])
     starts = np.cumsum(counts) - counts
-    mats = np.asarray(path.many(np.concatenate(gaps)), dtype=float)
+    edge = np.array([T, 0.0])
+    pts = np.concatenate([[0.0]] + [a for j in jumps for a in (j, edge)])[:-1]
+    gaps = np.delete(np.diff(pts), starts[1:] + np.arange(len(jumps) - 1))
+    mats = _matrix_stack(path, gaps)
     prods = np.empty((hi - lo,) + mats.shape[1:])
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
@@ -129,11 +148,14 @@ def _batch_products(path, nu, T, seed, lo, hi):
     return prods
 
 
-def _chunk_sums(path, nu, T, seed, lo, hi, product_tol):
-    """Entrywise sum and sum of squares over histories lo..hi-1, in index order."""
-    total = total_sq = 0.0
+def _chunk_sums(path, nu, T, stream, lo, hi, product_tol):
+    """Entrywise sum and sum of squares over histories lo..hi-1, in index order.
+
+    ``np.add.accumulate`` adds in sequence from zero, where ``sum`` would
+    add a 1x1 stack pairwise and move the last bits.
+    """
     for start in range(lo, hi, BATCH):
-        prods = _batch_products(path, nu, T, seed, start, min(start + BATCH, hi))
+        prods = _batch_products(path, nu, T, stream, start, min(start + BATCH, hi))
         if product_tol is not None:
             res = dstoch_residual(prods)
             bad = np.flatnonzero(~(res <= product_tol))
@@ -141,10 +163,10 @@ def _chunk_sums(path, nu, T, seed, lo, hi, product_tol):
                 raise InputValidationError(
                     f"history {start + bad[0]} produced a non-stochastic product "
                     f"(residual {res[bad[0]]:.3e})")
-        for prod in prods:
-            total += prod
-            total_sq += prod * prod
-    return total, total_sq
+        pairs = np.stack((prods, prods * prods), axis=1)
+        head = run[-1:] if start > lo else np.zeros_like(pairs[:1])
+        run = np.add.accumulate(np.concatenate((head, pairs)))
+    return run[-1, 0], run[-1, 1]
 
 
 def monte_carlo_average(m, nu, T, R, seed, *, workers=1,
@@ -162,10 +184,11 @@ def monte_carlo_average(m, nu, T, R, seed, *, workers=1,
     path = as_path(m)
     if nu == 0:
         # every history is the bare evolution; the average is exact
-        mean = path.many(np.array([T]))[0]
+        mean = _matrix_stack(path, np.array([T]))[0].copy()
         return McEstimate(mean=mean, stderr=np.zeros_like(mean),
                           n_samples=R, seed=int(seed))
-    partials = [_chunk_sums(path, nu, T, seed, lo, min(lo + CHUNK, R), product_tol)
+    stream = _rekeyed_streams(seed)
+    partials = [_chunk_sums(path, nu, T, stream, lo, min(lo + CHUNK, R), product_tol)
                 for lo in range(0, R, CHUNK)]
     total = np.sum(np.stack([p[0] for p in partials]), axis=0)
     total_sq = np.sum(np.stack([p[1] for p in partials]), axis=0)

@@ -179,7 +179,7 @@ def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid, *,
     if nu < 0:
         raise ValueError("nu must be >= 0")
     ts = grid.nodes
-    aL, aR, jump_idx = _limits(alpha, grid)
+    aL, aR, jump_idx = _limits(alpha, grid, matrix=False)
     out, left, _ = _march(aL.reshape(-1, 1, 1), aR.reshape(-1, 1, 1), jump_idx,
                           np.ones(grid.steps + 1), grid.h, nu)
     betaR = out[:, 0, 0]

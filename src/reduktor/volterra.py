@@ -355,17 +355,27 @@ def _march(ML, MR, jump_idx, a, h, b):
     return X, {j: left[j] / sigma[j] for j in left}, sigma
 
 
-def _limits(path, grid):
+def _matrix_stack(path, ts):
+    """``path.many(ts)`` as floats, checked to be a (len(ts), n, n) stack."""
+    M = np.asarray(path.many(ts), dtype=float)
+    if M.shape != (len(ts),) + M.shape[-1:] * 2:
+        raise TypeError(f"{type(path).__name__} is not a matrix path (many returned shape "
+                        f"{M.shape}); lift a scalar input with LiftedPath(alpha, n)")
+    return M
+
+
+def _limits(path, grid, matrix=True):
     """Left and right limits of a path at the grid nodes, and its jump nodes.
 
-    Returns (ML, MR, jump_idx): ``path.many`` at the nodes, with the
+    Returns (ML, MR, jump_idx): ``path.many`` at the nodes, checked to be a
+    matrix stack unless ``matrix`` is false (a scalar input), with the
     one-sided limits put in at the jump nodes in (0, t_max], which must lie
     on the grid.  ML and MR are one array when there is no jump.
     """
     ts = grid.nodes
     jumps = np.asarray(path.jump_times(0.0, grid.t_max), dtype=float)
     jump_idx = sorted({grid.index_of(t) for t in jumps if 0.0 < t <= grid.t_max})
-    ML = MR = np.asarray(path.many(ts), dtype=float)
+    ML = MR = _matrix_stack(path, ts) if matrix else np.asarray(path.many(ts), dtype=float)
     if jump_idx:
         ML, MR = ML.copy(), ML.copy()
         for j in jump_idx:
@@ -409,7 +419,7 @@ def march_solve_general(m, kernel: Kernel, grid: TimeGrid, *,
     if np.asarray(path.jump_times(0.0, grid.t_max)).size:
         raise ValueError("the generalized-kernel solver requires a continuous source")
     ts = grid.nodes
-    M = np.asarray(path.many(ts), dtype=float)
+    M = _matrix_stack(path, ts)
     a = np.broadcast_to(np.asarray(kernel.a(ts), dtype=float), ts.shape)
     out, _, _ = _march(M, M, [], a, grid.h, lambda k: kernel.b(ts[:k + 1], ts[k]))
     _validate_nodes(out, tol_traj)
@@ -538,7 +548,7 @@ def neumann_series_trajectory(m, cfg: SolverConfig, *, tail_tol=DEFAULT_TAIL_TOL
     path = as_path(m)
     if np.asarray(path.jump_times(0.0, T)).size:
         raise ValueError("the series evaluator requires a continuous source")
-    M = np.asarray(path.many(grid.nodes[:K + 1]), dtype=float)
+    M = _matrix_stack(path, grid.nodes[:K + 1])
     nmax, _tail = _pick_series_order(nu, T, cfg.n_max, tail_tol)
     total = np.zeros_like(M)
     mass = np.zeros(K + 1)
@@ -572,8 +582,7 @@ def derivative_consistency(m, traj: Trajectory, cfg: SolverConfig, k=1) -> float
         raise UnsupportedOrderError(f"only k=1 is implemented, got k={k}")
     nu, h = cfg.nu, cfg.grid.h
     ts = cfg.grid.nodes
-    path = as_path(m)
-    M = np.asarray(path.many(ts), dtype=float)
+    M = _matrix_stack(as_path(m), ts)
     Mbar = traj.values
 
     def fd(stack):

@@ -291,3 +291,19 @@ def test_cli_imports_without_scipy():
             "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the Monte Carlo sums run in a fixed order, so the BLAS thread count
+    # must not reach the output
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"simulate-{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "reduktor.cli", "simulate",
+             "--config", str(CONFIGS / "random_3level.json"), "--out", str(out)],
+            env=env, check=True, capture_output=True)
+        outs.append((out.read_bytes(), done.stdout))
+    assert outs[0] == outs[1]

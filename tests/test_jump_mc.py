@@ -8,8 +8,10 @@ from reduktor.errors import InputValidationError
 from reduktor.jump_mc import (
     BATCH,
     CHUNK,
+    McEstimate,
     PoissonRealization,
     evolve_realization,
+    mc_estimate_to_csv,
     monte_carlo_average,
     sample_realization,
     _stream,
@@ -102,6 +104,13 @@ class TestAverage:
                                    atol=1e-13)
         assert est.stderr.max() == 0.0
 
+    def test_zero_rate_mean_is_a_copy(self):
+        m = SYM_M.copy()
+        est = monte_carlo_average(ConstantPath(m), 0.0, 2.0, 100, seed=0)
+        assert not np.shares_memory(est.mean, m)
+        est.mean[0, 0] = 1.0
+        np.testing.assert_array_equal(m, SYM_M)
+
     def test_minimum_sample_size(self, generic_model):
         with pytest.raises(ValueError):
             monte_carlo_average(generic_model.m_path(), 1.0, 1.0, 50, seed=0)
@@ -170,3 +179,37 @@ class TestBatched:
         finally:
             tracemalloc.stop()
         assert peak <= 1e6
+
+
+def negative_zero_source(t):
+    # doubly stochastic, with -0.0 in the first row and column
+    c = 0.5 + 0.5 * np.cos(t)
+    return np.array([[1.0, -0.0, -0.0], [-0.0, c, 1.0 - c], [-0.0, 1.0 - c, c]])
+
+
+BIT_CASES = {  # source and rate
+    "bath-1x2": (lambda: random_model(1, 2, seed=0), 1.0),  # M(t) off 1 by rounding
+    "bath-2x1": (lambda: random_model(2, 1, seed=4), 1.0),
+    "bath-3x2": (lambda: random_model(3, 2, seed=5), 1.0),
+    "bath-8x4": (lambda: random_model(8, 4, seed=6), 1.0),
+    "constant": (lambda: ConstantPath(SYM_M), 1.0),
+    # at nu T = 2e-6 almost no history jumps, so the products keep the -0.0
+    # entries (a matrix product gives +0.0); the output must print them as 0,
+    # as a history loop summing from 0.0 does
+    "negative-zero-callable": (lambda: negative_zero_source, 1e-6),
+}
+
+
+@pytest.mark.parametrize("R", [100, 2 * CHUNK + 37])
+@pytest.mark.parametrize("case", BIT_CASES.values(), ids=BIT_CASES.keys())
+def test_bit_identical_to_per_history_loop(case, R):
+    source, nu = case
+    path = source()
+    est = monte_carlo_average(path, nu, 2.0, R, seed=23)
+    mean, stderr = reference_average(path, nu, 2.0, R, seed=23)
+    np.testing.assert_array_equal(est.mean, mean)
+    np.testing.assert_array_equal(est.stderr, stderr)
+    ref = McEstimate(mean=mean, stderr=stderr, n_samples=R, seed=23)
+    text = mc_estimate_to_csv(est, nu=nu, T=2.0)
+    assert text == mc_estimate_to_csv(ref, nu=nu, T=2.0)
+    assert not np.signbit(est.mean).any()

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reduktor.asymptotics import _RescaledPath
+from reduktor.jump_mc import monte_carlo_average
 from reduktor.presets import random_model
 from reduktor.scalar import (
     ConstantInput,
@@ -27,7 +28,11 @@ from reduktor.volterra import (
     SolverConfig,
     TimeGrid,
     as_path,
+    derivative_consistency,
     march_solve,
+    march_solve_general,
+    neumann_series_trajectory,
+    poisson_kernel,
 )
 
 SCALAR_INPUTS = {
@@ -48,6 +53,24 @@ PATHS = {
 
 T_END = 4.0
 SAMPLES = np.concatenate([np.linspace(0.0, T_END, 17), [0.1234, 1.4142, 2.7183, 3.3333]])
+
+
+CFG = SolverConfig(nu=1.0, grid=TimeGrid(1.0, 10))
+MATRIX_SOLVERS = {
+    "march_solve": lambda m: march_solve(m, CFG),
+    "march_solve_general": lambda m: march_solve_general(m, poisson_kernel(1.0), CFG.grid),
+    "neumann_series_trajectory": lambda m: neumann_series_trajectory(m, CFG),
+    "derivative_consistency": lambda m: derivative_consistency(
+        m, march_solve(LiftedPath(m, 2), CFG), CFG),
+    "monte_carlo_average": lambda m: monte_carlo_average(m, 1.0, 1.0, 100, seed=0),
+    "monte_carlo_average-nu0": lambda m: monte_carlo_average(m, 0.0, 1.0, 100, seed=0),
+}
+
+
+@pytest.mark.parametrize("solve", MATRIX_SOLVERS.values(), ids=MATRIX_SOLVERS.keys())
+def test_matrix_solver_names_a_scalar_input(solve):
+    with pytest.raises(TypeError, match="ConstantInput is not a matrix path.*LiftedPath"):
+        solve(ConstantInput(0.5))
 
 
 @pytest.mark.parametrize("path", PATHS.values(), ids=PATHS.keys())
