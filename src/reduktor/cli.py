@@ -26,7 +26,7 @@ from .errors import (
     NumericalError,
     ReduktorError,
 )
-from .jump_mc import mc_estimate_to_csv, monte_carlo_average
+from .jump_mc import _key, mc_estimate_to_csv, monte_carlo_average
 from .scalar import (
     ConstantInput,
     CosineInput,
@@ -144,9 +144,9 @@ def _say(args, msg):
 
 
 def _seed(args, cfg):
-    if args.seed is not None:
-        return int(args.seed)
-    return int(cfg.get("seed", 0))
+    seed = int(args.seed) if args.seed is not None else int(cfg.get("seed", 0))
+    _key(seed)  # an out-of-range seed is a config error before any solver runs
+    return seed
 
 
 def cmd_solve(args):

@@ -156,6 +156,22 @@ class TestSimulate:
         run(["simulate", "--config", cfg, "--out", b, "--seed", 2, "--quiet"])
         assert a.read_bytes() != b.read_bytes()
 
+    def test_seed_range(self, tmp_path, capsys):
+        # the whole uint64 range keys its own streams; 2**64 is a config error
+        cfg = write_config(tmp_path / "cfg.json")
+        texts = []
+        for seed in (0, 2**64 - 1, -1):
+            out = tmp_path / f"mc{seed}.csv"
+            assert run(["simulate", "--config", cfg, "--out", out, "--seed", seed,
+                        "--quiet"]) == 0
+            texts.append(out.read_text().split("# mean\n")[1])
+        assert texts[0] != texts[1] == texts[2]
+        for command in ("simulate", "compare"):
+            out = tmp_path / f"{command}-too-big.txt"
+            assert run([command, "--config", cfg, "--out", out, "--seed", 2**64]) == 1
+            assert "config error: seed must lie in" in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestCompare:
     def test_healthy_model_passes(self, tmp_path, capsys):
@@ -293,17 +309,33 @@ def test_cli_imports_without_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the Monte Carlo sums run in a fixed order, so the BLAS thread count
-    # must not reach the output
+def outputs_at_blas_threads(tmp_path, command):
+    """Output file, stdout and exit code of one command on random_3level.json
+    at OPENBLAS_NUM_THREADS=1 and 2."""
     outs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"simulate-{threads}.csv"
+        out = tmp_path / f"{command}-{threads}.txt"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         done = subprocess.run(
-            [sys.executable, "-m", "reduktor.cli", "simulate",
+            [sys.executable, "-m", "reduktor.cli", command,
              "--config", str(CONFIGS / "random_3level.json"), "--out", str(out)],
-            env=env, check=True, capture_output=True)
-        outs.append((out.read_bytes(), done.stdout))
+            env=env, capture_output=True)
+        outs.append((out.read_bytes(), done.stdout, done.returncode))
+    return outs
+
+
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the Monte Carlo sums run in a fixed order, so the BLAS thread count
+    # must not reach the output
+    outs = outputs_at_blas_threads(tmp_path, "simulate")
     assert outs[0] == outs[1]
+    assert outs[0][2] == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_solver_bytes_do_not_depend_on_blas_threads(tmp_path, command):
+    # the march and series BLAS products must not depend on the thread count
+    outs = outputs_at_blas_threads(tmp_path, command)
+    assert outs[0] == outs[1]
+    assert outs[0][2] == 0

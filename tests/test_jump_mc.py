@@ -6,7 +6,7 @@ import pytest
 from reduktor.dstoch import dstoch_residual
 from reduktor.errors import InputValidationError
 from reduktor.jump_mc import (
-    BATCH,
+    DRAW,
     CHUNK,
     McEstimate,
     PoissonRealization,
@@ -14,6 +14,10 @@ from reduktor.jump_mc import (
     mc_estimate_to_csv,
     monte_carlo_average,
     sample_realization,
+    _bulk_jumps,
+    _draw_jumps,
+    _key,
+    _philox,
     _stream,
 )
 from reduktor.presets import random_model
@@ -68,6 +72,19 @@ class TestRealization:
         a = sample_realization(2.0, 5.0, _stream(123, 7))
         b = sample_realization(2.0, 5.0, _stream(123, 7))
         assert a.jumps == b.jumps
+
+    @pytest.mark.parametrize("seed", [2**63, 2**63 + 1, 2**64 - 1])
+    def test_seeds_past_int64_key_their_own_stream(self, seed):
+        # numpy reads a key list holding ints past 2**63 through a float,
+        # where 2**63 and 2**63 + 1 collide; the key word is seed mod 2**64
+        state = _stream(seed, 3).bit_generator.state["state"]
+        assert state["key"].tolist() == [seed, 3]
+        assert _key(seed - 2**64) == seed
+
+    @pytest.mark.parametrize("seed", [2**64, -2**63 - 1])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            _stream(seed, 0)
 
     def test_mean_count(self):
         # 1e5 draws at nu*T = 10; empirical mean within 10 +- 0.1
@@ -140,6 +157,14 @@ class TestAverage:
         np.testing.assert_array_equal(one.mean, eight.mean)
         np.testing.assert_array_equal(one.stderr, eight.stderr)
 
+    def test_seeds_past_int64_give_distinct_averages(self, generic_model):
+        means = [monte_carlo_average(generic_model.m_path(), 1.0, 2.0, 200, seed).mean
+                 for seed in (2**63, 2**63 + 1, 2**63 + 1000)]
+        assert not np.array_equal(means[0], means[1])
+        assert not np.array_equal(means[0], means[2])
+        with pytest.raises(ValueError, match="seed must lie in"):
+            monte_carlo_average(generic_model.m_path(), 0.0, 2.0, 200, 2**64)
+
     def test_stderr_scales_with_samples(self, generic_model):
         base = monte_carlo_average(generic_model.m_path(), 1.0, 2.0, 4000, seed=3)
         double = monte_carlo_average(generic_model.m_path(), 1.0, 2.0, 8000, seed=3)
@@ -160,14 +185,24 @@ class TestBatched:
 
     def test_names_first_non_stochastic_history(self):
         # a source that is not stochastic for short gaps only, so the first
-        # bad history lies past the first batch
+        # bad history lies past the first draw block and its product batches
         def source(t):
             return SYM_M * (1.5 if t < 2e-4 else 1.0)
 
         bad = first_bad_history(source, 1.0, 2.0, 31, 1e-9)
-        assert bad > BATCH
+        assert bad > DRAW
         with pytest.raises(InputValidationError, match=f"history {bad} produced"):
             monte_carlo_average(source, 1.0, 2.0, bad + CHUNK, seed=31)
+
+    def test_chunks_combined_in_chunk_order(self):
+        # a 1x1 source with more than 8 chunks, which a pairwise sum over
+        # the chunk totals would add out of order
+        path = random_model(1, 2, seed=1).m_path()
+        R = 12 * CHUNK
+        est = monte_carlo_average(path, 1.0, 2.0, R, seed=23)
+        mean, stderr = reference_average(path, 1.0, 2.0, R, seed=23)
+        np.testing.assert_array_equal(est.mean, mean)
+        np.testing.assert_array_equal(est.stderr, stderr)
 
     def test_memory_bounded(self, generic_model):
         path = generic_model.m_path()
@@ -193,11 +228,38 @@ BIT_CASES = {  # source and rate
     "bath-3x2": (lambda: random_model(3, 2, seed=5), 1.0),
     "bath-8x4": (lambda: random_model(8, 4, seed=6), 1.0),
     "constant": (lambda: ConstantPath(SYM_M), 1.0),
+    # nu T = 9.99: the last rate of the bulk draw, several counters per
+    # history; nu T = 10: numpy's PTRS draw, one generator call per history
+    "bath-3x2-rate-9.99": (lambda: random_model(3, 2, seed=5), 4.995),
+    "bath-3x2-rate-10": (lambda: random_model(3, 2, seed=5), 5.0),
     # at nu T = 2e-6 almost no history jumps, so the products keep the -0.0
     # entries (a matrix product gives +0.0); the output must print them as 0,
     # as a history loop summing from 0.0 does
     "negative-zero-callable": (lambda: negative_zero_source, 1e-6),
 }
+
+
+@pytest.mark.parametrize("seed, r", [(0, 0), (23, 7), (-1, 2**32 + 5),
+                                     (2**63 + 1, 2**40), (2**64 - 1, 2**63)])
+def test_kernel_words_equal_random_raw(seed, r):
+    key = np.array([_key(seed), r], dtype=np.uint64)
+    want = np.random.Philox(key=key).random_raw(40)
+    np.testing.assert_array_equal(_philox(_key(seed), [r], 10)[0], want)
+
+
+@pytest.mark.parametrize("nu, big, many", [(1.0, [14233, 29417], 10),
+                                           (4.995, [115942, 126257], 26)])
+def test_bulk_draw_equals_generator_draw(nu, big, many):
+    # the histories in big have so many events that their 2 many + 1
+    # doubles run past the words of the first draw (5 and 13 counters)
+    rs = np.array(big + list(range(200)))
+    counts, jumps = _bulk_jumps(nu, 2.0, 23, rs)
+    assert counts[:2].min() >= many
+    for i, r in enumerate(rs):
+        want = _draw_jumps(nu, 2.0, _stream(23, r))
+        assert counts[i] == len(want)
+        np.testing.assert_array_equal(jumps[i, :counts[i]], want)
+        assert (jumps[i, counts[i]:] == 2.0).all()
 
 
 @pytest.mark.parametrize("R", [100, 2 * CHUNK + 37])
