@@ -119,18 +119,26 @@ class BathModel(_SmoothPath):
         ts = np.asarray(ts, dtype=float)
         out = np.empty((len(ts), self.n, self.n))
         for lo in range(0, len(ts), self._block):
-            out[lo:lo + self._block] = self._m_block(ts[lo:lo + self._block])
+            self._m_block(ts[lo:lo + self._block], out[lo:lo + self._block])
         out /= self.n2
         return out
 
-    def _m_block(self, ts):
-        """n2 M(t) for one block of times (the stacks die on return)."""
+    def _m_block(self, ts, out):
+        """Write n2 M(t) for one block of times into out (the stacks die on return).
+
+        The partial trace over the bath adds the n2^2 slices [:, a, :, b] of
+        the squared moduli to the first in (a, b) row-major order, the order
+        in which ``sum(axis=(1, 3))`` adds them, with the same bits.
+        """
         n, n2 = self.n, self.n2
         phases = np.exp(-1j * np.outer(ts, self._evals))
         c = (self._g * phases[:, None, :]).reshape(-1, n * n2) @ self._gh
         sq = c.real ** 2
         sq += c.imag ** 2
-        return sq.reshape(len(ts), n2, n, n2, n).sum(axis=(1, 3))
+        sq = sq.reshape(len(ts), n2, n, n2, n)
+        out[...] = sq[:, 0, :, 0]
+        for ab in range(1, n2 * n2):
+            out += sq[:, ab // n2, :, ab % n2]
 
     many = m_many
 

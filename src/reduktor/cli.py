@@ -74,10 +74,19 @@ def _load_config(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
+def _integral(value, what):
+    """An integer config field: an int or an integral float such as 1e4, never truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 def _grid_from(cfg):
     try:
         g = cfg["grid"]
-        return TimeGrid(t_max=float(g["t_max"]), steps=int(g["steps"]))
+        return TimeGrid(t_max=float(g["t_max"]), steps=_integral(g["steps"], "grid.steps"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config needs grid.t_max and grid.steps: {exc}") from exc
 
@@ -92,8 +101,8 @@ def _nu_from(cfg):
 
 def _model_from(cfg) -> BathModel:
     try:
-        n = int(cfg["n"])
-        n2 = int(cfg["n2"])
+        n = _integral(cfg["n"], "n")
+        n2 = _integral(cfg["n2"], "n2")
         blocks = _pairs_to_complex(cfg["B"])
     except KeyError as exc:
         raise ConfigError(f"model config needs n, n2 and B: missing {exc}") from exc
@@ -143,8 +152,13 @@ def _say(args, msg):
         print(msg)
 
 
+def _n_max(cfg):
+    n_max = cfg.get("N_max")
+    return None if n_max is None else _integral(n_max, "N_max")
+
+
 def _seed(args, cfg):
-    seed = int(args.seed) if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _integral(cfg.get("seed", 0), "seed")
     _key(seed)  # an out-of-range seed is a config error before any solver runs
     return seed
 
@@ -167,7 +181,7 @@ def cmd_series(args):
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
     nu = _nu_from(cfg)
-    n_max = cfg.get("N_max")
+    n_max = _n_max(cfg)
     source = _source_from(cfg)
     traj = neumann_series_trajectory(
         source, SolverConfig(nu=nu, grid=grid, n_max=n_max))
@@ -180,7 +194,7 @@ def cmd_simulate(args):
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
     nu = _nu_from(cfg)
-    R = int(cfg.get("R", 10000))
+    R = _integral(cfg.get("R", 10000), "R")
     seed = _seed(args, cfg)
     source = _source_from(cfg)
     est = monte_carlo_average(source, nu, grid.t_max, R, seed)
@@ -193,13 +207,13 @@ def cmd_compare(args):
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
     nu = _nu_from(cfg)
-    R = int(cfg.get("R", 10000))
+    R = _integral(cfg.get("R", 10000), "R")
     seed = _seed(args, cfg)
     thresholds = cfg.get("thresholds", {})
     tol_series = float(thresholds.get("solver_vs_series", 1e-6))
     sigmas = float(thresholds.get("mc_sigmas", 3.0))
     source = _source_from(cfg)
-    scfg = SolverConfig(nu=nu, grid=grid, n_max=cfg.get("N_max"))
+    scfg = SolverConfig(nu=nu, grid=grid, n_max=_n_max(cfg))
 
     verdict = {"pairs": {}, "overall_pass": True}
     failure = False

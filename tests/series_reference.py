@@ -1,11 +1,23 @@
 """Reference node-by-node sums for the series levels and the derivative residual.
 
-These are the loops ``reduktor.volterra`` used before both sums ran
-lag-major through ``_trapezoid_convolution``.  ``test_series_levels``
-holds the library to them; they are test code only.
+``test_series_levels`` holds the library's block-Toeplitz sums
+(``volterra._trapezoid_convolution``) to these loops; they are test code
+only.
 """
 
 import numpy as np
+
+
+def trapezoid_convolution(M, F, h):
+    """G[j] = h (sum_{t<=j} M[j-t] F[t] - M[j] F[0] / 2 - M[0] F[j] / 2), node by node."""
+    K1, n, m = F.shape
+    G = np.zeros((K1, n, m))
+    for j in range(1, K1):
+        acc = 0.5 * (M[j] @ F[0]) + 0.5 * (M[0] @ F[j])
+        if j > 1:
+            acc += np.einsum("tij,tjk->ik", M[j - 1:0:-1], F[1:j])
+        G[j] = h * acc
+    return G
 
 
 def series_levels(M, h, K):
@@ -14,17 +26,13 @@ def series_levels(M, h, K):
     u = np.ones(K + 1)
     yield F, u
     while True:
-        Fn = np.zeros_like(F)
         un = np.zeros(K + 1)
         for j in range(1, K + 1):
-            acc = 0.5 * (M[j] @ F[0]) + 0.5 * (M[0] @ F[j])
             uacc = 0.5 * (u[0] + u[j])
             if j > 1:
-                acc += np.einsum("tij,tjk->ik", M[j - 1:0:-1], F[1:j])
                 uacc += u[1:j].sum()
-            Fn[j] = h * acc
             un[j] = h * uacc
-        F, u = Fn, un
+        F, u = trapezoid_convolution(M, F, h), un
         yield F, u
 
 

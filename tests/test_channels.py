@@ -142,8 +142,31 @@ def m_reference(model, t):
     return (np.abs(c) ** 2).sum(axis=(0, 2)) / n2
 
 
+def m_reshape_sum(model, ts):
+    """m_many with the partial trace taken by one reshape-sum per block."""
+    n, n2 = model.n, model.n2
+    out = np.empty((len(ts), n, n))
+    for lo in range(0, len(ts), model._block):
+        t = ts[lo:lo + model._block]
+        phases = np.exp(-1j * np.outer(t, model._evals))
+        c = (model._g * phases[:, None, :]).reshape(-1, n * n2) @ model._gh
+        sq = c.real ** 2
+        sq += c.imag ** 2
+        out[lo:lo + model._block] = sq.reshape(len(t), n2, n, n2, n).sum(axis=(1, 3))
+    out /= n2
+    return out
+
+
 class TestMMany:
     SHAPES = [(2, 1), (3, 2), (8, 4)]
+
+    @pytest.mark.parametrize("n2", [1, 2, 3, 4])
+    def test_partial_trace_bits_equal_reshape_sum(self, n2):
+        model = rotated_model(3, n2, seed=31 + n2)
+        block = model._block
+        for length in (block - 1, block, block + 1):
+            ts = np.linspace(0.0, 7.0, length)
+            np.testing.assert_array_equal(model.m_many(ts), m_reshape_sum(model, ts))
 
     @pytest.mark.parametrize("n, n2", SHAPES)
     def test_matches_propagator_at_block_edges(self, n, n2):

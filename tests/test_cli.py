@@ -231,6 +231,52 @@ def test_missing_nu_is_config_error(tmp_path, capsys, command, shipped):
     assert "config error" in captured.err and "nu" in captured.err
 
 
+INTEGER_FIELDS = {
+    "seed": ("simulate", "compare"),
+    "R": ("simulate", "compare"),
+    "grid.steps": ("solve", "series", "simulate", "compare"),
+    "N_max": ("series", "compare"),
+    "n": ("solve", "genericity"),
+    "n2": ("solve", "genericity"),
+}
+FRACTIONS = {"seed": 2.5, "R": 500.7, "grid.steps": 200.5, "N_max": 16.5, "n": 2.5,
+             "n2": 1.5}
+
+
+def with_field(field, value):
+    if field == "grid.steps":
+        return {"grid": {"t_max": 2.0, "steps": value}}
+    return {field: value}
+
+
+@pytest.mark.parametrize("field, command", [
+    (field, command) for field, commands in INTEGER_FIELDS.items() for command in commands])
+@pytest.mark.parametrize("kind", ["fraction", "string", "bool"])
+def test_non_integral_integer_field_is_config_error(tmp_path, capsys, field, command, kind):
+    # a fraction is not truncated, and neither "16" nor true is read as a number
+    value = {"fraction": FRACTIONS[field], "string": "16", "bool": True}[kind]
+    cfg = write_config(tmp_path / "cfg.json", **with_field(field, value))
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {field} must be an integer, got {value!r}" in captured.err
+
+
+@pytest.mark.parametrize("field, command, whole", [
+    ("seed", "simulate", 9), ("R", "simulate", 2000), ("grid.steps", "series", 200),
+    ("N_max", "series", 16), ("n", "solve", 2)])
+def test_integral_float_reads_as_its_integer(tmp_path, field, command, whole):
+    texts = []
+    for value in (whole, float(whole)):
+        cfg = write_config(tmp_path / "cfg.json", **with_field(field, value))
+        out = tmp_path / f"{value!r}.csv"
+        assert run([command, "--config", cfg, "--out", out, "--quiet"]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
 class TestAsymptoteAndGenericity:
     def test_asymptote_verdict(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",

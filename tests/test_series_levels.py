@@ -1,4 +1,6 @@
-"""The lag-major series levels and derivative residual against node-by-node sums."""
+"""The block-Toeplitz series levels and derivative residual against node-by-node sums."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +9,12 @@ import series_reference as ref
 from reduktor import volterra
 from reduktor.presets import random_model
 from reduktor.volterra import (
+    CONV_BLOCK_ROWS,
     ConstantPath,
     SolverConfig,
     TimeGrid,
     _series_levels,
+    _trapezoid_convolution,
     derivative_consistency,
     march_solve,
     neumann_series_trajectory,
@@ -62,6 +66,67 @@ def test_levels_match_node_by_node_sum(name):
             assert np.abs(F[j] - G[j]).max() <= 1e-12 * np.abs(G).max()
         assert np.abs(F - G).max() <= 1e-12 * np.abs(G).max()
         assert np.abs(u - v).max() <= 1e-12 * np.abs(v).max()
+
+
+def block_nodes(n):
+    return max(1, CONV_BLOCK_ROWS // n)
+
+
+def assert_level_close(G, want):
+    assert G.shape == want.shape
+    assert not G[0].any()
+    assert np.abs(G - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# K + 1 = a B + b nodes: 1, 2, B - 1, B, B + 1 and 2B + 1
+EDGES = [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 1)]
+
+
+@pytest.mark.parametrize("a, b", EDGES)
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_convolution_at_block_edges(n, a, b):
+    K1 = a * block_nodes(n) + b
+    rng = np.random.default_rng(100 * n + K1)
+    M, F = rng.random((K1, n, n)), rng.random((K1, n, n))
+    assert_level_close(_trapezoid_convolution(M, F, 0.01), ref.trapezoid_convolution(M, F, 0.01))
+
+
+@pytest.mark.parametrize("a, b", EDGES[3:])
+def test_convolution_of_zero_stride_stack(a, b):
+    K1 = a * block_nodes(3) + b
+    M = ConstantPath(SYM_M).many(np.linspace(0.0, 1.0, K1))
+    assert M.strides[0] == 0
+    for F in (M, np.random.default_rng(K1).random((K1, 3, 3))):
+        assert_level_close(_trapezoid_convolution(M, F, 0.01),
+                           ref.trapezoid_convolution(M, F, 0.01))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_convolution_of_non_square_level(m):
+    # F of shape (K + 1, n, m) with m != n, as the block layout must allow
+    K1 = 2 * block_nodes(3) + 1
+    rng = np.random.default_rng(m)
+    M, F = rng.random((K1, 3, 3)), rng.random((K1, 3, m))
+    assert_level_close(_trapezoid_convolution(M, F, 0.01), ref.trapezoid_convolution(M, F, 0.01))
+
+
+def test_level_memory_bounded():
+    # the blocks are built one at a time in one buffer; keeping every block
+    # lag would take B F.nbytes more (B = 21 here)
+    n, K1 = 3, 4001
+    rng = np.random.default_rng(0)
+    M, F = rng.random((K1, n, n)), rng.random((K1, n, n))
+    _trapezoid_convolution(M[:10], F[:10], 0.01)
+    tracemalloc.start()
+    try:
+        _trapezoid_convolution(M, F, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = (block_nodes(n) * n) ** 2 * 8
+    # the padded input, the product buffer, the sum, the padded M and one
+    # end-correction temporary: five arrays the size of F
+    assert peak <= 6 * F.nbytes + block
 
 
 def test_series_trajectory_matches_reference_levels(monkeypatch):
