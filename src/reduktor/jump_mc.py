@@ -1,38 +1,40 @@
-"""Direct Monte Carlo simulation of the stochastic-reduction process.
+"""Monte Carlo over Poisson event histories, stratified by event count.
 
-Each history draws reduction instants from a Poisson process on [0, T]
-(count first, then sorted uniform positions, so there is no
-time-discretization bias), composes the matrix evolution over the
-inter-event gaps, and the histories are averaged entrywise.  This is the
-discretization-free oracle against which the quadrature solvers are
-validated.
+The reduction-averaged evolution is a Poisson mixture over the number k of
+reductions in [0, T], with weights p_k = exp(-nu T) (nu T)**k / k!:
 
-History r draws from the counter-based stream ``_stream(seed, r)``: a
-Philox4x64-10 generator keyed (seed mod 2**64, r), for any integer seed in
-[-2**63, 2**64).  The draws are made in bulk, DRAW histories at a time,
-with the bits of one fresh generator per history.  For nu T < 10 numpy
-counts events by multiplying uniforms, and ``_bulk_jumps`` repeats that
-with array operations on the words of ``_philox``, a numpy Philox kernel
-evaluated for many keys at once.  From nu T = 10 numpy switches to PTRS,
-whose libm and ``loggam`` bits array code does not reproduce, so each
-history there draws from one generator reset to its key.  Both draws give
-rows of sorted instants padded with T, and one ``np.diff`` gives the gaps.
+    Mbar(T) = sum_k p_k E[M(T - t_k) ... M(t_2 - t_1) M(t_1) | k events],
 
-Evaluation is batched.  The gaps of consecutive histories go to one
-``many`` call of the source whose M(t) stack takes at most BATCH_BYTES,
-histories with the same number of gaps are multiplied together as stacked
-products, and the batch's products are checked for double stochasticity
-in one pass.  ``evolve_realization`` is the one-history case of the same
-product routine.  BATCH_BYTES trades speed for memory: on a 3x2 bath model
-32 KiB batches ran Monte Carlo 15-18 % faster, but raised the peak
-resident set of a run by about 0.3 MB, where 12 KiB keeps it at the level
-of the older 64-history batches.
+where given k the instants are k sorted uniform points of [0, T], so there
+is no time-discretization bias.  This is the oracle against which the
+quadrature solvers are validated.  ``monte_carlo_average`` samples the
+mixture by strata of k (stratified sampling: Cochran, *Sampling
+Techniques*, 3rd ed., 1977, ch. 5).  k = 0 is exact, p_0 M(T), and spends
+no history; each count 1 <= k < k_c is a stratum of its own, and the
+counts k >= k_c form one tail stratum whose counts are drawn by inverse
+CDF from the conditional Poisson law.  The mean is p_0 M(T) + sum_s p_s m_s
+and the squared stderr sum_s p_s**2 s_s**2 / R_s, from the sample mean m_s
+and variance s_s**2 of the R_s histories of stratum s; ``_strata`` sets k_c
+and the R_s.  The weights are formed here, in lgamma form, not taken from
+the series.
 
-Determinism contract: within each fixed chunk of CHUNK histories the
-products are accumulated from zero in history-index order, and the chunk
-sums are combined in chunk order, so results are bit-identical for a
-given (seed, R).  The histories run on one thread: the per-history work
-holds the GIL, so threads cannot share it out.
+Stratum k draws only uniforms, from the counter-based stream
+``_stream(seed, k)``: a Philox4x64-10 generator keyed (seed mod 2**64, k),
+for any integer seed in [-2**63, 2**64).  The tail draws its counts, then
+its instants, from ``_stream(seed, 0)``.  A history with k events takes
+the next k uniforms, sorted and scaled by T, and one ``np.diff`` gives its
+k + 1 gaps.  All histories of one count have as many gaps, so each batch
+of them whose M(t) stack takes at most BATCH_BYTES is one ``many`` call,
+reshaped to (b, k + 1, n, n), and one stacked product, checked for double
+stochasticity in one pass; the tail goes count by count.  32 KiB batches
+ran 15-18 % faster than 12 KiB on a 3x2 bath model, but took about 0.3 MB
+more peak resident memory.
+
+Determinism contract: within each stratum the products are accumulated
+from zero in history order, in fixed chunks of CHUNK histories whose sums
+are combined in chunk order, and the strata are combined in count order
+from +0.0, so results are bit-identical for a given (seed, R).  The
+histories run on one thread, since the batch work holds the GIL.
 """
 
 from __future__ import annotations
@@ -47,12 +49,8 @@ from .errors import InputValidationError
 from .volterra import _matrix_stack, as_path
 
 CHUNK = 2048  # histories per partial sum; fixed, so the summation order is too
-DRAW = 512    # histories per bulk draw
+FLOOR = 32    # fewest histories in a stratum, and the R p_k that makes count k one
 BATCH_BYTES = 3 << 12  # M(t) stack of one path.many call (one history's, if larger)
-PTRS_RATE = 10.0  # numpy's Poisson draw switches from products of uniforms to PTRS
-_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # Philox4x64 multipliers
-_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Philox4x64 key increments
-_LO, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -90,88 +88,17 @@ def _key(seed):
 
 
 def _stream(seed, index):
-    """Counter-based random stream for one history."""
+    """Counter-based random stream keyed (seed, index)."""
     key = np.array([_key(seed), index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _draw_jumps(nu, T, stream):
-    """Sorted reduction instants of one history: count, then positions."""
-    k = int(stream.poisson(nu * T)) if nu > 0 else 0
-    return np.sort(stream.uniform(0.0, T, size=k)) if k else np.empty(0)
-
-
-def _mulhilo(a, b):
-    """High and low words of the 128-bit products a * b, b a uint64 array."""
-    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b_lo, b_hi = b & _LO, b >> _32
-    cross, cross2 = a_lo * b_hi, a_hi * b_lo
-    mid = (a_lo * b_lo >> _32) + (cross & _LO) + (cross2 & _LO)
-    return a_hi * b_hi + (cross >> _32) + (cross2 >> _32) + (mid >> _32), np.uint64(a) * b
-
-
-def _philox(key, rs, n_ctr):
-    """Philox4x64-10 words of counters 1..n_ctr under keys (key, r), shape
-    (len(rs), 4 n_ctr): row i is ``random_raw(4 n_ctr)`` of a fresh
-    ``np.random.Philox(key=[key, rs[i]])``."""
-    k1 = np.asarray(rs, dtype=np.uint64)[:, None]
-    x0 = np.broadcast_to(np.arange(1, n_ctr + 1, dtype=np.uint64), (len(k1), n_ctr))
-    x1 = x2 = x3 = np.zeros_like(x0)
-    for i in range(10):
-        k0 = np.uint64((key + i * _WEYL[0]) % 2**64)
-        hi0, lo0 = _mulhilo(_MUL[0], x0)
-        hi1, lo1 = _mulhilo(_MUL[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-        k1 = k1 + np.uint64(_WEYL[1])  # array addition wraps mod 2**64
-    return np.stack((x0, x1, x2, x3), axis=-1).reshape(len(k1), 4 * n_ctr)
-
-
-def _bulk_jumps(nu, T, seed, rs):
-    """Counts and T-padded sorted instants of histories rs, for nu T < 10.
-
-    numpy's ``random_poisson_mult`` on each history's doubles
-    ``(word >> 11) 2**-53``: the count k is the number of leading running
-    products above exp(-nu T), and the instants are T times the next k
-    doubles.  Rows whose 2k + 1 doubles run past the words drawn are drawn
-    again with twice the counters; the other rows are padded with zeros,
-    which keep their counts.
-    """
-    lam, key = nu * T, _key(seed)
-    n_ctr = 2 + int(lam + 4 * math.sqrt(lam)) // 2
-    u, short = np.empty((len(rs), 0)), np.ones(len(rs), dtype=bool)
-    while short.any():
-        u = np.pad(u, ((0, 0), (0, 4 * n_ctr - u.shape[1])))
-        u[short] = (_philox(key, rs[short], n_ctr) >> np.uint64(11)) * 2.0**-53
-        k = np.count_nonzero(np.multiply.accumulate(u, axis=1) > math.exp(-lam), axis=1)
-        short, n_ctr = 2 * k >= u.shape[1], 2 * n_ctr
-    lane = np.arange(k.max(initial=0))
-    idx = np.minimum(k[:, None] + 1 + lane, u.shape[1] - 1)
-    pos = np.where(lane < k[:, None], T * np.take_along_axis(u, idx, axis=1), T)
-    return k, np.sort(pos, axis=1)
-
-
-def _generator_jumps(nu, T, seed, rs):
-    """Counts and T-padded sorted instants of histories rs, one generator
-    call each: one generator, before history r reset to key (seed, r),
-    counter 0 and an empty buffer, draws as ``_stream(seed, r)`` does."""
-    gen = _stream(seed, 0)
-    fresh = gen.bit_generator.state
-    draws = []
-    for r in rs:
-        fresh["state"]["key"][1] = r
-        gen.bit_generator.state = fresh
-        draws.append(_draw_jumps(nu, T, gen))
-    counts = np.array([len(d) for d in draws])
-    jumps = np.full((len(rs), counts.max()), float(T))
-    jumps[np.arange(jumps.shape[1]) < counts[:, None]] = np.concatenate(draws)
-    return counts, jumps
 
 
 def sample_realization(nu, T, stream) -> PoissonRealization:
     """Draw one Poisson realization: count, then sorted uniform positions."""
     if nu < 0 or T <= 0:
         raise ValueError("need nu >= 0 and T > 0")
-    return PoissonRealization(T=float(T), jumps=tuple(_draw_jumps(nu, T, stream)))
+    k = int(stream.poisson(nu * T)) if nu > 0 else 0
+    return PoissonRealization(T=float(T), jumps=tuple(np.sort(stream.uniform(0.0, T, size=k))))
 
 
 def _products(mats):
@@ -194,7 +121,7 @@ def evolve_realization(m, r: PoissonRealization) -> np.ndarray:
 
 @dataclass
 class McEstimate:
-    """Entrywise sample mean and standard error over R histories."""
+    """Entrywise mean and standard error of a Monte Carlo average over R histories."""
 
     mean: np.ndarray
     stderr: np.ndarray
@@ -206,67 +133,88 @@ class McEstimate:
         validate_dstoch(self.mean, tol_sum=tol, tol_entry=tol)
 
 
-def _batch_products(path, counts, gaps):
-    """Evolution products of histories with counts[i] events and padded gaps
-    rows, shape (len(counts), n, n).
+def _strata(lam, R):
+    """Strata of R histories at Poisson mean lam > 0: (k_c, weights, histories, tail).
 
-    One ``path.many`` call covers every real gap, and histories with the
-    same number of gaps are multiplied together as stacked products.
+    Counts 1 <= k < k_c are single strata: every count below the mode
+    floor(lam) and every count with R p_k >= FLOOR, with k_c capped at
+    R // FLOOR.  The counts k >= k_c are the tail, and ``tail`` holds their
+    weights p_{k_c}, p_{k_c+1}, ... up to a count past which the law holds
+    less than exp(-45).  ``weights`` holds p_1..p_{k_c-1} and the tail's
+    weight.  Each stratum gets FLOOR histories and a share of the rest in
+    proportion to its weight, rounded by largest remainder, so
+    ``histories`` sums to R.
     """
-    n_gaps = counts + 1
-    mats = _matrix_stack(path, gaps[np.arange(gaps.shape[1]) < n_gaps[:, None]])
-    starts = np.cumsum(n_gaps) - n_gaps
-    prods = np.empty((len(counts),) + mats.shape[1:])
-    for k in np.unique(n_gaps):
-        rows = np.flatnonzero(n_gaps == k)
-        prods[rows] = _products(mats[starts[rows, None] + np.arange(k)])
-    return prods
+    ks = range(int(lam + 10.0 * math.sqrt(lam)) + 41)
+    p = np.array([math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) for k in ks])
+    big = np.flatnonzero(R * p[1:] >= FLOOR)  # counts 1, 2, ... with R p_k >= FLOOR
+    k_c = min(max(int(lam), 2 + big[-1] if big.size else 1), R // FLOOR)
+    weights = np.append(p[1:k_c], p[k_c:].sum())
+    share = (R - FLOOR * len(weights)) * weights / weights.sum()
+    histories = FLOOR + np.floor(share).astype(int)
+    histories[np.argsort(np.floor(share) - share, kind="stable")[:R - histories.sum()]] += 1
+    return k_c, weights, histories, p[k_c:]
 
 
-def _product_batches(path, nu, T, seed, lo, hi, cap):
-    """(first history, products) over histories lo..hi-1 in index order, in
-    batches of at most ``cap`` gaps (or one history)."""
-    draw = _bulk_jumps if nu * T < PTRS_RATE else _generator_jumps
-    for start in range(lo, hi, DRAW):
-        counts, jumps = draw(nu, T, seed, np.arange(start, min(start + DRAW, hi)))
-        edge = np.full((len(counts), 1), float(T))
-        gaps = np.diff(np.concatenate((np.zeros_like(edge), jumps, edge), axis=1), axis=1)
-        ends = np.cumsum(counts + 1)  # gaps up to and including each history
-        a = 0
-        while a < len(counts):  # histories a..b-1: the most that fit in cap
-            b = max(a + 1, int(np.searchsorted(ends, ends[a] - counts[a] - 1 + cap, "right")))
-            yield start + a, _batch_products(path, counts[a:b], gaps[a:b])
-            a = b
+def _tail_counts(tail, k_c, n, stream):
+    """(count, histories) pairs of n tail histories, counts increasing."""
+    cdf = np.cumsum(tail)
+    idx = np.searchsorted(cdf, cdf[-1] * stream.random(n), "right")
+    return zip(*np.unique(k_c + np.minimum(idx, len(cdf) - 1), return_counts=True))
 
 
-def _chunk_sums(batches, product_tol):
-    """Entrywise sum and sum of squares over one chunk's batches, in index order.
+def _stratum_batches(path, T, counts, stream, cap):
+    """(first history, products) of one stratum's histories, in batches of
+    at most ``cap`` gaps (or one history) that stay within one chunk."""
+    i = 0
+    for k, n in counts:
+        end = i + n
+        while i < end:
+            b = min(max(1, cap // (k + 1)), end - i, CHUNK - i % CHUNK)
+            edges = [np.zeros((b, 1)), T * np.sort(stream.random((b, k)), axis=1),
+                     np.full((b, 1), float(T))]
+            gaps = np.diff(np.concatenate(edges, axis=1), axis=1)
+            mats = _matrix_stack(path, gaps.ravel())
+            yield i, _products(mats.reshape((b, k + 1) + mats.shape[1:]))
+            i += b
+
+
+def _stratum_sums(batches, product_tol, label):
+    """Entrywise sums of the products and of their squares over one stratum,
+    accumulated from zero in history order within each chunk, and the chunk
+    sums in chunk order.
 
     ``np.add.accumulate`` adds in sequence from zero, where ``sum`` would
     add a 1x1 stack pairwise and move the last bits.
     """
-    run = None
+    total, run = 0.0, None
     for start, prods in batches:
         if product_tol is not None:
             res = dstoch_residual(prods)
             bad = np.flatnonzero(~(res <= product_tol))
             if bad.size:
                 raise InputValidationError(
-                    f"history {start + bad[0]} produced a non-stochastic product "
-                    f"(residual {res[bad[0]]:.3e})")
+                    f"stratum {label}, history {start + bad[0]} produced a non-stochastic "
+                    f"product (residual {res[bad[0]]:.3e})")
         pairs = np.stack((prods, prods * prods), axis=1)
+        if start % CHUNK == 0 and run is not None:
+            total, run = total + run[-1], None
         head = np.zeros_like(pairs[:1]) if run is None else run[-1:]
         run = np.add.accumulate(np.concatenate((head, pairs)))
-    return run[-1, 0], run[-1, 1]
+    return total + run[-1]
 
 
 def monte_carlo_average(m, nu, T, R, seed, *, workers=1,
                         product_tol=1e-9) -> McEstimate:
-    """Average the composed evolution over R independent histories.
+    """Average the composed evolution over R histories, stratified by count.
 
-    Deterministic for fixed (seed, R): chunk boundaries are fixed, each
-    history has its own keyed stream, and the chunk sums are combined in
-    chunk order.  ``workers`` is accepted for compatibility and ignored.
+    Exact for the no-event term p_0 M(T); the R histories go to the strata
+    of the counts k >= 1 as the module docstring sets out.  Deterministic
+    for fixed (seed, R): each stratum has its own keyed stream, and the sums
+    are formed in a fixed order.  ``workers`` is accepted for compatibility
+    and ignored.  Each product is checked to be doubly stochastic within
+    ``product_tol`` (None skips the check); the first that is not raises
+    ``InputValidationError`` naming its stratum and history.
     """
     if R < 100:
         raise ValueError(f"need at least 100 histories, got {R}")
@@ -279,16 +227,21 @@ def monte_carlo_average(m, nu, T, R, seed, *, workers=1,
         # every history is the bare evolution; the average is exact
         return McEstimate(mean=m_T.copy(), stderr=np.zeros_like(m_T),
                           n_samples=R, seed=int(seed))
+    k_c, weights, histories, tail = _strata(nu * T, R)
     cap = max(1, BATCH_BYTES // m_T.nbytes)
-    total = total_sq = 0.0
-    for lo in range(0, R, CHUNK):
-        batches = _product_batches(path, nu, T, seed, lo, min(lo + CHUNK, R), cap)
-        part, part_sq = _chunk_sums(batches, product_tol)
-        total, total_sq = total + part, total_sq + part_sq
-    mean = total / R
-    var = np.maximum(total_sq - R * mean * mean, 0.0) / (R - 1)
-    stderr = np.sqrt(var / R)
-    return McEstimate(mean=mean, stderr=stderr, n_samples=R, seed=int(seed))
+    mean, var = 0.0 + math.exp(-nu * T) * m_T, 0.0
+    for k, p, n in zip(range(1, k_c + 1), weights, histories):
+        if k < k_c:
+            stream, counts, label = _stream(seed, k), [(k, n)], f"k={k}"
+        else:
+            stream, label = _stream(seed, 0), f"k>={k_c}"
+            counts = _tail_counts(tail, k_c, n, stream)
+        total, total_sq = _stratum_sums(_stratum_batches(path, T, counts, stream, cap),
+                                        product_tol, label)
+        m_s = total / n
+        mean = mean + p * m_s
+        var = var + p * p * (np.maximum(total_sq - n * m_s * m_s, 0.0) / (n - 1)) / n
+    return McEstimate(mean=mean, stderr=np.sqrt(var), n_samples=R, seed=int(seed))
 
 
 def mc_estimate_to_csv(est: McEstimate, *, nu=None, T=None) -> str:

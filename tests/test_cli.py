@@ -210,6 +210,20 @@ class TestCompare:
         verdict = json.loads(out.read_text())
         assert verdict["pairs"]["march_vs_series"]["max_abs"] < 1e-12
 
+    def test_march_error_estimate_widens_the_mc_band(self, tmp_path):
+        # on a constant source every stratum of the Monte Carlo is exact, so
+        # its gap to the march is the march's own O(h^2) error, which the
+        # band covers by the march at half the steps
+        shipped = json.loads((CONFIGS / "constant_matrix.json").read_text())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(shipped, grid={"t_max": 10.0, "steps": 1000},
+                                       R=2000)))
+        out = tmp_path / "verdict.json"
+        assert run(["compare", "--config", cfg, "--out", out, "--quiet"]) == 0
+        pair = json.loads(out.read_text())["pairs"]["march_vs_mc"]
+        assert pair["pass"] is True and pair["entries_within"] == 9
+        assert 1e-12 < pair["max_abs"] < pair["march_err"] < 1e-6
+
 
 @pytest.mark.parametrize("command, shipped", [
     ("solve", "spin_flip.json"), ("series", "spin_flip.json"),

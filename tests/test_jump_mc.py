@@ -1,54 +1,33 @@
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mc_reference as ref
+from reduktor.channels import BathModel
 from reduktor.dstoch import dstoch_residual
 from reduktor.errors import InputValidationError
 from reduktor.jump_mc import (
-    DRAW,
+    BATCH_BYTES,
     CHUNK,
+    FLOOR,
     McEstimate,
     PoissonRealization,
     evolve_realization,
     mc_estimate_to_csv,
     monte_carlo_average,
     sample_realization,
-    _bulk_jumps,
-    _draw_jumps,
     _key,
-    _philox,
+    _strata,
     _stream,
 )
 from reduktor.presets import random_model
 from reduktor.volterra import ConstantPath, SolverConfig, TimeGrid, march_solve
 
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 SYM_M = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
-
-
-def reference_average(path, nu, T, R, seed):
-    """Mean and stderr from one history at a time, summed in index order
-    within each chunk of CHUNK histories, then over chunks."""
-    total = total_sq = 0.0
-    for lo in range(0, R, CHUNK):
-        part = part_sq = 0.0
-        for r in range(lo, min(lo + CHUNK, R)):
-            prod = evolve_realization(path, sample_realization(nu, T, _stream(seed, r)))
-            part += prod
-            part_sq += prod * prod
-        total += part
-        total_sq += part_sq
-    mean = total / R
-    var = np.maximum(total_sq - R * mean * mean, 0.0) / (R - 1)
-    return mean, np.sqrt(var / R)
-
-
-def first_bad_history(path, nu, T, seed, tol):
-    r = 0
-    while dstoch_residual(
-            evolve_realization(path, sample_realization(nu, T, _stream(seed, r)))) <= tol:
-        r += 1
-    return r
 
 
 class TestRealization:
@@ -179,28 +158,42 @@ class TestBatched:
     def test_matches_per_history_loop(self, generic_model, source):
         path = generic_model.m_path() if source == "bath" else ConstantPath(SYM_M)
         est = monte_carlo_average(path, 1.0, 2.0, self.R, seed=19)
-        mean, stderr = reference_average(path, 1.0, 2.0, self.R, seed=19)
+        mean, stderr = ref.average(path, 1.0, 2.0, self.R, seed=19)
         np.testing.assert_allclose(est.mean, mean, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(est.stderr, stderr, rtol=0.0, atol=1e-15)
 
     def test_names_first_non_stochastic_history(self):
         # a source that is not stochastic for short gaps only, so the first
-        # bad history lies past the first draw block and its product batches
+        # bad history lies past the first product batches of its stratum
         def source(t):
             return SYM_M * (1.5 if t < 2e-4 else 1.0)
 
-        bad = first_bad_history(source, 1.0, 2.0, 31, 1e-9)
-        assert bad > DRAW
-        with pytest.raises(InputValidationError, match=f"history {bad} produced"):
-            monte_carlo_average(source, 1.0, 2.0, bad + CHUNK, seed=31)
+        label, bad = ref.first_bad_history(source, 1.0, 2.0, self.R, 31, 1e-9)
+        assert bad > BATCH_BYTES // SYM_M.nbytes  # past its stratum's first batches
+        with pytest.raises(InputValidationError,
+                           match=f"stratum {label}, history {bad} produced"):
+            monte_carlo_average(source, 1.0, 2.0, self.R, seed=31)
+
+    def test_names_first_non_stochastic_tail_history(self):
+        # at nu T = 2e-6 every history is in the tail, nearly all with one
+        # event; the source is not stochastic near either end of [0, T]
+        def source(t):
+            return SYM_M * (1.5 if t < 0.1 else 1.0)
+
+        label, bad = ref.first_bad_history(source, 1e-6, 2.0, 100, 5, 1e-9)
+        assert label == "k>=1" and bad > 0
+        with pytest.raises(InputValidationError,
+                           match=f"stratum k>=1, history {bad} produced"):
+            monte_carlo_average(source, 1e-6, 2.0, 100, seed=5)
 
     def test_chunks_combined_in_chunk_order(self):
-        # a 1x1 source with more than 8 chunks, which a pairwise sum over
-        # the chunk totals would add out of order
+        # a 1x1 source whose largest strata take several chunks each, which
+        # a pairwise sum over the products or the chunk totals would add
+        # out of order
         path = random_model(1, 2, seed=1).m_path()
         R = 12 * CHUNK
         est = monte_carlo_average(path, 1.0, 2.0, R, seed=23)
-        mean, stderr = reference_average(path, 1.0, 2.0, R, seed=23)
+        mean, stderr = ref.average(path, 1.0, 2.0, R, seed=23)
         np.testing.assert_array_equal(est.mean, mean)
         np.testing.assert_array_equal(est.stderr, stderr)
 
@@ -228,38 +221,15 @@ BIT_CASES = {  # source and rate
     "bath-3x2": (lambda: random_model(3, 2, seed=5), 1.0),
     "bath-8x4": (lambda: random_model(8, 4, seed=6), 1.0),
     "constant": (lambda: ConstantPath(SYM_M), 1.0),
-    # nu T = 9.99: the last rate of the bulk draw, several counters per
-    # history; nu T = 10: numpy's PTRS draw, one generator call per history
+    # nu T = 9.99 and 10: the mode moves from 9 to 10 events, so the counts
+    # below it gain a single stratum; most histories have many events
     "bath-3x2-rate-9.99": (lambda: random_model(3, 2, seed=5), 4.995),
     "bath-3x2-rate-10": (lambda: random_model(3, 2, seed=5), 5.0),
-    # at nu T = 2e-6 almost no history jumps, so the products keep the -0.0
-    # entries (a matrix product gives +0.0); the output must print them as 0,
-    # as a history loop summing from 0.0 does
+    # at nu T = 2e-6 every history is in the tail and nearly all have one
+    # event; M(T) keeps its -0.0 entries in p_0 M(T), and the output must
+    # print them as 0, as a sum started from +0.0 does
     "negative-zero-callable": (lambda: negative_zero_source, 1e-6),
 }
-
-
-@pytest.mark.parametrize("seed, r", [(0, 0), (23, 7), (-1, 2**32 + 5),
-                                     (2**63 + 1, 2**40), (2**64 - 1, 2**63)])
-def test_kernel_words_equal_random_raw(seed, r):
-    key = np.array([_key(seed), r], dtype=np.uint64)
-    want = np.random.Philox(key=key).random_raw(40)
-    np.testing.assert_array_equal(_philox(_key(seed), [r], 10)[0], want)
-
-
-@pytest.mark.parametrize("nu, big, many", [(1.0, [14233, 29417], 10),
-                                           (4.995, [115942, 126257], 26)])
-def test_bulk_draw_equals_generator_draw(nu, big, many):
-    # the histories in big have so many events that their 2 many + 1
-    # doubles run past the words of the first draw (5 and 13 counters)
-    rs = np.array(big + list(range(200)))
-    counts, jumps = _bulk_jumps(nu, 2.0, 23, rs)
-    assert counts[:2].min() >= many
-    for i, r in enumerate(rs):
-        want = _draw_jumps(nu, 2.0, _stream(23, r))
-        assert counts[i] == len(want)
-        np.testing.assert_array_equal(jumps[i, :counts[i]], want)
-        assert (jumps[i, counts[i]:] == 2.0).all()
 
 
 @pytest.mark.parametrize("R", [100, 2 * CHUNK + 37])
@@ -268,10 +238,73 @@ def test_bit_identical_to_per_history_loop(case, R):
     source, nu = case
     path = source()
     est = monte_carlo_average(path, nu, 2.0, R, seed=23)
-    mean, stderr = reference_average(path, nu, 2.0, R, seed=23)
+    mean, stderr = ref.average(path, nu, 2.0, R, seed=23)
+    assert est.n_samples == R
     np.testing.assert_array_equal(est.mean, mean)
     np.testing.assert_array_equal(est.stderr, stderr)
-    ref = McEstimate(mean=mean, stderr=stderr, n_samples=R, seed=23)
+    want = McEstimate(mean=mean, stderr=stderr, n_samples=R, seed=23)
     text = mc_estimate_to_csv(est, nu=nu, T=2.0)
-    assert text == mc_estimate_to_csv(ref, nu=nu, T=2.0)
+    assert text == mc_estimate_to_csv(want, nu=nu, T=2.0)
     assert not np.signbit(est.mean).any()
+
+
+class TestStrata:
+    @pytest.mark.parametrize("R", [100, 2 * CHUNK + 37, 20000])
+    @pytest.mark.parametrize("lam", [2e-6, 0.5, 2.0, 9.99, 10.0, 30.0])
+    def test_histories_sum_to_R(self, lam, R):
+        k_c, weights, histories, tail = _strata(lam, R)
+        assert histories.sum() == R
+        assert histories.min() >= FLOOR
+        assert len(weights) == len(histories) == k_c
+        assert weights[-1] == tail.sum()
+        assert math.exp(-lam) + weights.sum() == pytest.approx(1.0, abs=1e-14)
+        p = math.exp(-lam) * np.cumprod(lam / np.arange(1.0, 150.0))  # p_1, p_2, ...
+        if k_c < R // FLOOR:  # no cap: every count below the mode, and
+            # every count with R p_k at or above the floor, is single
+            assert k_c >= int(lam)
+            assert (R * p[k_c - 1:] < FLOOR).all()
+        np.testing.assert_allclose(weights[:-1], p[:k_c - 1], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("R", [100, 2 * CHUNK + 37, 20000])
+    def test_tiny_rate_puts_every_history_in_the_tail(self, R):
+        k_c, weights, histories, _ = _strata(2e-6, R)
+        assert k_c == 1 and histories.tolist() == [R]
+        assert weights[0] == pytest.approx(-math.expm1(-2e-6), rel=1e-12)  # P(k >= 1)
+        est = monte_carlo_average(ConstantPath(SYM_M), 1e-6, 2.0, R, seed=3)
+        assert est.n_samples == R
+
+
+def test_constant_source_exact_at_rate_10():
+    # every product of a constant source is M^(k+1): the single strata have
+    # no variance, and the tail's products all lie within 1e-9 of uniform
+    nu, T = 1.0, 10.0
+    est = monte_carlo_average(ConstantPath(SYM_M), nu, T, 10000, seed=0)
+    w, v = np.linalg.eigh(SYM_M)
+    truth = (v * np.exp(nu * (w - 1.0) * T)) @ v.T @ SYM_M
+    assert np.abs(est.mean - truth).max() <= 1e-12
+
+
+def random_joint(seed, d=6):
+    g = np.random.default_rng(seed).standard_normal((d, d, 2)) @ [1.0, 1.0j]
+    h = (g + g.conj().T) / 2.0
+    return h / np.linalg.norm(h, 2)
+
+
+@pytest.mark.parametrize("T", [2.0, 10.0])
+def test_coverage_against_exact_bath_solution(monkeypatch, T):
+    # 40 seeds on a 3x2 bath model against its exact state-space solution:
+    # at least 99 % of entries within 3 stderr, and the stderr is the scale
+    # of the error (root-mean-square z), not an inflated bound
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    import exact
+
+    joint = random_joint(1957)
+    model = BathModel.from_joint_generator(joint, 3, 2)
+    want = exact.BathSolution(joint, 3, 2).mbar_at(1.0, np.array([T]))[-1]
+    z = []
+    for seed in range(40):
+        est = monte_carlo_average(model, 1.0, T, 2000, seed)
+        z.append((est.mean - want) / est.stderr)
+    z = np.abs(np.array(z))
+    assert (z <= 3.0).mean() >= 0.99
+    assert 0.6 <= np.sqrt((z * z).mean()) <= 1.4
