@@ -3,9 +3,10 @@
 A doubly stochastic matrix has nonnegative entries and all row and column
 sums equal to one.  This module provides validated construction, the
 compression functional (the spectral norm of the restriction to the
-zero-sum subspace), block-uniform projectors, and a decomposability
-witness, read off the support graph, that characterizes matrices of unit
-compression.
+zero-sum subspace), block-uniform projectors, the lift a * 1 + (1 - a) *
+Theta_n of a number onto the line through the identity and the uniform
+projector Theta_n, and a decomposability witness, read off the support
+graph, that characterizes matrices of unit compression.
 """
 
 from __future__ import annotations
@@ -216,6 +217,17 @@ def theta_of(partition: BlockPartition, n) -> DStochMatrix:
 def theta(n) -> DStochMatrix:
     """Global maximal-entropy projector: all entries 1/n."""
     return theta_of(single_block_partition(n), n)
+
+
+def lift(a, n):
+    """a * 1 + (1 - a) * Theta_n: an (n, n) matrix for a number, a stack for an array.
+
+    Doubly stochastic for every a up to rounding, and nonnegative for a in
+    [-1 / (n - 1), 1].  Every 2 x 2 doubly stochastic matrix M is the lift
+    of a = 1 - M[0, 1] - M[1, 0].
+    """
+    a = np.asarray(a, dtype=float)[..., None, None]
+    return a * np.eye(n) + (1.0 - a) * theta(n).entries
 
 
 def perm_matrix(perm) -> np.ndarray:

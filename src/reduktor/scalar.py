@@ -8,6 +8,11 @@ the averaged evolution:
     beta(T) = e^{-nu T} alpha(T)
               + nu e^{-nu T} int_0^T alpha(T-t) beta(t) e^{nu t} dt.
 
+For n = 2 the reduction is exact for every source: each 2 x 2 doubly
+stochastic matrix is alpha 1 + (1 - alpha) Theta_2 with alpha in [-1, 1],
+and ``volterra._march`` marches every 2 x 2 source this way.  The inputs
+here keep alpha in [0, 1], where the lift is nonnegative for every n.
+
 Scalar inputs are time paths of the same protocol as the matrix sources
 (``volterra._SmoothPath``, exported here as ``ScalarInput``) whose
 ``many`` returns a 1-d array of values; ``LiftedPath`` is the matrix path
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .dstoch import theta
+from .dstoch import lift
 from .errors import (
     NonRealReconstructionError,
     ValidationFailure,
@@ -193,12 +198,6 @@ def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid, *,
 
 # -- lift to matrices --------------------------------------------------------
 
-def _lift(a, n):
-    """a * 1 + (1 - a) * Theta_n: an (n, n) matrix for a number, a stack for an array."""
-    a = np.asarray(a, dtype=float)[..., None, None]
-    return a * np.eye(n) + (1.0 - a) * theta(n).entries
-
-
 class LiftedPath(_SmoothPath):
     """Matrix path alpha(t) * 1 + (1 - alpha(t)) * Theta_n."""
 
@@ -207,13 +206,13 @@ class LiftedPath(_SmoothPath):
         self.n = int(n)
 
     def many(self, ts):
-        return _lift(self.alpha.many(ts), self.n)
+        return lift(self.alpha.many(ts), self.n)
 
     def left(self, t):
-        return _lift(self.alpha.left(t), self.n)
+        return lift(self.alpha.left(t), self.n)
 
     def right(self, t):
-        return _lift(self.alpha.right(t), self.n)
+        return lift(self.alpha.right(t), self.n)
 
     def jump_times(self, t0, t1):
         return self.alpha.jump_times(t0, t1)
@@ -223,13 +222,13 @@ def lift_scalar(traj: ScalarTrajectory, n) -> Trajectory:
     """Lift a scalar trajectory to matrices beta * 1 + (1 - beta) * Theta_n."""
     if n < 2:
         raise ValueError("matrix lift needs n >= 2")
-    values = _lift(traj.beta, n)
+    values = lift(traj.beta, n)
     for k, m in enumerate(values):
         lo = m.min()
         if lo < -1e-9:
             raise ValidationFailure(k, float(-lo), "lifted trajectory")
     jump_nodes = tuple(traj.grid.index_of(t) for t, _, _ in traj.jumps)
-    left_values = {traj.grid.index_of(t): _lift(lo, n) for t, lo, _ in traj.jumps}
+    left_values = {traj.grid.index_of(t): lift(lo, n) for t, lo, _ in traj.jumps}
     return Trajectory(grid=traj.grid, values=values,
                       jump_nodes=jump_nodes, left_values=left_values)
 

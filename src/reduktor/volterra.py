@@ -27,6 +27,16 @@ O(h^2), but the discrete factor is exactly the row/column-sum mode of the
 marched solution, so every output node is doubly stochastic to machine
 precision instead of drifting by e^{T nu^3 h^2 / 12}.
 
+A 2 x 2 source takes the kernel's 1 x 1 path.  Every doubly stochastic
+2 x 2 matrix is beta 1 + (1 - beta) Theta_2, with Theta_2 the uniform
+projector and beta = 1 - M[0, 1] - M[1, 0] in [-1, 1]; these matrices
+commute and share the eigenvectors (1, 1) and (1, -1), so the march
+splits exactly into the unit mode and one scalar mode beta, which is
+marched on its own and lifted back (the paper's scalar reduction, which
+for n = 2 covers every source).  The lift is doubly stochastic whatever
+beta is, so ``march_solve`` and ``march_solve_general`` check a 2 x 2
+source before marching it.
+
 Sources are time paths: subclasses of ``_SmoothPath``, which supplies
 ``__call__``, ``many(ts)`` for batched evaluation and the one-sided limits
 ``left``/``right`` with ``jump_times`` of a continuous source.  Constant
@@ -67,7 +77,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dstoch import DStochMatrix, dstoch_residual
+from .dstoch import DStochMatrix, dstoch_residual, lift
 from .errors import (
     GridTooCoarseError,
     InputValidationError,
@@ -83,6 +93,10 @@ DEFAULT_TAIL_TOL = 1e-10
 # nodes of n x n matrices): a 32 KiB block, within 14 % of the fastest
 # block size at n = 1, 2, 3 and 8 for K from 100 to 6400, one BLAS thread.
 CONV_BLOCK_ROWS = 64
+# OpenBLAS splits a dot product of more than 10^4 terms over its threads,
+# which moves the bits of the sum; _conv sums longer 1 x 1 contractions
+# in chunks of this many terms, in order.
+DOT_CHUNK = 10_000
 
 
 @dataclass(frozen=True)
@@ -283,15 +297,34 @@ def _validate_nodes(values, tol, what="trajectory", nodes=None):
                                 detail=what)
 
 
+def _validate_source(ML, MR, jump_idx, tol):
+    """Check a 2 x 2 source doubly stochastic at every node and left limit.
+
+    The march lifts a doubly stochastic output from any 2 x 2 source (see
+    ``_march``), so the output check cannot catch a bad one; larger
+    sources are left to the output check.
+    """
+    if ML.shape[-1] != 2:
+        return
+    _validate_nodes(MR, tol, "source")
+    if jump_idx:
+        _validate_nodes(ML[jump_idx], tol, "source left limit", jump_idx)
+
+
 def _conv(S, Y, k, bk):
     """sum_{t<k} bk[t] S[k - t] Y[t]; unit weights when bk is None.
 
-    1 x 1 stacks (the unit mode, scalar inputs) take ``np.dot``, which is
-    faster there than ``np.einsum``.
+    1 x 1 stacks (the unit mode, scalar inputs, 2 x 2 sources) take
+    ``np.dot``, which is faster there than ``np.einsum``, in chunks of at
+    most DOT_CHUNK terms so that the BLAS thread count cannot reach the sum.
     """
     if S.shape[-1] == 1:
+        s = S[k:0:-1, 0, 0]
         y = Y[:k, 0, 0] if bk is None else bk[:k] * Y[:k, 0, 0]
-        return np.dot(S[k:0:-1, 0, 0], y)
+        if k <= DOT_CHUNK:
+            return np.dot(s, y)
+        return sum(np.dot(s[i:i + DOT_CHUNK], y[i:i + DOT_CHUNK])
+                   for i in range(0, k, DOT_CHUNK))
     if bk is None:
         return np.einsum("tij,tjk->ik", S[k:0:-1], Y[:k])
     return np.einsum("t,tij,tjk->ik", bk[:k], S[k:0:-1], Y[:k])
@@ -312,7 +345,19 @@ def _march(ML, MR, jump_idx, a, h, b):
     divided by the unit mode sigma, and sigma itself, shape (K+1, 1, 1).
     sigma is the same recursion run on M = 1 through the same arithmetic,
     so a unit input normalizes to exactly one.
+
+    A 2 x 2 source is marched as the (K+1, 1, 1) stacks of its scalar mode
+    beta = 1 - M[0, 1] - M[1, 0] and lifted back to beta 1 + (1 - beta)
+    Theta_2.  This is exact: the matrices beta 1 + (1 - beta) Theta_2
+    commute and share the eigenvectors (1, 1) and (1, -1), so the 2 x 2
+    march is the unit mode sigma and the beta mode, each marched on its
+    own.  Only the doubly stochastic part of the source reaches the
+    output, so callers check a 2 x 2 source first.
     """
+    if ML.shape[-1] == 2:
+        bL, bR = ((1.0 - M[:, 0, 1] - M[:, 1, 0]).reshape(-1, 1, 1) for M in (ML, MR))
+        out, left, sigma = _march(bL, bR, jump_idx, a, h, b)
+        return lift(out[:, 0, 0], 2), {j: lift(v[0, 0], 2) for j, v in left.items()}, sigma
     K = len(ML) - 1
     jumps = {j: MR[j] - ML[j] for j in jump_idx}
     Mbar = 0.5 * (ML + MR) if jumps else ML
@@ -402,6 +447,7 @@ def march_solve(m, cfg: SolverConfig, *, tol_traj=TOL_TRAJ) -> Trajectory:
     """
     grid = cfg.grid
     ML, MR, jump_idx = _limits(as_path(m), grid)
+    _validate_source(ML, MR, jump_idx, tol_traj)
     out, left, _ = _march(ML, MR, jump_idx, np.ones(grid.steps + 1), grid.h, cfg.nu)
     _validate_nodes(out, tol_traj)
     if jump_idx:
@@ -428,6 +474,7 @@ def march_solve_general(m, kernel: Kernel, grid: TimeGrid, *,
         raise ValueError("the generalized-kernel solver requires a continuous source")
     ts = grid.nodes
     M = _matrix_stack(path, ts)
+    _validate_source(M, M, [], tol_traj)
     a = np.broadcast_to(np.asarray(kernel.a(ts), dtype=float), ts.shape)
     out, _, _ = _march(M, M, [], a, grid.h, lambda k: kernel.b(ts[:k + 1], ts[k]))
     _validate_nodes(out, tol_traj)

@@ -369,9 +369,9 @@ def test_cli_imports_without_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def outputs_at_blas_threads(tmp_path, command):
-    """Output file, stdout and exit code of one command on random_3level.json
-    at OPENBLAS_NUM_THREADS=1 and 2."""
+def outputs_at_blas_threads(tmp_path, command, config=CONFIGS / "random_3level.json"):
+    """Output file, stdout and exit code of one command on a config (by
+    default random_3level.json) at OPENBLAS_NUM_THREADS=1 and 2."""
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"{command}-{threads}.txt"
@@ -379,7 +379,7 @@ def outputs_at_blas_threads(tmp_path, command):
                    PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         done = subprocess.run(
             [sys.executable, "-m", "reduktor.cli", command,
-             "--config", str(CONFIGS / "random_3level.json"), "--out", str(out)],
+             "--config", str(config), "--out", str(out)],
             env=env, capture_output=True)
         outs.append((out.read_bytes(), done.stdout, done.returncode))
     return outs
@@ -393,9 +393,23 @@ def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outs[0][2] == 0
 
 
-@pytest.mark.parametrize("command", ["solve", "compare"])
-def test_solver_bytes_do_not_depend_on_blas_threads(tmp_path, command):
+@pytest.mark.parametrize("command, config", [
+    pytest.param(command, config, id=command + suffix)
+    for config, suffix in (("random_3level.json", ""), ("spin_flip.json", "-spin_flip"))
+    for command in ("solve", "compare")])
+def test_solver_bytes_do_not_depend_on_blas_threads(tmp_path, command, config):
     # the march and series BLAS products must not depend on the thread count
-    outs = outputs_at_blas_threads(tmp_path, command)
+    outs = outputs_at_blas_threads(tmp_path, command, CONFIGS / config)
+    assert outs[0] == outs[1]
+    assert outs[0][2] == 0
+
+
+def test_long_two_level_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # K = 12000 > 10^4, past which OpenBLAS splits a dot product over threads
+    cfg = json.loads((CONFIGS / "spin_flip.json").read_text())
+    cfg["grid"] = {"t_max": 60.0, "steps": 12000}
+    config = tmp_path / "spin_flip_long.json"
+    config.write_text(json.dumps(cfg))
+    outs = outputs_at_blas_threads(tmp_path, "solve", config)
     assert outs[0] == outs[1]
     assert outs[0][2] == 0

@@ -1,11 +1,26 @@
 """The shared marching kernel against the per-branch reference loops."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import march_reference as ref
+from reduktor.dstoch import dstoch_residual
 from reduktor.presets import random_model
-from reduktor.scalar import ConstantInput, CosineInput, PiecewiseInput, scalar_march
+from reduktor.scalar import (
+    ConstantInput,
+    CosineInput,
+    LiftedPath,
+    PiecewiseInput,
+    lift_scalar,
+    scalar_march,
+)
 from reduktor.volterra import (
     Kernel,
     SolverConfig,
@@ -92,9 +107,13 @@ def test_general_kernel(n, kernel):
     assert np.abs(traj.values - want).max() < TOL
 
 
-@pytest.mark.parametrize("alpha", [ConstantInput(0.6), CosineInput(),
-                                   PiecewiseInput(0.5), PiecewiseInput(0.25, (1.0, 0.0, 0.5))],
-                         ids=["constant", "cosine", "alternating", "three-level"])
+SCALAR_INPUTS = pytest.mark.parametrize(
+    "alpha", [ConstantInput(0.6), CosineInput(),
+              PiecewiseInput(0.5), PiecewiseInput(0.25, (1.0, 0.0, 0.5))],
+    ids=["constant", "cosine", "alternating", "three-level"])
+
+
+@SCALAR_INPUTS
 def test_scalar_march(alpha):
     traj = scalar_march(alpha, NU, GRID)
     ts = GRID.nodes
@@ -115,3 +134,49 @@ def test_unit_mode_is_unit_growth():
     _, _, sigma = _march(ones, ones, [], np.ones(K + 1), GRID.h, NU)
     want = ref.unit_growth(NU, GRID.h, K)
     assert np.abs(sigma[:, 0, 0] / want - 1.0).max() < TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(n2=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 200),
+       h=st.floats(0.005, 0.1), hnu=st.floats(0.0, 0.5))
+def test_two_level_route(n2, seed, K, h, hnu):
+    # a 2 x 2 source is marched as its scalar mode and lifted back
+    grid = TimeGrid(K * h, K)
+    nu = hnu / grid.h
+    model = random_model(2, n2, seed)
+    traj = march_solve(model.m_path(), SolverConfig(nu, grid))
+    want = ref.march_smooth(model.m_many(grid.nodes), nu, grid.h)
+    assert np.abs(traj.values - want).max() < TOL
+    assert dstoch_residual(traj.values).max() < TOL
+
+
+@SCALAR_INPUTS
+def test_two_level_route_is_the_lifted_scalar_march(alpha):
+    traj = march_solve(LiftedPath(alpha, 2), SolverConfig(NU, GRID))
+    want = lift_scalar(scalar_march(alpha, NU, GRID), 2)
+    assert traj.jump_nodes == want.jump_nodes
+    assert np.abs(traj.values - want.values).max() < 1e-14
+    for j in traj.jump_nodes:
+        assert np.abs(traj.left_values[j] - want.left_values[j]).max() < 1e-14
+
+
+LONG_MARCH = """
+import hashlib, numpy as np
+from reduktor.volterra import _march
+K = 12000
+S = np.cos(np.linspace(0.0, 60.0, K + 1)).reshape(-1, 1, 1)
+out, _, sigma = _march(S, S, [], np.ones(K + 1), 60.0 / K, 1.0)
+print(hashlib.sha256(out.tobytes() + sigma.tobytes()).hexdigest())
+"""
+
+
+def test_long_scalar_mode_does_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product of more than 10^4 terms over its threads
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", LONG_MARCH], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]

@@ -15,6 +15,7 @@ from reduktor.errors import (
     ValidationFailure,
 )
 from reduktor.presets import random_model
+from reduktor.scalar import CosineInput, LiftedPath, PiecewiseInput
 from reduktor.volterra import (
     ConstantPath,
     Kernel,
@@ -23,6 +24,7 @@ from reduktor.volterra import (
     Trajectory,
     _pick_series_order,
     _poisson_sf,
+    _SmoothPath,
     _validate_nodes,
     derivative_consistency,
     kernel_normalization_residual,
@@ -35,6 +37,29 @@ from reduktor.volterra import (
 )
 
 SYM_M = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
+
+
+class OneBadMatrix(_SmoothPath):
+    """A path with row sums 1.1 at time t: its node value, or its left limit."""
+
+    def __init__(self, path, t, left=False):
+        self.path, self.t, self.at_left = path, t, left
+
+    def many(self, ts):
+        out = np.array(self.path.many(ts))
+        if not self.at_left:
+            out[np.abs(np.asarray(ts) - self.t) < 1e-9] += 0.1 * np.eye(out.shape[-1])
+        return out
+
+    def left(self, t):
+        out = self.path.left(t)
+        return out + 0.1 * np.eye(len(out)) if self.at_left and abs(t - self.t) < 1e-9 else out
+
+    def right(self, t):
+        return self(t)
+
+    def jump_times(self, t0, t1):
+        return self.path.jump_times(t0, t1)
 
 
 def constant_truth(m, nu, ts):
@@ -110,6 +135,27 @@ class TestMarch:
         cfg = SolverConfig(nu=1.0, grid=TimeGrid(2.0, 100))
         with pytest.raises(ValidationFailure):
             march_solve(ConstantPath(bad), cfg)
+
+    @pytest.mark.parametrize("t, left, node, detail", [
+        (0.74, False, 37, "source"), (1.0, True, 50, "source left limit")],
+        ids=["node", "left-limit"])
+    def test_two_level_source_names_its_bad_node(self, t, left, node, detail):
+        # a 2 x 2 march lifts a doubly stochastic output from any source,
+        # so the source itself is checked; jumps at nodes 25, 50 and 75
+        path = OneBadMatrix(LiftedPath(PiecewiseInput(0.5), 2), t, left)
+        cfg = SolverConfig(nu=1.0, grid=TimeGrid(2.0, 100))
+        with pytest.raises(ValidationFailure) as err:
+            march_solve(path, cfg)
+        assert err.value.node == node
+        assert abs(err.value.residual - 0.1) < 1e-12
+        assert str(err.value).endswith(": " + detail)
+
+    def test_general_two_level_source_names_its_bad_node(self):
+        path = OneBadMatrix(LiftedPath(CosineInput(), 2), 0.74)
+        with pytest.raises(ValidationFailure) as err:
+            march_solve_general(path, poisson_kernel(1.0), TimeGrid(2.0, 100))
+        assert err.value.node == 37
+        assert str(err.value).endswith(": source")
 
     def test_validation_names_first_non_finite_node(self):
         values = np.broadcast_to(SYM_M, (12, 3, 3)).copy()
