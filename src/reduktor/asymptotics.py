@@ -24,8 +24,15 @@ from .dstoch import (
     theta_of,
 )
 from .errors import NotCyclicOfOrderK, PeriodMismatchError
-from .scalar import ScalarInput
-from .volterra import SolverConfig, TimeGrid, Trajectory, _SmoothPath, as_path, march_solve
+from .volterra import (
+    SolverConfig,
+    TimeGrid,
+    Trajectory,
+    _csv_lines,
+    _SmoothPath,
+    as_path,
+    march_solve,
+)
 
 
 @dataclass
@@ -43,7 +50,7 @@ class DeltaEstimate:
         return self.value
 
 
-def delta_statistic(alpha: ScalarInput, horizon=40.0, steps=20000) -> DeltaEstimate:
+def delta_statistic(alpha: _SmoothPath, horizon=40.0, steps=20000) -> DeltaEstimate:
     """Contraction statistic of a scalar input.
 
     Composite trapezoid on [0, horizon] with panels split at the input's
@@ -133,8 +140,7 @@ def convergence_report(m, nu, cfg: SolverConfig, *, window=0.1,
 
 def convergence_report_to_csv(report: ConvergenceReport) -> str:
     lines = ["t,c_value,distance"]
-    for t, c, d in zip(report.times, report.c_values, report.distances):
-        lines.append(f"{t:.17g},{c:.17g},{d:.17g}")
+    lines += _csv_lines(report.times, report.c_values, report.distances)
     return "\n".join(lines) + "\n"
 
 

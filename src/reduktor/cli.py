@@ -6,6 +6,10 @@ is deterministic given the config, the seed, and any worker count.
 
 Exit codes: 0 success, 1 usage or config error, 2 input validation error,
 3 numerical failure.
+
+Each command imports the library modules it uses when it runs, so a
+process pays only for its own command; with --quiet it also skips the work
+that only feeds its summary line.
 """
 
 from __future__ import annotations
@@ -17,33 +21,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .asymptotics import convergence_report, convergence_report_to_csv, predict_limit
-from .channels import BathModel, genericity_check
-from .dstoch import compression
 from .errors import (
     ConfigError,
     InputValidationError,
     NumericalError,
     ReduktorError,
-)
-from .jump_mc import _key, mc_estimate_to_csv, monte_carlo_average
-from .scalar import (
-    ConstantInput,
-    CosineInput,
-    PiecewiseInput,
-    TabulatedInput,
-    piecewise_delay_solve,
-    scalar_march,
-    scalar_trajectory_to_csv,
-    trig_ode_solve,
-)
-from .volterra import (
-    ConstantPath,
-    SolverConfig,
-    TimeGrid,
-    march_solve,
-    neumann_series_trajectory,
-    trajectory_to_csv,
 )
 
 EXIT_OK = 0
@@ -84,6 +66,8 @@ def _integral(value, what):
 
 
 def _grid_from(cfg):
+    from .volterra import TimeGrid
+
     try:
         g = cfg["grid"]
         return TimeGrid(t_max=float(g["t_max"]), steps=_integral(g["steps"], "grid.steps"))
@@ -99,7 +83,9 @@ def _nu_from(cfg):
         raise ConfigError(f"config needs a numeric nu: {exc!r}") from exc
 
 
-def _model_from(cfg) -> BathModel:
+def _model_from(cfg):
+    from .channels import BathModel
+
     try:
         n = _integral(cfg["n"], "n")
         n2 = _integral(cfg["n2"], "n2")
@@ -115,12 +101,16 @@ def _model_from(cfg) -> BathModel:
 
 def _source_from(cfg):
     """Matrix source from a config: bath model or constant matrix."""
+    from .volterra import ConstantPath
+
     if "constant_M" in cfg:
         return ConstantPath(np.asarray(cfg["constant_M"], dtype=float))
     return _model_from(cfg).m_path()
 
 
 def _scalar_input_from(cfg):
+    from .scalar import ConstantInput, CosineInput, PiecewiseInput, TabulatedInput
+
     try:
         entry = cfg["scalar"]
         variant = entry["variant"]
@@ -147,9 +137,10 @@ def _write(path, text):
         sys.stdout.write(text)
 
 
-def _say(args, msg):
+def _say(args, summary):
+    """Print the line ``summary()`` makes; under --quiet it is not called."""
     if not args.quiet:
-        print(msg)
+        print(summary())
 
 
 def _n_max(cfg):
@@ -158,26 +149,40 @@ def _n_max(cfg):
 
 
 def _seed(args, cfg):
+    from .jump_mc import _key
+
     seed = args.seed if args.seed is not None else _integral(cfg.get("seed", 0), "seed")
     _key(seed)  # an out-of-range seed is a config error before any solver runs
     return seed
 
 
 def cmd_solve(args):
+    from .volterra import SolverConfig, march_solve, trajectory_to_csv
+
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
     nu = _nu_from(cfg)
     source = _source_from(cfg)
     traj = march_solve(source, SolverConfig(nu=nu, grid=grid))
     _write(args.out, trajectory_to_csv(traj))
-    limit, _part = predict_limit(source, grid.t_max)
-    dist = float(np.abs(traj.final - limit.entries).max())
-    _say(args, f"final c(Mbar) = {compression(traj.final):.6g}; "
-               f"distance to predicted limit = {dist:.6g}")
+
+    def summary():
+        from .asymptotics import predict_limit
+        from .dstoch import compression
+
+        limit, _part = predict_limit(source, grid.t_max)
+        dist = float(np.abs(traj.final - limit.entries).max())
+        return (f"final c(Mbar) = {compression(traj.final):.6g}; "
+                f"distance to predicted limit = {dist:.6g}")
+
+    _say(args, summary)
     return EXIT_OK
 
 
 def cmd_series(args):
+    from .dstoch import compression
+    from .volterra import SolverConfig, neumann_series_trajectory, trajectory_to_csv
+
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
     nu = _nu_from(cfg)
@@ -186,11 +191,13 @@ def cmd_series(args):
     traj = neumann_series_trajectory(
         source, SolverConfig(nu=nu, grid=grid, n_max=n_max))
     _write(args.out, trajectory_to_csv(traj))
-    _say(args, f"final c(Mbar) = {compression(traj.final):.6g}")
+    _say(args, lambda: f"final c(Mbar) = {compression(traj.final):.6g}")
     return EXIT_OK
 
 
 def cmd_simulate(args):
+    from .jump_mc import mc_estimate_to_csv, monte_carlo_average
+
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
     nu = _nu_from(cfg)
@@ -199,11 +206,14 @@ def cmd_simulate(args):
     source = _source_from(cfg)
     est = monte_carlo_average(source, nu, grid.t_max, R, seed)
     _write(args.out, mc_estimate_to_csv(est, nu=nu, T=grid.t_max))
-    _say(args, f"mean max stderr = {est.stderr.max():.6g} over {R} histories")
+    _say(args, lambda: f"mean max stderr = {est.stderr.max():.6g} over {R} histories")
     return EXIT_OK
 
 
 def cmd_compare(args):
+    from .jump_mc import monte_carlo_average
+    from .volterra import SolverConfig, TimeGrid, march_solve, neumann_series_trajectory
+
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
     nu = _nu_from(cfg)
@@ -255,11 +265,14 @@ def cmd_compare(args):
     text = json.dumps(verdict, indent=2, sort_keys=True) + "\n"
     _write(args.out, text)
     if args.out:
-        _say(args, text.rstrip())
+        _say(args, text.rstrip)
     return EXIT_NUMERICAL if failure else EXIT_OK
 
 
 def cmd_asymptote(args):
+    from .asymptotics import convergence_report, convergence_report_to_csv
+    from .volterra import SolverConfig
+
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
     nu = _nu_from(cfg)
@@ -277,11 +290,13 @@ def cmd_asymptote(args):
         "blocks": [list(b) for b in report.partition.blocks],
         "id_sector": list(report.partition.id_sector),
     }
-    _say(args, json.dumps(verdict, indent=2, sort_keys=True))
+    _say(args, lambda: json.dumps(verdict, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_genericity(args):
+    from .channels import genericity_check
+
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
     model = _model_from(cfg)
@@ -295,33 +310,45 @@ def cmd_genericity(args):
     text = json.dumps(verdict, indent=2, sort_keys=True) + "\n"
     _write(args.out, text)
     if args.out:
-        _say(args, text.rstrip())
+        _say(args, text.rstrip)
     return EXIT_OK
 
 
 def cmd_scalar(args):
+    from .scalar import (
+        CosineInput,
+        PiecewiseInput,
+        piecewise_delay_solve,
+        scalar_march,
+        scalar_trajectory_to_csv,
+        trig_ode_solve,
+    )
+
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
     alpha = _scalar_input_from(cfg)
     nu = _nu_from(cfg)
     traj = scalar_march(alpha, nu, grid)
     _write(args.out, scalar_trajectory_to_csv(traj))
-    notes = []
-    if isinstance(alpha, PiecewiseInput) and tuple(alpha.pattern) == (1.0, 0.0):
-        k = int(round(grid.t_max / alpha.tau))
-        if abs(k * alpha.tau - grid.t_max) < 1e-9 and k >= 1 \
-                and grid.steps % k == 0:
-            exact = piecewise_delay_solve(alpha.tau, nu, k,
-                                          nodes_per_interval=grid.steps // k)
-            gap = float(np.abs(exact.beta - traj.beta).max())
-            notes.append(f"max |march - method of steps| = {gap:.3e}")
-    if isinstance(alpha, CosineInput) and nu == 1.0 \
-            and alpha.mean == 0.5 and alpha.amplitude == 0.5:
-        ode = trig_ode_solve(grid)
-        gap = float(np.abs(ode.trajectory.beta - traj.beta).max())
-        notes.append(f"max |march - ode route| = {gap:.3e}")
-    _say(args, f"final beta = {traj.beta[-1]:.6g}"
-               + ("; " + "; ".join(notes) if notes else ""))
+
+    def summary():
+        notes = []
+        if isinstance(alpha, PiecewiseInput) and tuple(alpha.pattern) == (1.0, 0.0):
+            k = int(round(grid.t_max / alpha.tau))
+            if abs(k * alpha.tau - grid.t_max) < 1e-9 and k >= 1 \
+                    and grid.steps % k == 0:
+                exact = piecewise_delay_solve(alpha.tau, nu, k,
+                                              nodes_per_interval=grid.steps // k)
+                gap = float(np.abs(exact.beta - traj.beta).max())
+                notes.append(f"max |march - method of steps| = {gap:.3e}")
+        if isinstance(alpha, CosineInput) and nu == 1.0 \
+                and alpha.mean == 0.5 and alpha.amplitude == 0.5:
+            ode = trig_ode_solve(grid)
+            gap = float(np.abs(ode.trajectory.beta - traj.beta).max())
+            notes.append(f"max |march - ode route| = {gap:.3e}")
+        return f"final beta = {traj.beta[-1]:.6g}" + ("; " + "; ".join(notes) if notes else "")
+
+    _say(args, summary)
     return EXIT_OK
 
 

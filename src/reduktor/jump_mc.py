@@ -46,7 +46,7 @@ import numpy as np
 
 from .dstoch import dstoch_residual, validate_dstoch
 from .errors import InputValidationError
-from .volterra import _matrix_stack, as_path
+from .volterra import _csv_lines, _matrix_stack, as_path
 
 CHUNK = 2048  # histories per partial sum; fixed, so the summation order is too
 FLOOR = 32    # fewest histories in a stratum, and the R p_k that makes count k one
@@ -251,10 +251,5 @@ def mc_estimate_to_csv(est: McEstimate, *, nu=None, T=None) -> str:
         meta.insert(0, f"# nu={nu:.17g}")
     if T is not None:
         meta.insert(1, f"# T={T:.17g}")
-    lines = meta + ["# mean"]
-    for row in est.mean:
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    lines.append("# stderr")
-    for row in est.stderr:
-        lines.append(",".join(f"{x:.17g}" for x in row))
+    lines = meta + ["# mean"] + _csv_lines(est.mean) + ["# stderr"] + _csv_lines(est.stderr)
     return "\n".join(lines) + "\n"

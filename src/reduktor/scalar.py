@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .dstoch import lift
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
     ValidationFailure,
     ValueEscapeError,
 )
-from .volterra import TimeGrid, Trajectory, _limits, _march, _SmoothPath
+from .volterra import TimeGrid, Trajectory, _csv_lines, _limits, _march_1x1, _SmoothPath
 
 SCALAR_ESCAPE_TOL = 1e-7
 
@@ -107,7 +106,7 @@ class CosineInput(ScalarInput):
     """alpha(t) = mean + amplitude * cos(t), constrained to [0, 1]."""
 
     def __init__(self, mean=0.5, amplitude=0.5):
-        if mean - abs(amplitude) < 0.0 or mean + abs(amplitude) > 1.0:
+        if not (mean - abs(amplitude) >= 0.0 and mean + abs(amplitude) <= 1.0):  # NaN fails too
             raise ValueError("cosine input leaves [0, 1]")
         self.mean = float(mean)
         self.amplitude = float(amplitude)
@@ -124,9 +123,9 @@ class TabulatedInput(ScalarInput):
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or len(times) < 2:
             raise ValueError("need matching 1-d time and value tables")
-        if np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):  # NaN fails too
             raise ValueError("times must be strictly increasing")
-        if values.min() < 0.0 or values.max() > 1.0:
+        if not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails too
             raise ValueError("tabulated values must lie in [0, 1]")
         self.times = times
         self.table = values
@@ -159,14 +158,10 @@ class ScalarTrajectory:
 
 def scalar_trajectory_to_csv(traj: ScalarTrajectory) -> str:
     """CSV with a commented ``jumps`` sidecar listing discontinuities."""
-    lines = ["t,beta"]
-    for t, b in zip(traj.times, traj.beta):
-        lines.append(f"{t:.17g},{b:.17g}")
+    lines = ["t,beta"] + _csv_lines(traj.times, traj.beta)
     if traj.jumps:
-        lines.append("# jumps")
-        lines.append("# t,left,right")
-        for t, lo, hi in traj.jumps:
-            lines.append(f"# {t:.17g},{lo:.17g},{hi:.17g}")
+        lines += ["# jumps", "# t,left,right"]
+        lines += ["# " + line for line in _csv_lines(np.array(traj.jumps))]
     return "\n".join(lines) + "\n"
 
 
@@ -176,23 +171,26 @@ def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid, *,
                  escape_tol=SCALAR_ESCAPE_TOL) -> ScalarTrajectory:
     """Trapezoid marching of the scalar equation.
 
-    The n = 1 case of the matrix march: works on the rescaled unknown
-    N(t) = e^{nu t} beta(t) and divides by the discrete growth factor of
-    the scheme.  Quadrature panels use one-sided limits at discontinuities
-    of alpha, which therefore must sit on grid nodes.
+    The n = 1 case of the matrix march (``volterra._march_1x1``): the march
+    of N(t) = e^{nu t} beta(t), divided by the discrete growth factor of
+    the scheme.  Both are solved tilted, as e^{-nu t} N from the source
+    e^{-nu t} alpha(t), so nothing overflows at large nu T, and each is one
+    lower-triangular system solved in blocks of ``volterra.MARCH_BLOCK``
+    nodes.  Quadrature panels use one-sided limits at discontinuities of
+    alpha, which therefore must sit on grid nodes.  A node that leaves
+    [0, 1] by more than escape_tol, or is not finite, raises
+    ValueEscapeError.
     """
     if nu < 0:
         raise ValueError("nu must be >= 0")
     ts = grid.nodes
     aL, aR, jump_idx = _limits(alpha, grid, matrix=False)
-    out, left, _ = _march(aL.reshape(-1, 1, 1), aR.reshape(-1, 1, 1), jump_idx,
-                          np.ones(grid.steps + 1), grid.h, nu)
-    betaR = out[:, 0, 0]
-    lo, hi = betaR.min(), betaR.max()
-    if lo < -escape_tol or hi > 1.0 + escape_tol:
-        k = int(np.argmin(betaR) if lo < -escape_tol else np.argmax(betaR))
+    betaR, left, _ = _march_1x1(aL, aR, jump_idx, np.ones(grid.steps + 1), grid.h, nu)
+    lo, hi = betaR.min(), betaR.max()  # nan if any node is, and nan escapes too
+    if not (lo >= -escape_tol and hi <= 1.0 + escape_tol):
+        k = int(np.argmin(betaR) if not lo >= -escape_tol else np.argmax(betaR))
         raise ValueEscapeError(k, float(betaR[k]))
-    jumps_log = [(float(ts[j]), float(left[j][0, 0]), float(betaR[j])) for j in jump_idx]
+    jumps_log = [(float(ts[j]), float(left[j]), float(betaR[j])) for j in jump_idx]
     return ScalarTrajectory(grid=grid, beta=betaR, jumps=jumps_log)
 
 
@@ -249,6 +247,8 @@ def piecewise_delay_solve(tau, nu, n_intervals, *, nodes_per_interval=200) -> Sc
     polynomials exactly, so the first two intervals reproduce the analytic
     solutions 1 and 1 + (nu tau - nu T - 1) e^{-nu tau} to roundoff.
     """
+    from numpy.polynomial import Polynomial
+
     if tau <= 0 or nu < 0:
         raise ValueError("need tau > 0 and nu >= 0")
     K = int(n_intervals)

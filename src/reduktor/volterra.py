@@ -37,6 +37,18 @@ for n = 2 covers every source).  The lift is doubly stochastic whatever
 beta is, so ``march_solve`` and ``march_solve_general`` check a 2 x 2
 source before marching it.
 
+With a constant memory weight b, the 1 x 1 path (scalar inputs and the
+beta mode of every 2 x 2 source) is not stepped node by node: in the
+node averages of X the march is one lower-triangular system, solved in
+blocks of MARCH_BLOCK nodes (``_blocked_solve``; Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).  Each block adds
+the pull of the finished blocks, then solves its own B x B system.  This
+path marches the tilted unknowns e^{-b T} X and e^{-b T} sigma, from the
+sources e^{-b t} M(t) and e^{-b t}; their ratio is unchanged in exact
+arithmetic, and nothing overflows at large b T.  Larger sources
+(n >= 3) and varying weights b(t, T) are still stepped node by node and
+untilted, so they overflow once nu T is above about 700.
+
 Sources are time paths: subclasses of ``_SmoothPath``, which supplies
 ``__call__``, ``many(ts)`` for batched evaluation and the one-sided limits
 ``left``/``right`` with ``jump_times`` of a continuous source.  Constant
@@ -95,8 +107,13 @@ DEFAULT_TAIL_TOL = 1e-10
 CONV_BLOCK_ROWS = 64
 # OpenBLAS splits a dot product of more than 10^4 terms over its threads,
 # which moves the bits of the sum; _conv sums longer 1 x 1 contractions
-# in chunks of this many terms, in order.
+# (sigma, and 1 x 1 sources under a varying weight) in chunks of this many
+# terms, in order.
 DOT_CHUNK = 10_000
+# Nodes per block of the 1 x 1 march (_blocked_solve).  Its B x B solve
+# stays below the 10^4 entries at which OpenBLAS threads an LU, so the
+# bits cannot depend on the thread count.
+MARCH_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -272,14 +289,22 @@ class Trajectory:
         return len(self.values)
 
 
+def _csv_lines(*columns):
+    """CSV lines of the columns side by side, each value in 17 significant digits.
+
+    ``columns`` are 1-d arrays or 2-d blocks of columns, as for
+    ``np.column_stack``; each row is formatted by one %-format string.
+    """
+    rows = np.column_stack(columns).tolist()
+    fmt = ",".join(["%.17g"] * len(rows[0]))
+    return [fmt % tuple(row) for row in rows]
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Serialize to CSV: header t,entry_0_0,... and 17 significant digits."""
     n = traj.values.shape[-1]
     header = "t," + ",".join(f"entry_{i}_{j}" for i in range(n) for j in range(n))
-    lines = [header]
-    for t, m in zip(traj.times, traj.values):
-        row = [f"{t:.17g}"] + [f"{x:.17g}" for x in m.ravel()]
-        lines.append(",".join(row))
+    lines = [header] + _csv_lines(traj.times, traj.values.reshape(len(traj.values), n * n))
     return "\n".join(lines) + "\n"
 
 
@@ -314,7 +339,8 @@ def _validate_source(ML, MR, jump_idx, tol):
 def _conv(S, Y, k, bk):
     """sum_{t<k} bk[t] S[k - t] Y[t]; unit weights when bk is None.
 
-    1 x 1 stacks (the unit mode, scalar inputs, 2 x 2 sources) take
+    1 x 1 stacks (the unit mode sigma, and 1 x 1 sources under a varying
+    weight) take
     ``np.dot``, which is faster there than ``np.einsum``, in chunks of at
     most DOT_CHUNK terms so that the BLAS thread count cannot reach the sum.
     """
@@ -328,6 +354,119 @@ def _conv(S, Y, k, bk):
     if bk is None:
         return np.einsum("tij,tjk->ik", S[k:0:-1], Y[:k])
     return np.einsum("t,tij,tjk->ik", bk[:k], S[k:0:-1], Y[:k])
+
+
+def _block_pull(S, H, j0, j1, acc):
+    """Add the pull of finished nodes j0..j1-1 to every later node of acc.
+
+    acc[k] += sum_{j0 <= t < j1} S[k - t] H[t] for k >= j1: the B x B
+    Toeplitz products of one finished block with the history weights of
+    every later block, each node's share a dot product of j1 - j0 terms.
+    """
+    if j1 < len(acc):
+        acc[j1:] += np.correlate(S[1:len(acc) - j0], H[j0:j1][::-1], "valid")
+
+
+def _march_weights(K, h, b, jump_idx):
+    """Trapezoid weights w and the jump pairs of the march on K steps.
+
+    w_t is h, and h / 2 at t = 0, times b when the memory weight b is a
+    number.  ``pairs`` maps each node k to the jump nodes t for which
+    k - t is a jump node too: there the product of the two jumps enters
+    the implicit step's right-hand side.
+    """
+    w = np.full(K + 1, h)
+    w[0] = 0.5 * h
+    if not callable(b):
+        w *= b
+    pairs = {}
+    for t in jump_idx:
+        for s in jump_idx:
+            if t + s <= K:
+                pairs.setdefault(t + s, []).append(t)
+    return w, pairs
+
+
+def _march_1x1(SL, SR, jump_idx, a, h, b):
+    """The 1 x 1 march with a constant memory weight b, divided by sigma.
+
+    SL and SR are the (K+1,) left and right limits of the source, equal
+    off the jump nodes; ``a`` is as in ``_march``.  Returns the node values
+    and the left limits at the jump nodes, both divided by the unit mode
+    sigma, and sigma itself; sigma is the same solve run on M = 1.
+
+    Both are marched tilted: e^{-b T} X solves the same march with the
+    source e^{-b t} M(t), since T_k = T_{k-t} + T_t on the grid, and
+    e^{-b T} sigma with the unit source e^{-b t}.  Nothing then grows
+    like e^{b T}, and the ratio is unchanged in exact arithmetic.  The
+    returned sigma is untilted, so it overflows to inf once b T > 709;
+    the outputs do not.
+    """
+    tilt = np.exp(-b * h * np.arange(len(SL)))
+    xbar, shift = _blocked_solve(tilt * SL, tilt * SR, jump_idx, a, h, b)
+    sigma, _ = _blocked_solve(tilt, tilt, [], a, h, b)
+    left = {j: (xbar[j] - shift[j]) / sigma[j] for j in jump_idx}
+    for j in jump_idx:
+        xbar[j] += shift[j]
+    xbar /= sigma
+    with np.errstate(over="ignore"):
+        sigma *= np.exp(b * h * np.arange(len(SL)))
+    return xbar, left, sigma
+
+
+def _blocked_solve(SL, SR, jump_idx, a, h, b):
+    """Node averages Xbar = (XL + XR) / 2 of the 1 x 1 march, block by block.
+
+    In Xbar the march with a constant memory weight b is one
+    lower-triangular system,
+
+        d Xbar[k] - sum_{t<k} c_t Sbar[k - t] Xbar[t] = f[k],
+
+    with d = 1 - (h / 2) b SR[0] the implicit step, c_t = w_t b as in
+    ``_march``, Sbar = (SL + SR) / 2, and f[k] = a[k] SL[k] plus the
+    known jump terms of ``_march``: the t = 0 endpoint on the left limit,
+    the pairs of jump nodes, and d s[k] for the shift
+    s[k] = a[k] (SR[k] - SL[k]) / 2 = Xbar[k] - XL[k].  The nodes go in
+    blocks of B = MARCH_BLOCK (Hairer, Lubich & Schlichte, SIAM J. Sci.
+    Stat. Comput. 6 (1985) 532): each block takes the pull of the
+    finished blocks and solves its own B x B system with
+    ``np.linalg.solve``, so a singular implicit step raises LinAlgError.
+    Each finished block adds its pull to every later node at once
+    (``_block_pull``), so each node sums its history in block order, in
+    products too small for BLAS to split over threads, and no temporary
+    exceeds a few B x B blocks.  Returns Xbar and the shifts s.
+    """
+    K = len(SL) - 1
+    D = {j: SR[j] - SL[j] for j in jump_idx}
+    Sbar = 0.5 * (SL + SR) if D else SL
+    shift = {j: 0.5 * a[j] * D[j] for j in jump_idx}
+    w, pairs = _march_weights(K, h, b, jump_idx)
+    special = sorted(set(D).union(pairs))
+    B = min(MARCH_BLOCK, K)
+    lag = np.abs(np.subtract.outer(np.arange(B), np.arange(B)))
+    system = -w[1] * np.tril(Sbar[lag], -1)  # [u, v] = -c Sbar[u - v] below the diagonal
+    d = 1.0 - 0.5 * h * b * SR[0]
+    np.fill_diagonal(system, d)
+    xbar = np.empty(K + 1)
+    H = np.empty(K + 1)  # w_t Xbar[t], with the weight b
+    acc = np.zeros(K + 1)  # pull of the finished blocks
+    xbar[0] = a[0] * SR[0]
+    H[0] = w[0] * xbar[0]
+    _block_pull(Sbar, H, 0, 1, acc)
+    for k0 in range(1, K + 1, B):
+        k1 = min(k0 + B, K + 1)
+        rhs = acc[k0:k1] + a[k0:k1] * SL[k0:k1]
+        for k in special:
+            if not k0 <= k < k1:
+                continue
+            if k in D:
+                rhs[k - k0] += d * shift[k] - 0.5 * w[0] * D[k] * xbar[0]
+            for t in pairs.get(k, ()):
+                rhs[k - k0] -= 0.25 * w[t] * a[t] * D[k - t] * D[t]
+        xbar[k0:k1] = np.linalg.solve(system[:k1 - k0, :k1 - k0], rhs)
+        H[k0:k1] = w[k0:k1] * xbar[k0:k1]
+        _block_pull(Sbar, H, k0, k1, acc)
+    return xbar, shift
 
 
 def _march(ML, MR, jump_idx, a, h, b):
@@ -352,26 +491,25 @@ def _march(ML, MR, jump_idx, a, h, b):
     commute and share the eigenvectors (1, 1) and (1, -1), so the 2 x 2
     march is the unit mode sigma and the beta mode, each marched on its
     own.  Only the doubly stochastic part of the source reaches the
-    output, so callers check a 2 x 2 source first.
+    output, so callers check a 2 x 2 source first.  A 1 x 1 source with a
+    constant weight b goes to ``_march_1x1``, the blocked, tilted solve.
+    Every other source (n >= 3, or a varying weight) is stepped node by
+    node, with sigma from the same loop on M = 1.
     """
     if ML.shape[-1] == 2:
         bL, bR = ((1.0 - M[:, 0, 1] - M[:, 1, 0]).reshape(-1, 1, 1) for M in (ML, MR))
         out, left, sigma = _march(bL, bR, jump_idx, a, h, b)
         return lift(out[:, 0, 0], 2), {j: lift(v[0, 0], 2) for j, v in left.items()}, sigma
+    if ML.shape[-1] == 1 and not callable(b):
+        out, left, sigma = _march_1x1(ML[:, 0, 0], MR[:, 0, 0], jump_idx, a, h, b)
+        return (out.reshape(-1, 1, 1), {j: np.reshape(v, (1, 1)) for j, v in left.items()},
+                sigma.reshape(-1, 1, 1))
     K = len(ML) - 1
     jumps = {j: MR[j] - ML[j] for j in jump_idx}
     Mbar = 0.5 * (ML + MR) if jumps else ML
     unit = np.ones((K + 1, 1, 1))
     varying = callable(b)
-    w = np.full(K + 1, h)
-    w[0] = 0.5 * h
-    if not varying:
-        w *= b
-    pairs = {}  # k -> jump nodes t with k - t also a jump node
-    for t in jumps:
-        for s in jumps:
-            if t + s <= K:
-                pairs.setdefault(t + s, []).append(t)
+    w, pairs = _march_weights(K, h, b, jump_idx)
     # H[t] = w_t Xbar(t), laid out like Mbar: for a constant source (zero
     # stride in t) that makes H contiguous in t, which einsum sums fast
     X, H = np.empty_like(Mbar), np.empty_like(Mbar)

@@ -360,6 +360,75 @@ class TestScalarCommand:
         }))
         assert run(["scalar", "--config", cfg]) == 1
 
+    def test_long_horizon_unit_input_is_exactly_one(self, tmp_path):
+        # nu T = 800: the tilted march does not overflow
+        cfg = tmp_path / "scalar.json"
+        cfg.write_text(json.dumps({
+            "scalar": {"variant": "constant", "value": 1.0},
+            "nu": 1.0,
+            "grid": {"t_max": 800.0, "steps": 1600},
+        }))
+        out = tmp_path / "beta.csv"
+        assert run(["scalar", "--config", cfg, "--out", out, "--quiet"]) == 0
+        body = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert body.shape == (1601, 2)
+        np.testing.assert_array_equal(body[:, 1], np.ones(1601))
+
+    def test_nan_input_is_config_error(self, tmp_path):
+        # rejected like any other value outside [0, 1]
+        cfg = tmp_path / "scalar.json"
+        cfg.write_text(json.dumps({
+            "scalar": {"variant": "tabulated", "times": [0.0, 1.0, 2.0],
+                       "values": [1.0, float("nan"), 0.5]},
+            "nu": 1.0,
+            "grid": {"t_max": 2.0, "steps": 200},
+        }))
+        assert run(["scalar", "--config", cfg]) == 1
+
+    def test_non_finite_beta_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # a march that returns NaN must fail before anything is written
+        import reduktor.scalar
+
+        def nan_march(SL, SR, jump_idx, a, h, b):
+            return np.full(len(SL), np.nan), {}, np.ones(len(SL))
+
+        monkeypatch.setattr(reduktor.scalar, "_march_1x1", nan_march)
+        out = tmp_path / "beta.csv"
+        assert run(["scalar", "--config", CONFIGS / "scalar_cosine.json", "--out", out]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "nan" in err
+
+
+@pytest.mark.parametrize("command,config", [
+    ("solve", "constant_matrix.json"), ("solve", "random_3level.json"),
+    ("solve", "spin_flip.json"), ("scalar", "scalar_alternating.json"),
+    ("scalar", "scalar_cosine.json"), ("series", "spin_flip.json"),
+    ("simulate", "spin_flip.json"), ("compare", "spin_flip.json"),
+    ("asymptote", "spin_flip.json"), ("genericity", "spin_flip.json"),
+])
+def test_quiet_does_not_change_output(tmp_path, command, config):
+    # --quiet skips the work behind the summary line (in solve and scalar),
+    # and nothing else; the other commands only skip a print
+    results = []
+    for flags in ([], ["--quiet"]):
+        out = tmp_path / f"out{len(flags)}"
+        code = run([command, "--config", CONFIGS / config, "--out", out] + flags)
+        results.append((code, out.read_bytes() if out.exists() else None))
+    assert results[0] == results[1]
+
+
+def test_scalar_command_loads_only_its_modules(tmp_path):
+    # the quiet scalar command needs neither bath models, Monte Carlo nor
+    # the asymptotic reports
+    code = ("import sys; from reduktor.cli import main; "
+            f"assert main(['scalar', '--config', {str(CONFIGS / 'scalar_alternating.json')!r}, "
+            f"'--out', {str(tmp_path / 'beta.csv')!r}, '--quiet']) == 0; "
+            "loaded = {'reduktor.channels', 'reduktor.jump_mc', 'reduktor.asymptotics'} "
+            "& set(sys.modules); assert not loaded, loaded")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
 
 def test_cli_imports_without_scipy():
     # scipy is a test-only dependency; the library must not load it

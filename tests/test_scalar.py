@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from reduktor.dstoch import theta
+from reduktor.errors import ValueEscapeError
 from reduktor.scalar import (
     ConstantInput,
     CosineInput,
     LiftedPath,
     PiecewiseInput,
+    ScalarInput,
     TabulatedInput,
     lift_scalar,
     piecewise_delay_solve,
@@ -27,6 +29,17 @@ class TestInputs:
             PiecewiseInput(tau=1.0, pattern=(1.0, 1.5))
         with pytest.raises(ValueError):
             TabulatedInput([0.0, 1.0], [0.5, 1.5])
+
+    def test_nan_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            CosineInput(mean=nan, amplitude=0.5)
+        with pytest.raises(ValueError):
+            CosineInput(mean=0.5, amplitude=nan)
+        with pytest.raises(ValueError):
+            TabulatedInput([0.0, 1.0, 2.0], [1.0, nan, 0.5])
+        with pytest.raises(ValueError):
+            TabulatedInput([0.0, nan, 2.0], [1.0, 0.5, 0.5])
 
     def test_piecewise_values_and_limits(self):
         alpha = PiecewiseInput(tau=0.5)
@@ -51,6 +64,16 @@ class TestScalarMarch:
     def test_zero_input_collapses(self):
         traj = scalar_march(ConstantInput(0.0), 1.0, TimeGrid(5.0, 500))
         np.testing.assert_array_equal(traj.beta, np.zeros(501))
+
+    def test_non_finite_beta_escapes(self):
+        # the [0, 1] check must not let NaN through, which compares false
+        class Broken(ScalarInput):
+            def many(self, ts):
+                return np.where(np.asarray(ts) < 0.5, 0.5, np.nan)
+
+        with pytest.raises(ValueEscapeError) as failure:
+            scalar_march(Broken(), 1.0, TimeGrid(1.0, 100))
+        assert np.isnan(failure.value.value)
 
     def test_initial_value_matches_input(self):
         traj = scalar_march(CosineInput(), 1.0, TimeGrid(1.0, 100))

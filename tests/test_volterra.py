@@ -22,6 +22,7 @@ from reduktor.volterra import (
     SolverConfig,
     TimeGrid,
     Trajectory,
+    _csv_lines,
     _pick_series_order,
     _poisson_sf,
     _SmoothPath,
@@ -372,3 +373,14 @@ class TestCsv:
                          for line in text.strip().split("\n")[1:]])
         parsed = body[:, 1:].reshape(traj.values.shape)
         np.testing.assert_array_equal(parsed, traj.values)
+
+    def test_column_formatter_matches_per_value_formatting(self):
+        # one %-format per row writes the same bytes as formatting each value
+        awkward = [0.0, -0.0, 0.1, 1.0 / 3.0, 1e-300, 5e-324, -2.5e17, 1e22, np.inf,
+                   -np.inf, np.nan, 123456789.123456789]
+        t = np.arange(len(awkward)) * 0.1
+        block = np.column_stack([awkward, awkward[::-1]])
+        want = [",".join(f"{x:.17g}" for x in row)
+                for row in zip(t, block[:, 0], block[:, 1])]
+        assert _csv_lines(t, block) == want
+        assert _csv_lines(np.float64(0.25) * np.ones((1, 1))) == ["0.25"]
