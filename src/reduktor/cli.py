@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-Subcommands: solve | series | simulate | compare | asymptote | genericity
+Commands: solve | series | simulate | compare | asymptote | genericity
 | scalar.  Every command reads a JSON config, writes CSV and/or JSON, and
 is deterministic given the config, the seed, and any worker count.
 
@@ -370,19 +370,15 @@ def build_parser():
                     "stochastic reductions: solvers, simulation, and "
                     "asymptotic reports.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed (overrides config)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="accepted for compatibility and ignored, as is "
-                            "REDUKTOR_WORKERS; Monte Carlo runs on one thread")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress summary lines")
-        p.set_defaults(fn=fn)
+    parser.add_argument("command", choices=_COMMANDS, help="what to run")
+    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="random seed (overrides config)")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="accepted for compatibility and ignored, as is "
+                             "REDUKTOR_WORKERS; Monte Carlo runs on one thread")
+    parser.add_argument("--quiet", action="store_true", help="suppress summary lines")
     return parser
 
 
@@ -393,7 +389,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

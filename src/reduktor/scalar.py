@@ -36,7 +36,7 @@ from .errors import (
     ValidationFailure,
     ValueEscapeError,
 )
-from .volterra import TimeGrid, Trajectory, _csv_lines, _limits, _march_1x1, _SmoothPath
+from .volterra import TimeGrid, Trajectory, _csv_lines, _limits, _march, _SmoothPath
 
 SCALAR_ESCAPE_TOL = 1e-7
 
@@ -171,26 +171,28 @@ def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid, *,
                  escape_tol=SCALAR_ESCAPE_TOL) -> ScalarTrajectory:
     """Trapezoid marching of the scalar equation.
 
-    The n = 1 case of the matrix march (``volterra._march_1x1``): the march
+    The n = 1 case of the matrix march (``volterra._march``): the march
     of N(t) = e^{nu t} beta(t), divided by the discrete growth factor of
     the scheme.  Both are solved tilted, as e^{-nu t} N from the source
-    e^{-nu t} alpha(t), so nothing overflows at large nu T, and each is one
-    lower-triangular system solved in blocks of ``volterra.MARCH_BLOCK``
-    nodes.  Quadrature panels use one-sided limits at discontinuities of
-    alpha, which therefore must sit on grid nodes.  A node that leaves
-    [0, 1] by more than escape_tol, or is not finite, raises
-    ValueEscapeError.
+    e^{-nu t} alpha(t) and the factor from e^{-nu t}, so nothing overflows
+    at large nu T, and each is one lower-triangular system solved in
+    blocks of ``volterra.MARCH_BLOCK`` nodes.  Quadrature panels use
+    one-sided limits at discontinuities of alpha, which therefore must
+    sit on grid nodes.  A node that leaves [0, 1] by more than
+    escape_tol, or is not finite, raises ValueEscapeError.
     """
     if nu < 0:
         raise ValueError("nu must be >= 0")
     ts = grid.nodes
     aL, aR, jump_idx = _limits(alpha, grid, matrix=False)
-    betaR, left, _ = _march_1x1(aL, aR, jump_idx, np.ones(grid.steps + 1), grid.h, nu)
+    out, left, _ = _march(aL[:, None, None], aR[:, None, None], jump_idx,
+                          np.ones(grid.steps + 1), grid.h, nu)
+    betaR = out[:, 0, 0]
     lo, hi = betaR.min(), betaR.max()  # nan if any node is, and nan escapes too
     if not (lo >= -escape_tol and hi <= 1.0 + escape_tol):
         k = int(np.argmin(betaR) if not lo >= -escape_tol else np.argmax(betaR))
         raise ValueEscapeError(k, float(betaR[k]))
-    jumps_log = [(float(ts[j]), float(left[j]), float(betaR[j])) for j in jump_idx]
+    jumps_log = [(float(ts[j]), float(left[j][0, 0]), float(betaR[j])) for j in jump_idx]
     return ScalarTrajectory(grid=grid, beta=betaR, jumps=jumps_log)
 
 

@@ -22,10 +22,10 @@ b(t, T), constrained by int_0^T b(t, T) dt = 1 - a(T), uses
 c = trapezoid * b(t, T_k).
 
 The back-rescaling divides by the scheme's own discrete growth factor
-(the same recursion run on M = 1), not by e^{nu T}: the two agree to
-O(h^2), but the discrete factor is exactly the row/column-sum mode of the
-marched solution, so every output node is doubly stochastic to machine
-precision instead of drifting by e^{T nu^3 h^2 / 12}.
+sigma, the same march run once on the unit source M = 1, not by
+e^{nu T}: the two agree to O(h^2), but sigma is exactly the row/column-sum
+mode of the marched solution, so every output node is doubly stochastic
+to machine precision instead of drifting by e^{T nu^3 h^2 / 12}.
 
 A 2 x 2 source takes the kernel's 1 x 1 path.  Every doubly stochastic
 2 x 2 matrix is beta 1 + (1 - beta) Theta_2, with Theta_2 the uniform
@@ -37,17 +37,15 @@ for n = 2 covers every source).  The lift is doubly stochastic whatever
 beta is, so ``march_solve`` and ``march_solve_general`` check a 2 x 2
 source before marching it.
 
-With a constant memory weight b, the 1 x 1 path (scalar inputs and the
-beta mode of every 2 x 2 source) is not stepped node by node: in the
-node averages of X the march is one lower-triangular system, solved in
-blocks of MARCH_BLOCK nodes (``_blocked_solve``; Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).  Each block adds
-the pull of the finished blocks, then solves its own B x B system.  This
-path marches the tilted unknowns e^{-b T} X and e^{-b T} sigma, from the
-sources e^{-b t} M(t) and e^{-b t}; their ratio is unchanged in exact
-arithmetic, and nothing overflows at large b T.  Larger sources
-(n >= 3) and varying weights b(t, T) are still stepped node by node and
-untilted, so they overflow once nu T is above about 700.
+With a constant memory weight b, a 1 x 1 march (sigma, scalar inputs
+and the beta mode of every 2 x 2 source) is one lower-triangular system
+in the node averages of X, solved in blocks of MARCH_BLOCK nodes
+(``_blocked_solve``; Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+Comput. 6 (1985) 532) for the tilted unknowns e^{-b T} X from the source
+e^{-b t} M(t), since T_k = T_{k-t} + T_t on the grid, so nothing
+overflows at large b T.  Larger sources (n >= 3) and varying weights
+b(t, T) step X node by node, untilted, so n >= 3 overflows once nu T is
+above about 700; with a varying weight sigma is that loop run on M = 1.
 
 Sources are time paths: subclasses of ``_SmoothPath``, which supplies
 ``__call__``, ``many(ts)`` for batched evaluation and the one-sided limits
@@ -105,14 +103,10 @@ DEFAULT_TAIL_TOL = 1e-10
 # nodes of n x n matrices): a 32 KiB block, within 14 % of the fastest
 # block size at n = 1, 2, 3 and 8 for K from 100 to 6400, one BLAS thread.
 CONV_BLOCK_ROWS = 64
-# OpenBLAS splits a dot product of more than 10^4 terms over its threads,
-# which moves the bits of the sum; _conv sums longer 1 x 1 contractions
-# (sigma, and 1 x 1 sources under a varying weight) in chunks of this many
-# terms, in order.
-DOT_CHUNK = 10_000
-# Nodes per block of the 1 x 1 march (_blocked_solve).  Its B x B solve
-# stays below the 10^4 entries at which OpenBLAS threads an LU, so the
-# bits cannot depend on the thread count.
+# Nodes per block of the 1 x 1 march (_blocked_solve).  Its one B x B
+# inversion and each product with the inverse stay below the sizes at which
+# OpenBLAS threads an LU (10^4 entries) or a matrix-vector product (9216),
+# so the bits cannot depend on the thread count.
 MARCH_BLOCK = 64
 
 
@@ -336,26 +330,6 @@ def _validate_source(ML, MR, jump_idx, tol):
         _validate_nodes(ML[jump_idx], tol, "source left limit", jump_idx)
 
 
-def _conv(S, Y, k, bk):
-    """sum_{t<k} bk[t] S[k - t] Y[t]; unit weights when bk is None.
-
-    1 x 1 stacks (the unit mode sigma, and 1 x 1 sources under a varying
-    weight) take
-    ``np.dot``, which is faster there than ``np.einsum``, in chunks of at
-    most DOT_CHUNK terms so that the BLAS thread count cannot reach the sum.
-    """
-    if S.shape[-1] == 1:
-        s = S[k:0:-1, 0, 0]
-        y = Y[:k, 0, 0] if bk is None else bk[:k] * Y[:k, 0, 0]
-        if k <= DOT_CHUNK:
-            return np.dot(s, y)
-        return sum(np.dot(s[i:i + DOT_CHUNK], y[i:i + DOT_CHUNK])
-                   for i in range(0, k, DOT_CHUNK))
-    if bk is None:
-        return np.einsum("tij,tjk->ik", S[k:0:-1], Y[:k])
-    return np.einsum("t,tij,tjk->ik", bk[:k], S[k:0:-1], Y[:k])
-
-
 def _block_pull(S, H, j0, j1, acc):
     """Add the pull of finished nodes j0..j1-1 to every later node of acc.
 
@@ -387,54 +361,28 @@ def _march_weights(K, h, b, jump_idx):
     return w, pairs
 
 
-def _march_1x1(SL, SR, jump_idx, a, h, b):
-    """The 1 x 1 march with a constant memory weight b, divided by sigma.
-
-    SL and SR are the (K+1,) left and right limits of the source, equal
-    off the jump nodes; ``a`` is as in ``_march``.  Returns the node values
-    and the left limits at the jump nodes, both divided by the unit mode
-    sigma, and sigma itself; sigma is the same solve run on M = 1.
-
-    Both are marched tilted: e^{-b T} X solves the same march with the
-    source e^{-b t} M(t), since T_k = T_{k-t} + T_t on the grid, and
-    e^{-b T} sigma with the unit source e^{-b t}.  Nothing then grows
-    like e^{b T}, and the ratio is unchanged in exact arithmetic.  The
-    returned sigma is untilted, so it overflows to inf once b T > 709;
-    the outputs do not.
-    """
-    tilt = np.exp(-b * h * np.arange(len(SL)))
-    xbar, shift = _blocked_solve(tilt * SL, tilt * SR, jump_idx, a, h, b)
-    sigma, _ = _blocked_solve(tilt, tilt, [], a, h, b)
-    left = {j: (xbar[j] - shift[j]) / sigma[j] for j in jump_idx}
-    for j in jump_idx:
-        xbar[j] += shift[j]
-    xbar /= sigma
-    with np.errstate(over="ignore"):
-        sigma *= np.exp(b * h * np.arange(len(SL)))
-    return xbar, left, sigma
-
-
 def _blocked_solve(SL, SR, jump_idx, a, h, b):
-    """Node averages Xbar = (XL + XR) / 2 of the 1 x 1 march, block by block.
+    """The 1 x 1 march with a constant memory weight b, block by block.
 
-    In Xbar the march with a constant memory weight b is one
+    In the node averages Xbar = (XL + XR) / 2 the march is one
     lower-triangular system,
 
         d Xbar[k] - sum_{t<k} c_t Sbar[k - t] Xbar[t] = f[k],
 
     with d = 1 - (h / 2) b SR[0] the implicit step, c_t = w_t b as in
-    ``_march``, Sbar = (SL + SR) / 2, and f[k] = a[k] SL[k] plus the
-    known jump terms of ``_march``: the t = 0 endpoint on the left limit,
-    the pairs of jump nodes, and d s[k] for the shift
+    ``_stepped_march``, Sbar = (SL + SR) / 2, and f[k] = a[k] SL[k] plus
+    the known jump terms of ``_march``: the t = 0 endpoint on the left
+    limit, the pairs of jump nodes, and d s[k] for the shift
     s[k] = a[k] (SR[k] - SL[k]) / 2 = Xbar[k] - XL[k].  The nodes go in
     blocks of B = MARCH_BLOCK (Hairer, Lubich & Schlichte, SIAM J. Sci.
     Stat. Comput. 6 (1985) 532): each block takes the pull of the
-    finished blocks and solves its own B x B system with
-    ``np.linalg.solve``, so a singular implicit step raises LinAlgError.
-    Each finished block adds its pull to every later node at once
-    (``_block_pull``), so each node sums its history in block order, in
-    products too small for BLAS to split over threads, and no temporary
-    exceeds a few B x B blocks.  Returns Xbar and the shifts s.
+    finished blocks and applies the inverse of the one B x B system (a
+    singular implicit step raises LinAlgError), a partial last block its
+    leading block, exact for a lower-triangular matrix.  Each finished
+    block adds its pull to every later node at once (``_block_pull``), so
+    each node sums its history in block order, in products too small for
+    BLAS to split over threads.  Returns the node values XR and the left
+    limits XL at the jump nodes.
     """
     K = len(SL) - 1
     D = {j: SR[j] - SL[j] for j in jump_idx}
@@ -447,6 +395,7 @@ def _blocked_solve(SL, SR, jump_idx, a, h, b):
     system = -w[1] * np.tril(Sbar[lag], -1)  # [u, v] = -c Sbar[u - v] below the diagonal
     d = 1.0 - 0.5 * h * b * SR[0]
     np.fill_diagonal(system, d)
+    inverse = np.linalg.inv(system)
     xbar = np.empty(K + 1)
     H = np.empty(K + 1)  # w_t Xbar[t], with the weight b
     acc = np.zeros(K + 1)  # pull of the finished blocks
@@ -463,10 +412,51 @@ def _blocked_solve(SL, SR, jump_idx, a, h, b):
                 rhs[k - k0] += d * shift[k] - 0.5 * w[0] * D[k] * xbar[0]
             for t in pairs.get(k, ()):
                 rhs[k - k0] -= 0.25 * w[t] * a[t] * D[k - t] * D[t]
-        xbar[k0:k1] = np.linalg.solve(system[:k1 - k0, :k1 - k0], rhs)
+        xbar[k0:k1] = inverse[:k1 - k0, :k1 - k0] @ rhs
         H[k0:k1] = w[k0:k1] * xbar[k0:k1]
         _block_pull(Sbar, H, k0, k1, acc)
-    return xbar, shift
+    left = {j: xbar[j] - shift[j] for j in jump_idx}
+    xbar[jump_idx] += [shift[j] for j in jump_idx]
+    return xbar, left
+
+
+def _stepped_march(ML, MR, jump_idx, a, h, b):
+    """X and its left limits at the jump nodes, untilted and not normalized."""
+    K = len(ML) - 1
+    jumps = {j: MR[j] - ML[j] for j in jump_idx}
+    Mbar = 0.5 * (ML + MR) if jumps else ML
+    varying = callable(b)
+    w, pairs = _march_weights(K, h, b, jump_idx)
+    # H[t] = w_t Xbar(t), laid out like Mbar: for a constant source (zero
+    # stride in t) that makes H contiguous in t, which einsum sums fast
+    X, H = np.empty_like(Mbar), np.empty_like(Mbar)
+    X[0] = a[0] * MR[0]
+    H[0] = w[0] * X[0]
+    left = {}
+    diag = None
+    for k in range(1, K + 1):
+        bk = np.asarray(b(k), dtype=float) if varying else None
+        ck = 0.5 * h * (bk[k] if varying else b)
+        if ck != diag:
+            diag = ck
+            pref = np.linalg.inv(np.eye(ML.shape[-1]) - ck * MR[0])
+        # np.einsum calls no BLAS, so no sum depends on the thread count
+        rhs = a[k] * ML[k] + (
+            np.einsum("t,tij,tjk->ik", bk[:k], Mbar[k:0:-1], H[:k]) if varying
+            else np.einsum("tij,tjk->ik", Mbar[k:0:-1], H[:k]))
+        c = w[:k + 1] * bk if varying else w
+        if k in jumps:
+            rhs -= 0.5 * c[0] * (jumps[k] @ X[0])
+        for t in pairs.get(k, ()):
+            rhs -= 0.25 * c[t] * a[t] * (jumps[k - t] @ jumps[t])
+        X[k] = pref @ rhs
+        if k in jumps:
+            left[k] = X[k].copy()
+            X[k] += a[k] * jumps[k]
+            H[k] = w[k] * 0.5 * (left[k] + X[k])
+        else:
+            H[k] = w[k] * X[k]
+    return X, left
 
 
 def _march(ML, MR, jump_idx, a, h, b):
@@ -482,8 +472,10 @@ def _march(ML, MR, jump_idx, a, h, b):
 
     Returns the node values and the left limits at the jump nodes, both
     divided by the unit mode sigma, and sigma itself, shape (K+1, 1, 1).
-    sigma is the same recursion run on M = 1 through the same arithmetic,
-    so a unit input normalizes to exactly one.
+    sigma is the march of the unit source, solved once: by
+    ``_blocked_solve`` on e^{-b t} for a constant weight b, else by
+    ``_stepped_march`` on M = 1.  The returned sigma is untilted, so it
+    overflows to inf once b T > 709; the outputs do not.
 
     A 2 x 2 source is marched as the (K+1, 1, 1) stacks of its scalar mode
     beta = 1 - M[0, 1] - M[1, 0] and lifted back to beta 1 + (1 - beta)
@@ -492,58 +484,31 @@ def _march(ML, MR, jump_idx, a, h, b):
     march is the unit mode sigma and the beta mode, each marched on its
     own.  Only the doubly stochastic part of the source reaches the
     output, so callers check a 2 x 2 source first.  A 1 x 1 source with a
-    constant weight b goes to ``_march_1x1``, the blocked, tilted solve.
-    Every other source (n >= 3, or a varying weight) is stepped node by
-    node, with sigma from the same loop on M = 1.
+    constant weight is solved tilted by ``_blocked_solve``; any other is
+    stepped, and its X tilted afterwards to meet the tilted sigma.
     """
     if ML.shape[-1] == 2:
         bL, bR = ((1.0 - M[:, 0, 1] - M[:, 1, 0]).reshape(-1, 1, 1) for M in (ML, MR))
         out, left, sigma = _march(bL, bR, jump_idx, a, h, b)
         return lift(out[:, 0, 0], 2), {j: lift(v[0, 0], 2) for j, v in left.items()}, sigma
-    if ML.shape[-1] == 1 and not callable(b):
-        out, left, sigma = _march_1x1(ML[:, 0, 0], MR[:, 0, 0], jump_idx, a, h, b)
-        return (out.reshape(-1, 1, 1), {j: np.reshape(v, (1, 1)) for j, v in left.items()},
-                sigma.reshape(-1, 1, 1))
-    K = len(ML) - 1
-    jumps = {j: MR[j] - ML[j] for j in jump_idx}
-    Mbar = 0.5 * (ML + MR) if jumps else ML
-    unit = np.ones((K + 1, 1, 1))
     varying = callable(b)
-    w, pairs = _march_weights(K, h, b, jump_idx)
-    # H[t] = w_t Xbar(t), laid out like Mbar: for a constant source (zero
-    # stride in t) that makes H contiguous in t, which einsum sums fast
-    X, H = np.empty_like(Mbar), np.empty_like(Mbar)
-    sigma, Hs = np.empty_like(unit), np.empty_like(unit)
-    X[0] = a[0] * MR[0]
-    sigma[0] = a[0]
-    H[0] = w[0] * X[0]
-    Hs[0] = w[0] * sigma[0]
-    left = {}
-    diag = None
-    for k in range(1, K + 1):
-        bk = np.asarray(b(k), dtype=float) if varying else None
-        ck = 0.5 * h * (bk[k] if varying else b)
-        if ck != diag:
-            diag = ck
-            pref = np.linalg.inv(np.eye(ML.shape[-1]) - ck * MR[0])
-            pref_s = np.linalg.inv([[1.0 - ck]])[0, 0]
-        rhs = a[k] * ML[k] + _conv(Mbar, H, k, bk)
-        c = w if bk is None else w[:k + 1] * bk
-        if k in jumps:
-            rhs -= 0.5 * c[0] * (jumps[k] @ X[0])
-        for t in pairs.get(k, ()):
-            rhs -= 0.25 * c[t] * a[t] * (jumps[k - t] @ jumps[t])
-        X[k] = pref @ rhs
-        if k in jumps:
-            left[k] = X[k].copy()
-            X[k] += a[k] * jumps[k]
-            H[k] = w[k] * 0.5 * (left[k] + X[k])
-        else:
-            H[k] = w[k] * X[k]
-        sigma[k] = pref_s * (a[k] + _conv(unit, Hs, k, bk))
-        Hs[k] = w[k] * sigma[k]
-    X /= sigma
-    return X, {j: left[j] / sigma[j] for j in left}, sigma
+    tilt = np.exp(-(0.0 if varying else b) * h * np.arange(len(ML)))  # e^{-b t}, or 1
+    if varying:
+        unit = tilt.reshape(-1, 1, 1)
+        sigma = _stepped_march(unit, unit, [], a, h, b)[0][:, 0, 0]
+    else:
+        sigma = _blocked_solve(tilt, tilt, [], a, h, b)[0]
+    if ML.shape[-1] == 1 and not varying:
+        X, left = _blocked_solve(tilt * ML[:, 0, 0], tilt * MR[:, 0, 0], jump_idx, a, h, b)
+        X, left = X.reshape(-1, 1, 1), {j: np.reshape(v, (1, 1)) for j, v in left.items()}
+    else:
+        X, left = _stepped_march(ML, MR, jump_idx, a, h, b)
+        X *= tilt[:, None, None]
+        left = {j: tilt[j] * v for j, v in left.items()}
+    X /= sigma[:, None, None]
+    with np.errstate(over="ignore", divide="ignore"):
+        untilted = sigma / tilt
+    return X, {j: v / sigma[j] for j, v in left.items()}, untilted.reshape(-1, 1, 1)
 
 
 def _matrix_stack(path, ts):
@@ -788,8 +753,9 @@ def derivative_consistency(m, traj: Trajectory, cfg: SolverConfig, k=1) -> float
     with the lag term L1(T) = nu M(T) (Mbar(0) - 1), which vanishes for
     sources normalized to M(0) = identity.  Both derivatives are formed by
     second-order finite differences of the node values; the returned value
-    is the largest sup-norm residual over the nodes.  Only first order
-    (k=1) is supported.
+    is the largest sup-norm residual over the nodes.  The convolution of
+    e^{-nu t} M with Mbar' gives e^{-nu T} times the integral, so nothing
+    overflows at large nu T.  Only first order (k=1) is supported.
     """
     if k != 1:
         raise UnsupportedOrderError(f"only k=1 is implemented, got k={k}")
@@ -808,6 +774,7 @@ def derivative_consistency(m, traj: Trajectory, cfg: SolverConfig, k=1) -> float
     dM = fd(M)
     dMbar = fd(Mbar)
     lag = Mbar[0] - np.eye(M.shape[-1])
-    integ = _trapezoid_convolution(M, np.exp(nu * ts)[:, None, None] * dMbar, h)
-    rhs = np.exp(-nu * ts)[:, None, None] * (dM + nu * (M @ lag) + nu * integ)
+    decay = np.exp(-nu * ts)[:, None, None]
+    integ = _trapezoid_convolution(decay * M, dMbar, h)
+    rhs = decay * (dM + nu * (M @ lag)) + nu * integ
     return float(np.abs(dMbar - rhs)[1:].max())

@@ -389,10 +389,10 @@ class TestScalarCommand:
         # a march that returns NaN must fail before anything is written
         import reduktor.scalar
 
-        def nan_march(SL, SR, jump_idx, a, h, b):
-            return np.full(len(SL), np.nan), {}, np.ones(len(SL))
+        def nan_march(ML, MR, jump_idx, a, h, b):
+            return np.full(ML.shape, np.nan), {}, np.ones(ML.shape)
 
-        monkeypatch.setattr(reduktor.scalar, "_march_1x1", nan_march)
+        monkeypatch.setattr(reduktor.scalar, "_march", nan_march)
         out = tmp_path / "beta.csv"
         assert run(["scalar", "--config", CONFIGS / "scalar_cosine.json", "--out", out]) == 3
         assert not out.exists()

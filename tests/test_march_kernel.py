@@ -190,11 +190,27 @@ def test_long_scalar_mode_does_not_depend_on_blas_threads():
 
 
 def test_long_stepped_scalar_mode_does_not_depend_on_blas_threads():
-    # a varying weight keeps a 1 x 1 source on the node-by-node loop, whose
-    # history sums (and sigma's, as for n >= 3) run past DOT_CHUNK terms
+    # a varying weight keeps a 1 x 1 source, and its sigma, on the
+    # node-by-node loop, whose history sums run past 10^4 terms
     script = LONG_MARCH.replace("60.0 / K, 1.0)", "60.0 / K, lambda k: np.ones(k + 1))")
     assert script != LONG_MARCH
     digests = digests_at_blas_threads(script)
+    assert digests[0] == digests[1]
+
+
+LONG_CONSTANT_MARCH = """
+import hashlib, numpy as np
+from reduktor.volterra import ConstantPath, SolverConfig, TimeGrid, march_solve
+M = [[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]]
+traj = march_solve(ConstantPath(M), SolverConfig(1.0, TimeGrid(60.0, 12000)))
+print(hashlib.sha256(traj.values.tobytes()).hexdigest())
+"""
+
+
+def test_long_stepped_matrix_march_does_not_depend_on_blas_threads():
+    # an n >= 3 source steps X node by node past 10^4 terms, on the
+    # zero-stride stack of a constant source
+    digests = digests_at_blas_threads(LONG_CONSTANT_MARCH)
     assert digests[0] == digests[1]
 
 

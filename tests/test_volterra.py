@@ -14,7 +14,7 @@ from reduktor.errors import (
     UnsupportedOrderError,
     ValidationFailure,
 )
-from reduktor.presets import random_model
+from reduktor.presets import random_model, spin_flip_model
 from reduktor.scalar import CosineInput, LiftedPath, PiecewiseInput
 from reduktor.volterra import (
     ConstantPath,
@@ -345,6 +345,14 @@ class TestDerivativeConsistency:
         cfg = SolverConfig(nu=1.0, grid=TimeGrid(3.0, 300))
         traj = march_solve(ConstantPath(SYM_M), cfg)
         assert derivative_consistency(ConstantPath(SYM_M), traj, cfg) < 1e-4
+
+    def test_long_horizon_residual_is_finite(self):
+        # nu T = 800: e^{nu t} overflows, so the integral is formed tilted
+        cfg = SolverConfig(nu=1.0, grid=TimeGrid(800.0, 16000))
+        path = spin_flip_model().m_path()
+        traj = march_solve(path, cfg)
+        res = derivative_consistency(path, traj, cfg)
+        assert np.isfinite(res) and res < 1e-3
 
     def test_higher_order_unsupported(self, generic_model):
         cfg = SolverConfig(nu=1.0, grid=TimeGrid(1.0, 50))
