@@ -104,10 +104,10 @@ def dstoch_residual(raw):
     that no ``res > tol`` test can pass it.
     """
     a = np.asarray(raw, dtype=float)
-    res = np.maximum(np.abs(a.sum(axis=-1) - 1.0).max(axis=-1),
-                     np.abs(a.sum(axis=-2) - 1.0).max(axis=-1))
-    res = np.maximum(res, np.maximum(0.0, -a.min(axis=(-2, -1))))
-    res = np.where(np.isnan(res), np.inf, res)
+    dev = np.concatenate((a.sum(axis=-1), a.sum(axis=-2)), axis=-1)
+    dev -= 1.0
+    res = np.maximum(np.abs(dev, out=dev).max(axis=-1), -a.min(axis=(-2, -1)))
+    res = np.fmin(res, np.inf)  # fmin ignores NaN, so NaN becomes infinity
     return float(res) if a.ndim == 2 else res
 
 

@@ -71,11 +71,13 @@ explicit trapezoid convolution
 
     G[j] = h ( sum_{t <= j} M[j - t] F[t] - M[j] F[0] / 2 - M[0] F[j] / 2 )
 
-at every node, which ``_trapezoid_convolution`` forms as a block-Toeplitz
-product (block convolution of Volterra sums: Hairer, Lubich & Schlichte,
-SIAM J. Sci. Stat. Comput. 6 (1985) 532).  Nodes go in blocks of B, and
-one BLAS-3 product per block lag covers all nodes, where a march steps
-node by node.
+at every node, which ``_trapezoid_convolution`` forms as one zero-padded
+FFT product (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
+(1985) 532), O(K log K) work for all nodes where a march steps node by
+node.  The series transforms its source once and sums its levels tilted
+by e^{-gamma t}, gamma the growth rate of the trapezoid unit mode, so the
+levels sum to about 1 at every node and the FFT's rounding, relative to
+each level's largest value, stays below the series' check at any nu T.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dstoch import DStochMatrix, dstoch_residual, lift
 from .errors import (
@@ -99,10 +100,6 @@ from .errors import (
 
 TOL_TRAJ = 1e-7
 DEFAULT_TAIL_TOL = 1e-10
-# Rows of one block-Toeplitz block in _trapezoid_convolution (B n for B
-# nodes of n x n matrices): a 32 KiB block, within 14 % of the fastest
-# block size at n = 1, 2, 3 and 8 for K from 100 to 6400, one BLAS thread.
-CONV_BLOCK_ROWS = 64
 # Nodes per block of the 1 x 1 march (_blocked_solve).  Its one B x B
 # inversion and each product with the inverse stay below the sizes at which
 # OpenBLAS threads an LU (10^4 entries) or a matrix-vector product (9216),
@@ -593,62 +590,67 @@ class SeriesResult:
     tail_bound: float
 
 
-def _trapezoid_convolution(M, F, h):
-    """Explicit trapezoid convolution of M with F at every node.
-
-    Returns G with G[j] = h (sum_{t<=j} M[j-t] F[t] - M[j] F[0] / 2 - M[0] F[j] / 2)
-    and G[0] = 0, for F of shape (K+1, n, m).  The sum is a block-Toeplitz
-    product: the nodes, padded with zeros to nb blocks of B = CONV_BLOCK_ROWS // n,
-    are laid out as X of shape (B n, nb m), node t = T B + b in row block b
-    and column block T.  Block lag d is the (B n, B n) matrix with block
-    (a, b) equal to M[d B + a - b] (zero at negative lags), built in one
-    reused buffer, and one GEMM of it with the first nb - d column blocks
-    of X adds into column blocks d..nb-1: about (K+1) / B BLAS-3 products
-    in all, and no block is kept past its own product.
-    """
-    K1, n, m = F.shape
-    B = max(1, CONV_BLOCK_ROWS // n)
-    nb = -(-K1 // B)
-    # lag l sits at B - 1 + l: the zeros before lag 0 fill the upper
-    # triangle of block lag 0, those past lag K only meet padded nodes
-    Mext = np.zeros((B - 1 + nb * B, n, n))
-    Mext[B - 1:B - 1 + K1] = M[:K1]
-    lags = sliding_window_view(Mext, B, axis=0)[..., ::-1]  # [s, i, k, b] = M[s - b]
-    X = np.zeros((nb * B, n, m))
-    X[:K1] = F
-    X = X.reshape(nb, B * n, m).transpose(1, 0, 2).reshape(B * n, nb * m)
-    Y = np.zeros((B * n, nb * m))
-    buf = np.empty((B * n, nb * m))  # C order, so the output below is a view of it
-    block = np.empty((B * n, B * n))
-    for d in range(nb):
-        np.copyto(block.reshape(B, n, B, n), lags[d * B:(d + 1) * B].transpose(0, 1, 3, 2))
-        cols = (nb - d) * m
-        np.matmul(block, X[:, :cols], out=buf[:, :cols])
-        Y[:, d * m:] += buf[:, :cols]
-    out = buf.reshape(nb * B, n, m)  # node-major, in the memory of buf
-    np.copyto(out.reshape(nb, B * n, m), Y.reshape(B * n, nb, m).transpose(1, 0, 2))
-    out = out[:K1]
-    out -= M[:K1] @ (0.5 * F[0])
-    out -= (0.5 * M[0]) @ F
-    out *= h
-    out[0] = 0.0
-    return out
-
-
-def _series_levels(M, h, K):
-    """Generator of iterated-integral levels F_1 = M, F_m = conv(M, F_{m-1}).
-
-    Yields each level with its unit series u_m, the same recursion on
-    M = 1, which is a cumulative sum.
-    """
-    F = M.copy()
-    u = np.ones(K + 1)
-    yield F, u
+def _fft_length(n):
+    """Smallest 2^a 3^b 5^c 7^d >= n, a length numpy's FFT transforms fast."""
+    L = n
     while True:
-        F = _trapezoid_convolution(M, F, h)
-        u = h * (np.cumsum(u) - 0.5 * (u[0] + u))
-        u[0] = 0.0
-        yield F, u
+        r = L
+        while (g := math.gcd(r, 210)) > 1:  # 210 = 2 3 5 7
+            r //= g
+        if r == 1:
+            return L
+        L += 1
+
+
+def _convolution(M, h):
+    """The explicit trapezoid convolution with the source M, as a function of F.
+
+    It maps F of shape (K+1, n, m) to G with G[0] = 0 and
+    G[j] = h (sum_{t<=j} M[j-t] F[t] - M[j] F[0] / 2 - M[0] F[j] / 2),
+    the sum one real FFT product of M and F zero-padded to L >= 2K + 1 (so
+    the circular product is the linear one), M transformed once, here, and F
+    one column at a time.  The rounding is relative to the largest value
+    transformed, so callers tilt sources that grow.
+    """
+    K1 = len(M)
+    L = _fft_length(2 * K1 - 1)
+    M_hat = np.fft.rfft(M, L, axis=0)
+
+    def convolve(F):
+        G = np.empty(F.shape)
+        for c in range(F.shape[-1]):  # a column at a time keeps the temporaries small
+            G[..., c:c + 1] = np.fft.irfft(M_hat @ np.fft.rfft(F[..., c:c + 1], L, axis=0),
+                                           L, axis=0)[:K1]
+        G -= M @ (0.5 * F[0])
+        G -= (0.5 * M[0]) @ F
+        G *= h
+        G[0] = 0.0
+        return G
+    return convolve
+
+
+def _trapezoid_convolution(M, F, h):
+    """Explicit trapezoid convolution of M with F at every node (``_convolution``)."""
+    return _convolution(M, h)(F)
+
+
+def _series_levels(M, h, nu):
+    """Generator of the levels nu^(m-1) e^{-gamma t} F_m and their unit series.
+
+    F_1 = M and F_{m+1} = conv(M, F_m); the unit series is the same
+    recursion on M = 1.  Tilting commutes with the convolution, so each
+    level convolves nu e^{-gamma t} M with the last.  gamma h =
+    ln((1 + nu h / 2) / (1 - nu h / 2)) is the trapezoid unit mode's growth
+    per step, so the levels sum to about 1 at every node.
+    """
+    g = math.log((1.0 + 0.5 * nu * h) / (1.0 - 0.5 * nu * h))  # gamma h
+    tilt = np.exp(-g * np.arange(len(M)))[:, None, None]
+    F, u = tilt * M, tilt
+    yield F, u[:, 0, 0]
+    conv, conv_unit = _convolution(nu * F, h), _convolution(nu * u, h)
+    while True:
+        F, u = conv(F), conv_unit(u)
+        yield F, u[:, 0, 0]
 
 
 def _poisson_sf(k, mu):
@@ -691,9 +693,8 @@ def neumann_series(m, cfg: SolverConfig, T, *, tail_tol=DEFAULT_TAIL_TOL) -> Ser
     Evaluates sum_{k=0}^{n_max} nu^k F_{k+1}(T) over the normalizing unit
     series, where F_1 = M and F_{m+1}(T) = int_0^T M(T-t) F_m(t) dt by
     iterated trapezoid quadrature.  The e^{-nu T} prefactor cancels in the
-    normalization, so no large exponentials are formed.  Each level is
-    formed at every node up to T by one block-Toeplitz convolution (see
-    ``neumann_series_trajectory``).
+    normalization, so no large exponentials are formed: the levels are
+    summed tilted (see ``neumann_series_trajectory``).
     """
     traj = neumann_series_trajectory(m, cfg, tail_tol=tail_tol, horizon=T)
     nmax, tail = _pick_series_order(cfg.nu, T, cfg.n_max, tail_tol)
@@ -706,11 +707,12 @@ def neumann_series_trajectory(m, cfg: SolverConfig, *, tail_tol=DEFAULT_TAIL_TOL
     """Series evaluation at every grid node up to the horizon.
 
     Level F_{m+1} is the trapezoid convolution of M with F_m at all K + 1
-    nodes at once (``_trapezoid_convolution``): about (K + 1) / B GEMMs of
-    one (B n, B n) block-Toeplitz block each with the level laid out as a
-    (B n, (K+1) n / B) array, B = CONV_BLOCK_ROWS // n nodes per block,
-    O(K^2 n^3) work per level.  The unit series, the same recursion on
-    M = 1, is a cumulative sum.
+    nodes at once, one FFT product with M transformed once per call, and
+    the unit series is the same recursion on M = 1.  Both are summed
+    weighted by nu^m and tilted by e^{-gamma t}, gamma the trapezoid unit
+    mode's growth rate (``_series_levels``), so every sum stays near 1 at
+    any nu T; a tilt by nu leaves them growing as e^{(gamma - nu) t}, 3e7
+    at h nu = 0.5 and nu T = 800.  The tilt cancels in the ratio.
     """
     grid, nu = cfg.grid, cfg.nu
     h = grid.h
@@ -730,13 +732,11 @@ def neumann_series_trajectory(m, cfg: SolverConfig, *, tail_tol=DEFAULT_TAIL_TOL
     nmax, _tail = _pick_series_order(nu, T, cfg.n_max, tail_tol)
     total = np.zeros_like(M)
     mass = np.zeros(K + 1)
-    gen = _series_levels(M, h, K)
-    coeff = 1.0
+    gen = _series_levels(M, h, nu)
     for level in range(nmax + 1):
         F, u = next(gen)
-        total += coeff * F
-        mass += coeff * u
-        coeff *= nu
+        total += F
+        mass += u
     out = total / mass[:, None, None]
     _validate_nodes(out, 1e-9, "series")
     return Trajectory(grid=sub, values=out)

@@ -1,9 +1,11 @@
 """Reference node-by-node sums for the series levels and the derivative residual.
 
-``test_series_levels`` holds the library's block-Toeplitz sums
+``test_series_levels`` holds the library's FFT products
 (``volterra._trapezoid_convolution``) to these loops; they are test code
 only.
 """
+
+import math
 
 import numpy as np
 
@@ -20,19 +22,27 @@ def trapezoid_convolution(M, F, h):
     return G
 
 
-def series_levels(M, h, K):
-    """Generator of iterated-integral levels F_1 = M, F_m = conv(M, F_{m-1})."""
-    F = M.copy()
-    u = np.ones(K + 1)
+def series_levels(M, h, nu):
+    """Generator of the levels nu^(m-1) e^{-gamma t} F_m and their unit series.
+
+    F_1 = M and F_m = conv(M, F_{m-1}); the tilt, gamma h =
+    ln((1 + nu h / 2) / (1 - nu h / 2)), is applied to the source, and each
+    level is the node-by-node convolution of nu e^{-gamma t} M with the
+    last.  The unit series is the same recursion on M = 1.
+    """
+    g = math.log((1.0 + 0.5 * nu * h) / (1.0 - 0.5 * nu * h))
+    tilt = np.exp(-g * np.arange(len(M)))
+    F = tilt[:, None, None] * M
+    u = tilt.copy()
     yield F, u
     while True:
-        un = np.zeros(K + 1)
-        for j in range(1, K + 1):
-            uacc = 0.5 * (u[0] + u[j])
+        un = np.zeros(len(M))
+        for j in range(1, len(M)):
+            uacc = 0.5 * (tilt[j] * u[0] + u[j])
             if j > 1:
-                uacc += u[1:j].sum()
-            un[j] = h * uacc
-        F, u = trapezoid_convolution(M, F, h), un
+                uacc += tilt[j - 1:0:-1] @ u[1:j]
+            un[j] = nu * h * uacc
+        F, u = trapezoid_convolution(nu * tilt[:, None, None] * M, F, h), un
         yield F, u
 
 

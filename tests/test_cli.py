@@ -465,7 +465,8 @@ def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
 @pytest.mark.parametrize("command, config", [
     pytest.param(command, config, id=command + suffix)
     for config, suffix in (("random_3level.json", ""), ("spin_flip.json", "-spin_flip"))
-    for command in ("solve", "compare")])
+    for command in ("solve", "compare")] + [
+    pytest.param("series", "constant_matrix.json", id="series-constant_matrix")])
 def test_solver_bytes_do_not_depend_on_blas_threads(tmp_path, command, config):
     # the march and series BLAS products must not depend on the thread count
     outs = outputs_at_blas_threads(tmp_path, command, CONFIGS / config)

@@ -99,6 +99,13 @@ class TestValidate:
         assert isinstance(dstoch_residual(stack[0]), float)
         assert dstoch_residual(stack.reshape(5, 1, 3, 3)).shape == (5, 1)
 
+    def test_residual_of_negative_entry(self):
+        # every row and column sums to one; only the entries -1/3 are off
+        m = 2.0 / 3.0 - np.eye(3)
+        assert dstoch_residual(m) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        np.testing.assert_array_equal(dstoch_residual(np.stack([np.eye(3), m])),
+                                      [0.0, dstoch_residual(m)])
+
     def test_tiny_negative_clamped(self):
         m = validate_dstoch(np.array([[1.0 + 1e-13, -1e-13], [-1e-13, 1.0 + 1e-13]]))
         assert m.entries.min() == 0.0

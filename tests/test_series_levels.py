@@ -1,15 +1,19 @@
-"""The block-Toeplitz series levels and derivative residual against node-by-node sums."""
+"""The FFT series levels and derivative residual against node-by-node sums."""
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import series_reference as ref
 from reduktor import volterra
+from reduktor.dstoch import dstoch_residual
 from reduktor.presets import random_model
 from reduktor.volterra import (
-    CONV_BLOCK_ROWS,
     ConstantPath,
     SolverConfig,
     TimeGrid,
@@ -21,6 +25,9 @@ from reduktor.volterra import (
 )
 
 SYM_M = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
+CONSTANT_M = json.loads(
+    (Path(__file__).resolve().parents[1] / "configs" / "constant_matrix.json").read_text()
+)["constant_M"]
 LEVELS = 5
 
 
@@ -55,7 +62,7 @@ def test_levels_match_node_by_node_sum(name):
     M, T = SOURCES[name]()
     K = len(M) - 1
     h = T / K
-    got, want = _series_levels(M, h, K), ref.series_levels(M, h, K)
+    got, want = _series_levels(M, h, 1.0), ref.series_levels(M, h, 1.0)
     for level in range(LEVELS):
         (F, u), (G, v) = next(got), next(want)
         assert F.shape == G.shape == M.shape
@@ -68,8 +75,33 @@ def test_levels_match_node_by_node_sum(name):
         assert np.abs(u - v).max() <= 1e-12 * np.abs(v).max()
 
 
+def test_tilted_levels_at_long_horizon():
+    # nu T = 30: untilted, level m spans about T^m / m! over [0, T], and the
+    # FFT's rounding, relative to that largest value, swamps the early nodes
+    # (2.8e-3 of a tilted level's maximum over these 40 levels, against
+    # 5.5e-15 tilted)
+    K, T = 300, 30.0
+    M = random_model(3, 2, seed=5).m_many(np.linspace(0.0, T, K + 1))
+    got, want = _series_levels(M, T / K, 1.0), ref.series_levels(M, T / K, 1.0)
+    for level in range(40):
+        (F, u), (G, v) = next(got), next(want)
+        assert np.abs(F - G).max() <= 1e-12 * np.abs(G).max()
+        assert np.abs(u - v).max() <= 1e-12 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("source", ["constant", "bath"])
+def test_long_horizon_series_is_doubly_stochastic(source):
+    # nu T = 800 at h nu = 0.5, 987 levels: untilted sums overflow (node
+    # 1386 of the constant source), and a tilt by nu leaves the unit sum at
+    # up to 3.3e7 and the residual at 3.5e-8
+    m = ConstantPath(CONSTANT_M) if source == "constant" else random_model(3, 2, seed=5)
+    traj = neumann_series_trajectory(m, SolverConfig(nu=1.0, grid=TimeGrid(800.0, 1600)))
+    assert np.isfinite(traj.values).all()
+    assert dstoch_residual(traj.values).max() <= 1e-9
+
+
 def block_nodes(n):
-    return max(1, CONV_BLOCK_ROWS // n)
+    return max(1, 64 // n)
 
 
 def assert_level_close(G, want):
@@ -110,9 +142,21 @@ def test_convolution_of_non_square_level(m):
     assert_level_close(_trapezoid_convolution(M, F, 0.01), ref.trapezoid_convolution(M, F, 0.01))
 
 
+@settings(max_examples=60, deadline=None)
+@given(K1=st.integers(1, 300), n=st.sampled_from([1, 2, 3]), m=st.integers(1, 4),
+       constant=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_convolution_property(K1, n, m, constant, seed):
+    rng = np.random.default_rng(seed)
+    M = (np.broadcast_to(rng.random((n, n)), (K1, n, n)) if constant
+         else rng.random((K1, n, n)))
+    F = rng.random((K1, n, m))
+    assert_level_close(_trapezoid_convolution(M, F, 0.01), ref.trapezoid_convolution(M, F, 0.01))
+
+
 def test_level_memory_bounded():
-    # the blocks are built one at a time in one buffer; keeping every block
-    # lag would take B F.nbytes more (B = 21 here)
+    # the transform of M is (L/2 + 1) n n complex values, 2.02 F.nbytes at
+    # L = 8064, the smallest 7-smooth length >= 2K + 1, and F is transformed
+    # a column at a time: measured 4.37 F.nbytes in all
     n, K1 = 3, 4001
     rng = np.random.default_rng(0)
     M, F = rng.random((K1, n, n)), rng.random((K1, n, n))
@@ -124,8 +168,7 @@ def test_level_memory_bounded():
     finally:
         tracemalloc.stop()
     block = (block_nodes(n) * n) ** 2 * 8
-    # the padded input, the product buffer, the sum, the padded M and one
-    # end-correction temporary: five arrays the size of F
+    # the block term is 31 752 bytes at n = 3
     assert peak <= 6 * F.nbytes + block
 
 
