@@ -185,8 +185,7 @@ def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid, *,
         raise ValueError("nu must be >= 0")
     ts = grid.nodes
     aL, aR, jump_idx = _limits(alpha, grid, matrix=False)
-    out, left, _ = _march(aL[:, None, None], aR[:, None, None], jump_idx,
-                          np.ones(grid.steps + 1), grid.h, nu)
+    out, left, _ = _march(aL[:, None, None], aR[:, None, None], jump_idx, grid.h, nu)
     betaR = out[:, 0, 0]
     lo, hi = betaR.min(), betaR.max()  # nan if any node is, and nan escapes too
     if not (lo >= -escape_tol and hi <= 1.0 + escape_tol):

@@ -9,20 +9,26 @@ equivalently, with N(t) = e^{nu t} Mbar(t),
 
     N(T) = M(T) + nu * int_0^T M(T-t) N(t) dt.
 
-The equation has no differential form, so every marching solver (this
-module's ``march_solve`` and ``march_solve_general``, and the scalar
-route) runs one kernel, ``_march``, that marches
+The equation has no differential form, so it is marched with the
+composite trapezoid rule on a uniform grid, the endpoint t = k solved
+implicitly.  The paper's equation has a constant memory weight, and one
+kernel, ``_march``, marches it for ``march_solve`` and the scalar route:
 
-    X(T_k) = a(T_k) M(T_k) + sum_{t <= k} c_t(k) M(T_k - t) X(t)
+    X(T_k) = M(T_k) + b sum_{t <= k} w_t M(T_k - t) X(t),
 
-with the composite trapezoid rule on a uniform grid, the endpoint t = k
-solved implicitly.  ``march_solve`` uses a = 1 and c = nu h trapezoid;
-the generalized kernel form with arrival weight a(T) and memory weight
-b(t, T), constrained by int_0^T b(t, T) dt = 1 - a(T), uses
-c = trapezoid * b(t, T_k).
+with trapezoid weights w and the number b = nu.  The generalized kernel
+form, with arrival weight a(T) and memory weight b(t, T) constrained by
+int_0^T b(t, T) dt = 1 - a(T),
+
+    X(T_k) = a(T_k) M(T_k) + sum_{t <= k} w_t b(t, T_k) M(T_k - t) X(t),
+
+takes only continuous sources and a weight that changes with T_k, and
+``march_solve_general`` marches it in a loop of its own, ``_general_march``,
+which evaluates b(T_0..T_k, T_k) once per node and steps X and sigma
+together.
 
 The back-rescaling divides by the scheme's own discrete growth factor
-sigma, the same march run once on the unit source M = 1, not by
+sigma, the same march run on the unit source M = 1, not by
 e^{nu T}: the two agree to O(h^2), but sigma is exactly the row/column-sum
 mode of the marched solution, so every output node is doubly stochastic
 to machine precision instead of drifting by e^{T nu^3 h^2 / 12}.
@@ -34,18 +40,17 @@ commute and share the eigenvectors (1, 1) and (1, -1), so the march
 splits exactly into the unit mode and one scalar mode beta, which is
 marched on its own and lifted back (the paper's scalar reduction, which
 for n = 2 covers every source).  The lift is doubly stochastic whatever
-beta is, so ``march_solve`` and ``march_solve_general`` check a 2 x 2
-source before marching it.
+beta is, so ``march_solve`` checks a 2 x 2 source before marching it.
 
-With a constant memory weight b, a 1 x 1 march (sigma, scalar inputs
-and the beta mode of every 2 x 2 source) is one lower-triangular system
-in the node averages of X, solved in blocks of MARCH_BLOCK nodes
-(``_blocked_solve``; Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
-Comput. 6 (1985) 532) for the tilted unknowns e^{-b T} X from the source
-e^{-b t} M(t), since T_k = T_{k-t} + T_t on the grid, so nothing
-overflows at large b T.  Larger sources (n >= 3) and varying weights
-b(t, T) step X node by node, untilted, so n >= 3 overflows once nu T is
-above about 700; with a varying weight sigma is that loop run on M = 1.
+A 1 x 1 march (sigma, scalar inputs and the beta mode of every 2 x 2
+source) is one lower-triangular system in the node averages of X,
+solved in blocks of MARCH_BLOCK nodes (``_blocked_solve``; Hairer,
+Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532) for the
+tilted unknowns e^{-b T} X from the source e^{-b t} M(t), since
+T_k = T_{k-t} + T_t on the grid, so nothing overflows at large b T.
+Larger sources (n >= 3) step X node by node (``_stepped_march``),
+untilted, so n >= 3 overflows once nu T is above about 700, as does the
+general loop.
 
 Sources are time paths: subclasses of ``_SmoothPath``, which supplies
 ``__call__``, ``many(ts)`` for batched evaluation and the one-sided limits
@@ -57,13 +62,15 @@ one-sided limits on the grid for the marches, so quadrature panels never
 straddle a discontinuity (jumps must sit on grid nodes).  A panel that
 ends on jump nodes pairs the right limit of M with the left limit of X
 and vice versa, averaged.  With node averages Mbar = (ML + MR) / 2,
-Xbar = (XL + XR) / 2 and jumps D = MR - ML, XR - XL = a D, that pair is
+Xbar = (XL + XR) / 2 and jumps D = MR - ML = XR - XL, that pair is
 
-    (MR[s] XL[t] + ML[s] XR[t]) / 2 = Mbar[s] Xbar[t] - D[s] a[t] D[t] / 4,
+    (MR[s] XL[t] + ML[s] XR[t]) / 2 = Mbar[s] Xbar[t] - D[s] D[t] / 4,
 
-so each step is still one contraction of Mbar with Xbar.  The only extra
-terms are the t = 0 endpoint, which uses the left limit ML[k], and the
-pairs where both t and k - t are jump nodes; neither depends on X.
+so each step is still one contraction of Mbar with Xbar, and both
+routes solve for Xbar.  The only extra terms are the t = 0 endpoint,
+which uses the left limit ML[k], the implicit endpoint, which uses
+XL[k] = Xbar[k] - D[k] / 2, and the pairs where both t and k - t are
+jump nodes; none depends on X, and ``_march_terms`` forms them once.
 
 The realization-count series and the derivative-consistency residual are
 oracles for that kernel and share none of its code.  Each needs the
@@ -71,7 +78,7 @@ explicit trapezoid convolution
 
     G[j] = h ( sum_{t <= j} M[j - t] F[t] - M[j] F[0] / 2 - M[0] F[j] / 2 )
 
-at every node, which ``_trapezoid_convolution`` forms as one zero-padded
+at every node, which ``_convolution`` forms as one zero-padded
 FFT product (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
 (1985) 532), O(K log K) work for all nodes where a march steps node by
 node.  The series transforms its source once and sums its levels tilted
@@ -338,140 +345,105 @@ def _block_pull(S, H, j0, j1, acc):
         acc[j1:] += np.correlate(S[1:len(acc) - j0], H[j0:j1][::-1], "valid")
 
 
-def _march_weights(K, h, b, jump_idx):
-    """Trapezoid weights w and the jump pairs of the march on K steps.
+def _march_terms(ML, MR, jump_idx, h, b):
+    """Weights, node averages and jump terms of the march with constant weight b.
 
-    w_t is h, and h / 2 at t = 0, times b when the memory weight b is a
-    number.  ``pairs`` maps each node k to the jump nodes t for which
-    k - t is a jump node too: there the product of the two jumps enters
-    the implicit step's right-hand side.
+    Returns w, the trapezoid weights times b (h b, and h b / 2 at t = 0);
+    Mbar = (ML + MR) / 2, the source of the history sums; f, the known
+    right-hand side of the implicit step for the node averages Xbar; and
+    the shift s[j] = (MR[j] - ML[j]) / 2 = XR[j] - Xbar[j] = Xbar[j] - XL[j]
+    at each jump node j.  f is Mbar, plus at each jump node k the t = 0
+    endpoint on the left limit and the implicit endpoint on XL[k], together
+    -w_0 (M[0] s[k] + s[k] M[0]) since X[0] = M[0], and at each node k the
+    pairs -w_t s[k - t] s[t] of jump nodes t and k - t.  Without jumps
+    Mbar and f are ML itself.
     """
+    K = len(ML) - 1
     w = np.full(K + 1, h)
     w[0] = 0.5 * h
-    if not callable(b):
-        w *= b
-    pairs = {}
-    for t in jump_idx:
-        for s in jump_idx:
-            if t + s <= K:
-                pairs.setdefault(t + s, []).append(t)
-    return w, pairs
+    w *= b
+    if not jump_idx:
+        return w, ML, ML, {}
+    Mbar = 0.5 * (ML + MR)
+    s = {j: 0.5 * (MR[j] - ML[j]) for j in jump_idx}
+    f = Mbar.copy()
+    for k in jump_idx:
+        f[k] -= w[0] * (Mbar[0] @ s[k] + s[k] @ Mbar[0])
+        for t in jump_idx:
+            if k + t <= K:
+                f[k + t] -= w[t] * (s[k] @ s[t])
+    return w, Mbar, f, s
 
 
-def _blocked_solve(SL, SR, jump_idx, a, h, b):
-    """The 1 x 1 march with a constant memory weight b, block by block.
+def _blocked_solve(w, Mbar, f):
+    """Node averages Xbar of a 1 x 1 march, block by block.
 
-    In the node averages Xbar = (XL + XR) / 2 the march is one
-    lower-triangular system,
+    Mbar and f are the (K+1, 1, 1) stacks of ``_march_terms``.  The march
+    is one lower-triangular system,
 
-        d Xbar[k] - sum_{t<k} c_t Sbar[k - t] Xbar[t] = f[k],
+        d Xbar[k] - sum_{t<k} w_t Mbar[k - t] Xbar[t] = f[k],
 
-    with d = 1 - (h / 2) b SR[0] the implicit step, c_t = w_t b as in
-    ``_stepped_march``, Sbar = (SL + SR) / 2, and f[k] = a[k] SL[k] plus
-    the known jump terms of ``_march``: the t = 0 endpoint on the left
-    limit, the pairs of jump nodes, and d s[k] for the shift
-    s[k] = a[k] (SR[k] - SL[k]) / 2 = Xbar[k] - XL[k].  The nodes go in
-    blocks of B = MARCH_BLOCK (Hairer, Lubich & Schlichte, SIAM J. Sci.
-    Stat. Comput. 6 (1985) 532): each block takes the pull of the
-    finished blocks and applies the inverse of the one B x B system (a
-    singular implicit step raises LinAlgError), a partial last block its
-    leading block, exact for a lower-triangular matrix.  Each finished
-    block adds its pull to every later node at once (``_block_pull``), so
-    each node sums its history in block order, in products too small for
-    BLAS to split over threads.  Returns the node values XR and the left
-    limits XL at the jump nodes.
+    with d = 1 - w_0 Mbar[0] the implicit step.  The nodes go in blocks of
+    B = MARCH_BLOCK (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+    Comput. 6 (1985) 532): each block takes the pull of the finished
+    blocks and applies the inverse of the one B x B system (a singular
+    implicit step raises LinAlgError), a partial last block its leading
+    block, exact for a lower-triangular matrix.  Each finished block adds
+    its pull to every later node at once (``_block_pull``), so each node
+    sums its history in block order, in products too small for BLAS to
+    split over threads.
     """
-    K = len(SL) - 1
-    D = {j: SR[j] - SL[j] for j in jump_idx}
-    Sbar = 0.5 * (SL + SR) if D else SL
-    shift = {j: 0.5 * a[j] * D[j] for j in jump_idx}
-    w, pairs = _march_weights(K, h, b, jump_idx)
-    special = sorted(set(D).union(pairs))
+    S, f = Mbar[:, 0, 0], f[:, 0, 0]
+    K = len(S) - 1
     B = min(MARCH_BLOCK, K)
     lag = np.abs(np.subtract.outer(np.arange(B), np.arange(B)))
-    system = -w[1] * np.tril(Sbar[lag], -1)  # [u, v] = -c Sbar[u - v] below the diagonal
-    d = 1.0 - 0.5 * h * b * SR[0]
-    np.fill_diagonal(system, d)
+    system = -w[1] * np.tril(S[lag], -1)  # [u, v] = -w Mbar[u - v] below the diagonal
+    np.fill_diagonal(system, 1.0 - w[0] * S[0])
     inverse = np.linalg.inv(system)
     xbar = np.empty(K + 1)
-    H = np.empty(K + 1)  # w_t Xbar[t], with the weight b
+    H = np.empty(K + 1)  # w_t Xbar[t]
     acc = np.zeros(K + 1)  # pull of the finished blocks
-    xbar[0] = a[0] * SR[0]
+    xbar[0] = S[0]
     H[0] = w[0] * xbar[0]
-    _block_pull(Sbar, H, 0, 1, acc)
+    _block_pull(S, H, 0, 1, acc)
     for k0 in range(1, K + 1, B):
         k1 = min(k0 + B, K + 1)
-        rhs = acc[k0:k1] + a[k0:k1] * SL[k0:k1]
-        for k in special:
-            if not k0 <= k < k1:
-                continue
-            if k in D:
-                rhs[k - k0] += d * shift[k] - 0.5 * w[0] * D[k] * xbar[0]
-            for t in pairs.get(k, ()):
-                rhs[k - k0] -= 0.25 * w[t] * a[t] * D[k - t] * D[t]
-        xbar[k0:k1] = inverse[:k1 - k0, :k1 - k0] @ rhs
+        xbar[k0:k1] = inverse[:k1 - k0, :k1 - k0] @ (acc[k0:k1] + f[k0:k1])
         H[k0:k1] = w[k0:k1] * xbar[k0:k1]
-        _block_pull(Sbar, H, k0, k1, acc)
-    left = {j: xbar[j] - shift[j] for j in jump_idx}
-    xbar[jump_idx] += [shift[j] for j in jump_idx]
-    return xbar, left
+        _block_pull(S, H, k0, k1, acc)
+    return xbar.reshape(-1, 1, 1)
 
 
-def _stepped_march(ML, MR, jump_idx, a, h, b):
-    """X and its left limits at the jump nodes, untilted and not normalized."""
-    K = len(ML) - 1
-    jumps = {j: MR[j] - ML[j] for j in jump_idx}
-    Mbar = 0.5 * (ML + MR) if jumps else ML
-    varying = callable(b)
-    w, pairs = _march_weights(K, h, b, jump_idx)
+def _stepped_march(w, Mbar, f):
+    """Node averages Xbar of an n x n march, node by node, untilted.
+
+    The same system as ``_blocked_solve``, one node at a time: Xbar[k] =
+    (1 - w_0 Mbar[0])^{-1} (f[k] + sum_{t<k} w_t Mbar[k - t] Xbar[t]).
+    """
     # H[t] = w_t Xbar(t), laid out like Mbar: for a constant source (zero
     # stride in t) that makes H contiguous in t, which einsum sums fast
     X, H = np.empty_like(Mbar), np.empty_like(Mbar)
-    X[0] = a[0] * MR[0]
+    X[0] = Mbar[0]
     H[0] = w[0] * X[0]
-    left = {}
-    diag = None
-    for k in range(1, K + 1):
-        bk = np.asarray(b(k), dtype=float) if varying else None
-        ck = 0.5 * h * (bk[k] if varying else b)
-        if ck != diag:
-            diag = ck
-            pref = np.linalg.inv(np.eye(ML.shape[-1]) - ck * MR[0])
+    pref = np.linalg.inv(np.eye(Mbar.shape[-1]) - w[0] * Mbar[0])
+    for k in range(1, len(Mbar)):
         # np.einsum calls no BLAS, so no sum depends on the thread count
-        rhs = a[k] * ML[k] + (
-            np.einsum("t,tij,tjk->ik", bk[:k], Mbar[k:0:-1], H[:k]) if varying
-            else np.einsum("tij,tjk->ik", Mbar[k:0:-1], H[:k]))
-        c = w[:k + 1] * bk if varying else w
-        if k in jumps:
-            rhs -= 0.5 * c[0] * (jumps[k] @ X[0])
-        for t in pairs.get(k, ()):
-            rhs -= 0.25 * c[t] * a[t] * (jumps[k - t] @ jumps[t])
-        X[k] = pref @ rhs
-        if k in jumps:
-            left[k] = X[k].copy()
-            X[k] += a[k] * jumps[k]
-            H[k] = w[k] * 0.5 * (left[k] + X[k])
-        else:
-            H[k] = w[k] * X[k]
-    return X, left
+        X[k] = pref @ (f[k] + np.einsum("tij,tjk->ik", Mbar[k:0:-1], H[:k]))
+        H[k] = w[k] * X[k]
+    return X
 
 
-def _march(ML, MR, jump_idx, a, h, b):
-    """Trapezoid march of X(T_k) = a_k M(T_k) + sum_{t<=k} c_t(k) M(T_k - t) X(t).
+def _march(ML, MR, jump_idx, h, b):
+    """Trapezoid march of X(T_k) = M(T_k) + b sum_{t<=k} w_t M(T_k - t) X(t).
 
     ML and MR are the (K+1, n, n) left and right limits of M on the grid,
-    equal off the jump nodes ``jump_idx`` (all > 0); ``a`` holds the
-    arrival weights per node.  The weights are c_t(k) = w_t b(t, T_k) with
-    trapezoid weights w; ``b`` is a number when the memory weight is
-    constant, so the history is stored pre-weighted, and otherwise a
-    callable k -> b(T_0..T_k, T_k).  The endpoint t = k is solved
-    implicitly.
+    equal off the jump nodes ``jump_idx`` (all > 0), and b is the constant
+    memory weight.  The endpoint t = k is solved implicitly.
 
     Returns the node values and the left limits at the jump nodes, both
     divided by the unit mode sigma, and sigma itself, shape (K+1, 1, 1).
-    sigma is the march of the unit source, solved once: by
-    ``_blocked_solve`` on e^{-b t} for a constant weight b, else by
-    ``_stepped_march`` on M = 1.  The returned sigma is untilted, so it
+    sigma is the march of the unit source, solved once, tilted, by
+    ``_blocked_solve`` on e^{-b t}.  The returned sigma is untilted, so it
     overflows to inf once b T > 709; the outputs do not.
 
     A 2 x 2 source is marched as the (K+1, 1, 1) stacks of its scalar mode
@@ -480,32 +452,59 @@ def _march(ML, MR, jump_idx, a, h, b):
     commute and share the eigenvectors (1, 1) and (1, -1), so the 2 x 2
     march is the unit mode sigma and the beta mode, each marched on its
     own.  Only the doubly stochastic part of the source reaches the
-    output, so callers check a 2 x 2 source first.  A 1 x 1 source with a
-    constant weight is solved tilted by ``_blocked_solve``; any other is
-    stepped, and its X tilted afterwards to meet the tilted sigma.
+    output, so callers check a 2 x 2 source first.  A 1 x 1 source is
+    solved tilted by ``_blocked_solve``; a larger one is stepped by
+    ``_stepped_march``, and its X tilted afterwards to meet the tilted
+    sigma.  Both solve for the node averages Xbar, and the node values and
+    left limits are Xbar + s and Xbar - s, s the shift of ``_march_terms``.
     """
     if ML.shape[-1] == 2:
         bL, bR = ((1.0 - M[:, 0, 1] - M[:, 1, 0]).reshape(-1, 1, 1) for M in (ML, MR))
-        out, left, sigma = _march(bL, bR, jump_idx, a, h, b)
+        out, left, sigma = _march(bL, bR, jump_idx, h, b)
         return lift(out[:, 0, 0], 2), {j: lift(v[0, 0], 2) for j, v in left.items()}, sigma
-    varying = callable(b)
-    tilt = np.exp(-(0.0 if varying else b) * h * np.arange(len(ML)))  # e^{-b t}, or 1
-    if varying:
-        unit = tilt.reshape(-1, 1, 1)
-        sigma = _stepped_march(unit, unit, [], a, h, b)[0][:, 0, 0]
+    tilt = np.exp(-b * h * np.arange(len(ML))).reshape(-1, 1, 1)  # e^{-b t}
+    sigma = _blocked_solve(*_march_terms(tilt, tilt, [], h, b)[:3])
+    if ML.shape[-1] == 1:
+        w, Mbar, f, shift = _march_terms(tilt * ML, tilt * MR, jump_idx, h, b)
+        X = _blocked_solve(w, Mbar, f)
     else:
-        sigma = _blocked_solve(tilt, tilt, [], a, h, b)[0]
-    if ML.shape[-1] == 1 and not varying:
-        X, left = _blocked_solve(tilt * ML[:, 0, 0], tilt * MR[:, 0, 0], jump_idx, a, h, b)
-        X, left = X.reshape(-1, 1, 1), {j: np.reshape(v, (1, 1)) for j, v in left.items()}
-    else:
-        X, left = _stepped_march(ML, MR, jump_idx, a, h, b)
-        X *= tilt[:, None, None]
-        left = {j: tilt[j] * v for j, v in left.items()}
-    X /= sigma[:, None, None]
+        w, Mbar, f, shift = _march_terms(ML, MR, jump_idx, h, b)
+        X = tilt * _stepped_march(w, Mbar, f)
+        shift = {j: tilt[j] * s for j, s in shift.items()}
+    left = {j: (X[j] - s) / sigma[j] for j, s in shift.items()}
+    for j, s in shift.items():
+        X[j] += s
+    X /= sigma
     with np.errstate(over="ignore", divide="ignore"):
-        untilted = sigma / tilt
-    return X, {j: v / sigma[j] for j, v in left.items()}, untilted.reshape(-1, 1, 1)
+        return X, left, sigma / tilt
+
+
+def _general_march(M, a, h, b):
+    """Trapezoid march of X(T_k) = a_k M(T_k) + sum_{t<=k} w_t b(t, T_k) M(T_k - t) X(t).
+
+    M is the (K+1, n, n) source on the grid, ``a`` the arrival weights per
+    node and ``b`` a callable k -> b(T_0..T_k, T_k), called once per node
+    k >= 1.  X and its unit mode sigma, the same march on M = 1, are
+    stepped together, untilted, the endpoint t = k solved implicitly.
+    Returns X / sigma.
+    """
+    K = len(M) - 1
+    w = np.full(K + 1, h)
+    w[0] = 0.5 * h
+    X, sigma = np.empty_like(M), np.empty(K + 1)
+    X[0], sigma[0] = a[0] * M[0], a[0]
+    diag = None
+    for k in range(1, K + 1):
+        bk = np.asarray(b(k), dtype=float)
+        c = w[:k] * bk[:k]
+        ck = 0.5 * h * bk[k]
+        if ck != diag:
+            diag = ck
+            pref = np.linalg.inv(np.eye(M.shape[-1]) - ck * M[0])
+        # np.einsum calls no BLAS, so no sum depends on the thread count
+        X[k] = pref @ (a[k] * M[k] + np.einsum("t,tij,tjk->ik", c, M[k:0:-1], X[:k]))
+        sigma[k] = (a[k] + np.einsum("t,t->", c, sigma[:k])) / (1.0 - ck)
+    return X / sigma[:, None, None]
 
 
 def _matrix_stack(path, ts):
@@ -548,7 +547,7 @@ def march_solve(m, cfg: SolverConfig, *, tol_traj=TOL_TRAJ) -> Trajectory:
     grid = cfg.grid
     ML, MR, jump_idx = _limits(as_path(m), grid)
     _validate_source(ML, MR, jump_idx, tol_traj)
-    out, left, _ = _march(ML, MR, jump_idx, np.ones(grid.steps + 1), grid.h, cfg.nu)
+    out, left, _ = _march(ML, MR, jump_idx, grid.h, cfg.nu)
     _validate_nodes(out, tol_traj)
     if jump_idx:
         _validate_nodes(np.stack([left[j] for j in jump_idx]), tol_traj, "left limit",
@@ -576,7 +575,7 @@ def march_solve_general(m, kernel: Kernel, grid: TimeGrid, *,
     M = _matrix_stack(path, ts)
     _validate_source(M, M, [], tol_traj)
     a = np.broadcast_to(np.asarray(kernel.a(ts), dtype=float), ts.shape)
-    out, _, _ = _march(M, M, [], a, grid.h, lambda k: kernel.b(ts[:k + 1], ts[k]))
+    out = _general_march(M, a, grid.h, lambda k: kernel.b(ts[:k + 1], ts[k]))
     _validate_nodes(out, tol_traj)
     return Trajectory(grid=grid, values=out)
 
@@ -627,11 +626,6 @@ def _convolution(M, h):
         G[0] = 0.0
         return G
     return convolve
-
-
-def _trapezoid_convolution(M, F, h):
-    """Explicit trapezoid convolution of M with F at every node (``_convolution``)."""
-    return _convolution(M, h)(F)
 
 
 def _series_levels(M, h, nu):
@@ -775,6 +769,6 @@ def derivative_consistency(m, traj: Trajectory, cfg: SolverConfig, k=1) -> float
     dMbar = fd(Mbar)
     lag = Mbar[0] - np.eye(M.shape[-1])
     decay = np.exp(-nu * ts)[:, None, None]
-    integ = _trapezoid_convolution(decay * M, dMbar, h)
+    integ = _convolution(decay * M, h)(dMbar)
     rhs = decay * (dM + nu * (M @ lag)) + nu * integ
     return float(np.abs(dMbar - rhs)[1:].max())

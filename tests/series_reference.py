@@ -1,8 +1,7 @@
 """Reference node-by-node sums for the series levels and the derivative residual.
 
 ``test_series_levels`` holds the library's FFT products
-(``volterra._trapezoid_convolution``) to these loops; they are test code
-only.
+(``volterra._convolution``) to these loops; they are test code only.
 """
 
 import math

@@ -389,7 +389,7 @@ class TestScalarCommand:
         # a march that returns NaN must fail before anything is written
         import reduktor.scalar
 
-        def nan_march(ML, MR, jump_idx, a, h, b):
+        def nan_march(ML, MR, jump_idx, h, b):
             return np.full(ML.shape, np.nan), {}, np.ones(ML.shape)
 
         monkeypatch.setattr(reduktor.scalar, "_march", nan_march)

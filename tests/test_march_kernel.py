@@ -1,8 +1,10 @@
 """The shared marching kernel against the per-branch reference loops."""
 
+import inspect
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import march_reference as ref
+from reduktor import jump_mc, volterra
 from reduktor.dstoch import dstoch_residual, lift
 from reduktor.presets import random_model, spin_flip_model
 from reduktor.scalar import (
@@ -109,6 +112,51 @@ def test_general_kernel(n, kernel):
     assert np.abs(traj.values - want).max() < TOL
 
 
+def test_general_kernel_evaluates_b_once_per_node():
+    # three normalization checks, then b(T_0..T_k, T_k) once for k = 1..K
+    poisson = poisson_kernel(NU)
+    horizons = []
+
+    def b(t, T):
+        horizons.append(T)
+        return poisson.b(t, T)
+
+    grid = TimeGrid(2.0, 200)
+    march_solve_general(random_model(3, 2, seed=5).m_path(), Kernel(poisson.a, b), grid)
+    assert len(horizons) == 3 + grid.steps
+    assert horizons[3:] == list(grid.nodes[1:])
+
+
+MARCH_CODE = {"_march", "_march_terms", "_blocked_solve", "_stepped_march", "_general_march"}
+
+
+def code_names(code):
+    """The global and attribute names a code object and its nested code use."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= code_names(const)
+    return names
+
+
+def test_oracles_share_no_march_code():
+    # each oracle stays independent of the solver it checks
+    oracles = [volterra._convolution, volterra._series_levels,
+               volterra.neumann_series_trajectory, volterra.derivative_consistency]
+    for _, obj in inspect.getmembers(jump_mc):
+        if getattr(obj, "__module__", None) != jump_mc.__name__:
+            continue
+        if inspect.isfunction(obj):
+            oracles.append(obj)
+        elif inspect.isclass(obj):
+            oracles += [f for _, f in inspect.getmembers(obj, inspect.isfunction)
+                        if f.__module__ == jump_mc.__name__]
+    assert len(oracles) > 10
+    assert code_names(march_solve.__code__) & MARCH_CODE  # the names are seen
+    for fn in oracles:
+        assert not code_names(fn.__code__) & MARCH_CODE, fn.__qualname__
+
+
 SCALAR_INPUTS = pytest.mark.parametrize(
     "alpha", [ConstantInput(0.6), CosineInput(),
               PiecewiseInput(0.5), PiecewiseInput(0.25, (1.0, 0.0, 0.5))],
@@ -133,7 +181,7 @@ def test_scalar_march(alpha):
 def test_unit_mode_is_unit_growth():
     K = GRID.steps
     ones = np.ones((K + 1, 1, 1))
-    _, _, sigma = _march(ones, ones, [], np.ones(K + 1), GRID.h, NU)
+    _, _, sigma = _march(ones, ones, [], GRID.h, NU)
     want = ref.unit_growth(NU, GRID.h, K)
     assert np.abs(sigma[:, 0, 0] / want - 1.0).max() < TOL
 
@@ -167,7 +215,7 @@ import hashlib, numpy as np
 from reduktor.volterra import _march
 K = 12000
 S = np.cos(np.linspace(0.0, 60.0, K + 1)).reshape(-1, 1, 1)
-out, _, sigma = _march(S, S, [], np.ones(K + 1), 60.0 / K, 1.0)
+out, _, sigma = _march(S, S, [], 60.0 / K, 1.0)
 print(hashlib.sha256(out.tobytes() + sigma.tobytes()).hexdigest())
 """
 
@@ -189,12 +237,20 @@ def test_long_scalar_mode_does_not_depend_on_blas_threads():
     assert digests[0] == digests[1]
 
 
+LONG_GENERAL_MARCH = """
+import hashlib, numpy as np
+from reduktor.volterra import _general_march
+K = 12000
+S = np.cos(np.linspace(0.0, 60.0, K + 1)).reshape(-1, 1, 1)
+out = _general_march(S, np.ones(K + 1), 60.0 / K, lambda k: np.ones(k + 1))
+print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
 def test_long_stepped_scalar_mode_does_not_depend_on_blas_threads():
-    # a varying weight keeps a 1 x 1 source, and its sigma, on the
-    # node-by-node loop, whose history sums run past 10^4 terms
-    script = LONG_MARCH.replace("60.0 / K, 1.0)", "60.0 / K, lambda k: np.ones(k + 1))")
-    assert script != LONG_MARCH
-    digests = digests_at_blas_threads(script)
+    # the general kernel's loop steps a 1 x 1 source and its sigma node by
+    # node, and its history sums run past 10^4 terms
+    digests = digests_at_blas_threads(LONG_GENERAL_MARCH)
     assert digests[0] == digests[1]
 
 
@@ -232,8 +288,7 @@ def scalar_source(K, jump_nodes, seed=0):
 
 def march_1x1(lo, hi, jump_nodes, nu, h):
     """The kernel on a 1 x 1 stack: normalized node values and left limits."""
-    out, left, _ = _march(lo.reshape(-1, 1, 1), hi.reshape(-1, 1, 1), list(jump_nodes),
-                          np.ones(len(lo)), h, nu)
+    out, left, _ = _march(lo.reshape(-1, 1, 1), hi.reshape(-1, 1, 1), list(jump_nodes), h, nu)
     return out[:, 0, 0], {j: v[0, 0] for j, v in left.items()}
 
 
@@ -289,7 +344,7 @@ def test_blocked_solve_property(seed, K, h, hnu, data):
     nu = hnu / h
     assert_matches_scalar_reference(lo, hi, jump_nodes, nu, h)
     ML, MR = lift(lo, 2), lift(hi, 2)
-    out, left, _ = _march(ML, MR, jump_nodes, np.ones(K + 1), h, nu)
+    out, left, _ = _march(ML, MR, jump_nodes, h, nu)
     want, want_left = ref.march_two_limit(ML, MR, nu, h)
     assert np.abs(out - want).max() < TOL
     for j in jump_nodes:

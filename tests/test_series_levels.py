@@ -17,8 +17,8 @@ from reduktor.volterra import (
     ConstantPath,
     SolverConfig,
     TimeGrid,
+    _convolution,
     _series_levels,
-    _trapezoid_convolution,
     derivative_consistency,
     march_solve,
     neumann_series_trajectory,
@@ -120,7 +120,7 @@ def test_convolution_at_block_edges(n, a, b):
     K1 = a * block_nodes(n) + b
     rng = np.random.default_rng(100 * n + K1)
     M, F = rng.random((K1, n, n)), rng.random((K1, n, n))
-    assert_level_close(_trapezoid_convolution(M, F, 0.01), ref.trapezoid_convolution(M, F, 0.01))
+    assert_level_close(_convolution(M, 0.01)(F), ref.trapezoid_convolution(M, F, 0.01))
 
 
 @pytest.mark.parametrize("a, b", EDGES[3:])
@@ -129,7 +129,7 @@ def test_convolution_of_zero_stride_stack(a, b):
     M = ConstantPath(SYM_M).many(np.linspace(0.0, 1.0, K1))
     assert M.strides[0] == 0
     for F in (M, np.random.default_rng(K1).random((K1, 3, 3))):
-        assert_level_close(_trapezoid_convolution(M, F, 0.01),
+        assert_level_close(_convolution(M, 0.01)(F),
                            ref.trapezoid_convolution(M, F, 0.01))
 
 
@@ -139,7 +139,7 @@ def test_convolution_of_non_square_level(m):
     K1 = 2 * block_nodes(3) + 1
     rng = np.random.default_rng(m)
     M, F = rng.random((K1, 3, 3)), rng.random((K1, 3, m))
-    assert_level_close(_trapezoid_convolution(M, F, 0.01), ref.trapezoid_convolution(M, F, 0.01))
+    assert_level_close(_convolution(M, 0.01)(F), ref.trapezoid_convolution(M, F, 0.01))
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,7 +150,7 @@ def test_convolution_property(K1, n, m, constant, seed):
     M = (np.broadcast_to(rng.random((n, n)), (K1, n, n)) if constant
          else rng.random((K1, n, n)))
     F = rng.random((K1, n, m))
-    assert_level_close(_trapezoid_convolution(M, F, 0.01), ref.trapezoid_convolution(M, F, 0.01))
+    assert_level_close(_convolution(M, 0.01)(F), ref.trapezoid_convolution(M, F, 0.01))
 
 
 def test_level_memory_bounded():
@@ -160,10 +160,10 @@ def test_level_memory_bounded():
     n, K1 = 3, 4001
     rng = np.random.default_rng(0)
     M, F = rng.random((K1, n, n)), rng.random((K1, n, n))
-    _trapezoid_convolution(M[:10], F[:10], 0.01)
+    _convolution(M[:10], 0.01)(F[:10])
     tracemalloc.start()
     try:
-        _trapezoid_convolution(M, F, 0.01)
+        _convolution(M, 0.01)(F)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
