@@ -129,6 +129,8 @@ class McEstimate:
     seed: int
 
     def __post_init__(self):
+        if not np.isfinite(self.stderr).all():  # a NaN tolerance would pass any mean
+            raise InputValidationError("Monte Carlo standard error has non-finite entries")
         tol = 3.0 * float(self.stderr.max()) + 1e-9
         validate_dstoch(self.mean, tol_sum=tol, tol_entry=tol)
 

@@ -31,12 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dstoch import lift
-from .errors import (
-    NonRealReconstructionError,
-    ValidationFailure,
-    ValueEscapeError,
-)
-from .volterra import TimeGrid, Trajectory, _csv_lines, _limits, _march, _SmoothPath
+from .errors import NonRealReconstructionError, ValueEscapeError
+from .volterra import (TimeGrid, Trajectory, _csv_lines, _limits, _march, _SmoothPath,
+                       _validate_nodes)
 
 SCALAR_ESCAPE_TOL = 1e-7
 
@@ -185,7 +182,7 @@ def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid, *,
         raise ValueError("nu must be >= 0")
     ts = grid.nodes
     aL, aR, jump_idx = _limits(alpha, grid, matrix=False)
-    out, left, _ = _march(aL[:, None, None], aR[:, None, None], jump_idx, grid.h, nu)
+    out, left = _march(aL[:, None, None], aR[:, None, None], jump_idx, grid.h, nu)
     betaR = out[:, 0, 0]
     lo, hi = betaR.min(), betaR.max()  # nan if any node is, and nan escapes too
     if not (lo >= -escape_tol and hi <= 1.0 + escape_tol):
@@ -222,10 +219,7 @@ def lift_scalar(traj: ScalarTrajectory, n) -> Trajectory:
     if n < 2:
         raise ValueError("matrix lift needs n >= 2")
     values = lift(traj.beta, n)
-    for k, m in enumerate(values):
-        lo = m.min()
-        if lo < -1e-9:
-            raise ValidationFailure(k, float(-lo), "lifted trajectory")
+    _validate_nodes(values, 1e-9, "lifted trajectory")
     jump_nodes = tuple(traj.grid.index_of(t) for t, _, _ in traj.jumps)
     left_values = {traj.grid.index_of(t): lift(lo, n) for t, lo, _ in traj.jumps}
     return Trajectory(grid=traj.grid, values=values,

@@ -45,12 +45,11 @@ beta is, so ``march_solve`` checks a 2 x 2 source before marching it.
 A 1 x 1 march (sigma, scalar inputs and the beta mode of every 2 x 2
 source) is one lower-triangular system in the node averages of X,
 solved in blocks of MARCH_BLOCK nodes (``_blocked_solve``; Hairer,
-Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532) for the
-tilted unknowns e^{-b T} X from the source e^{-b t} M(t), since
-T_k = T_{k-t} + T_t on the grid, so nothing overflows at large b T.
-Larger sources (n >= 3) step X node by node (``_stepped_march``),
-untilted, so n >= 3 overflows once nu T is above about 700, as does the
-general loop.
+Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).  Larger
+sources (n >= 3) step X node by node (``_stepped_march``); a constant one
+sums its history, and sigma's, in one running term (``_constant_march``).
+Every route solves for the tilted e^{-b T} X from the source e^{-b t} M(t),
+since T_k = T_{k-t} + T_t on the grid, so nothing overflows at large b T.
 
 Sources are time paths: subclasses of ``_SmoothPath``, which supplies
 ``__call__``, ``many(ts)`` for batched evaluation and the one-sided limits
@@ -162,7 +161,7 @@ class Kernel:
 
     ``a(T)`` weights the bare evolution, ``b(t, T)`` weights the memory
     integral; both nonnegative with int_0^T b(t, T) dt = 1 - a(T).
-    Functions must broadcast over numpy arrays in their first argument.
+    Each is called on an array of times, and its value is broadcast to it.
     """
 
     a: object
@@ -192,9 +191,7 @@ def kernel_normalization_residual(kernel: Kernel, T, quad_steps=1000) -> float:
     if m % 2:
         m += 1
     ts = np.linspace(0.0, T, m + 1)
-    vals = np.asarray(kernel.b(ts, T), dtype=float)
-    if vals.shape != ts.shape:
-        vals = np.array([float(kernel.b(t, T)) for t in ts])
+    vals = np.broadcast_to(np.asarray(kernel.b(ts, T), dtype=float), ts.shape)
     h = T / m
     integral = h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
                           + 2.0 * vals[2:-1:2].sum())
@@ -251,6 +248,7 @@ class ConstantPath(_SmoothPath):
         return self.matrix
 
     def many(self, ts):
+        # zero stride in t, which sends the stack to _march's constant route
         return np.broadcast_to(self.matrix, (len(ts),) + self.matrix.shape)
 
 
@@ -415,14 +413,12 @@ def _blocked_solve(w, Mbar, f):
 
 
 def _stepped_march(w, Mbar, f):
-    """Node averages Xbar of an n x n march, node by node, untilted.
+    """Node averages Xbar of an n x n march, node by node.
 
     The same system as ``_blocked_solve``, one node at a time: Xbar[k] =
     (1 - w_0 Mbar[0])^{-1} (f[k] + sum_{t<k} w_t Mbar[k - t] Xbar[t]).
     """
-    # H[t] = w_t Xbar(t), laid out like Mbar: for a constant source (zero
-    # stride in t) that makes H contiguous in t, which einsum sums fast
-    X, H = np.empty_like(Mbar), np.empty_like(Mbar)
+    X, H = np.empty_like(Mbar), np.empty_like(Mbar)  # H[t] = w_t Xbar(t)
     X[0] = Mbar[0]
     H[0] = w[0] * X[0]
     pref = np.linalg.inv(np.eye(Mbar.shape[-1]) - w[0] * Mbar[0])
@@ -433,18 +429,36 @@ def _stepped_march(w, Mbar, f):
     return X
 
 
+def _constant_march(M, w, tilt):
+    """Tilted march of a constant n x n source M and its unit mode sigma.
+
+    The tilted history sum_{t<k} w_t tilt[k - t] M X(t), tilt[k] = e^{-b T_k},
+    is M Z_k with Z_k = tilt[1] (Z_{k-1} + w_{k-1} X(k-1)), a one-term
+    exponential sum (Lubich & Schaedle, SIAM J. Sci. Comput. 24 (2002) 161):
+    X(k) = (1 - w_0 M)^{-1} (tilt[k] M + M Z_k), O(n^3) per node.  The loop
+    marches diag(M, 1), so sigma takes the operations X takes.
+    """
+    n = len(M)
+    A = np.pad(M, (0, 1))
+    A[n, n] = 1.0
+    X = np.empty((len(w), n + 1, n + 1))
+    X[0], Z = A, np.zeros_like(A)
+    pref = np.linalg.inv(np.eye(n + 1) - w[0] * A)
+    for k in range(1, len(w)):
+        Z = tilt[1] * (Z + w[k - 1] * X[k - 1])
+        X[k] = pref @ (tilt[k] * A + A @ Z)
+    return X[:, :n, :n].copy(), X[:, n:, n:]
+
+
 def _march(ML, MR, jump_idx, h, b):
     """Trapezoid march of X(T_k) = M(T_k) + b sum_{t<=k} w_t M(T_k - t) X(t).
 
     ML and MR are the (K+1, n, n) left and right limits of M on the grid,
     equal off the jump nodes ``jump_idx`` (all > 0), and b is the constant
-    memory weight.  The endpoint t = k is solved implicitly.
-
-    Returns the node values and the left limits at the jump nodes, both
-    divided by the unit mode sigma, and sigma itself, shape (K+1, 1, 1).
-    sigma is the march of the unit source, solved once, tilted, by
-    ``_blocked_solve`` on e^{-b t}.  The returned sigma is untilted, so it
-    overflows to inf once b T > 709; the outputs do not.
+    memory weight.  The endpoint t = k is solved implicitly.  Returns the
+    node values and the left limits at the jump nodes, both divided by the
+    unit mode sigma, the march of the unit source.  X and sigma are marched
+    tilted, from the sources e^{-b t} M and e^{-b t}, so nothing overflows.
 
     A 2 x 2 source is marched as the (K+1, 1, 1) stacks of its scalar mode
     beta = 1 - M[0, 1] - M[1, 0] and lifted back to beta 1 + (1 - beta)
@@ -452,41 +466,39 @@ def _march(ML, MR, jump_idx, h, b):
     commute and share the eigenvectors (1, 1) and (1, -1), so the 2 x 2
     march is the unit mode sigma and the beta mode, each marched on its
     own.  Only the doubly stochastic part of the source reaches the
-    output, so callers check a 2 x 2 source first.  A 1 x 1 source is
-    solved tilted by ``_blocked_solve``; a larger one is stepped by
-    ``_stepped_march``, and its X tilted afterwards to meet the tilted
-    sigma.  Both solve for the node averages Xbar, and the node values and
-    left limits are Xbar + s and Xbar - s, s the shift of ``_march_terms``.
+    output, so callers check a 2 x 2 source first.  A jump-free source of
+    zero stride in t (``ConstantPath``) is marched with its sigma by
+    ``_constant_march``.  Otherwise a 1 x 1 source and sigma are solved by
+    ``_blocked_solve``, a larger source is stepped by ``_stepped_march``,
+    both for the node averages Xbar, and the node values and left limits
+    are Xbar + s and Xbar - s, s the shift of ``_march_terms``.
     """
     if ML.shape[-1] == 2:
         bL, bR = ((1.0 - M[:, 0, 1] - M[:, 1, 0]).reshape(-1, 1, 1) for M in (ML, MR))
-        out, left, sigma = _march(bL, bR, jump_idx, h, b)
-        return lift(out[:, 0, 0], 2), {j: lift(v[0, 0], 2) for j, v in left.items()}, sigma
+        out, left = _march(bL, bR, jump_idx, h, b)
+        return lift(out[:, 0, 0], 2), {j: lift(v[0, 0], 2) for j, v in left.items()}
     tilt = np.exp(-b * h * np.arange(len(ML))).reshape(-1, 1, 1)  # e^{-b t}
-    sigma = _blocked_solve(*_march_terms(tilt, tilt, [], h, b)[:3])
-    if ML.shape[-1] == 1:
-        w, Mbar, f, shift = _march_terms(tilt * ML, tilt * MR, jump_idx, h, b)
-        X = _blocked_solve(w, Mbar, f)
+    w, Mbar, f, shift = _march_terms(tilt * ML, tilt * MR, jump_idx, h, b)
+    if ML.strides[0] == 0 and not jump_idx:
+        X, sigma = _constant_march(ML[0], w, tilt[:, 0, 0])
     else:
-        w, Mbar, f, shift = _march_terms(ML, MR, jump_idx, h, b)
-        X = tilt * _stepped_march(w, Mbar, f)
-        shift = {j: tilt[j] * s for j, s in shift.items()}
+        X = (_blocked_solve if ML.shape[-1] == 1 else _stepped_march)(w, Mbar, f)
+        sigma = _blocked_solve(w, tilt, tilt)
     left = {j: (X[j] - s) / sigma[j] for j, s in shift.items()}
     for j, s in shift.items():
         X[j] += s
     X /= sigma
-    with np.errstate(over="ignore", divide="ignore"):
-        return X, left, sigma / tilt
+    return X, left
 
 
 def _general_march(M, a, h, b):
     """Trapezoid march of X(T_k) = a_k M(T_k) + sum_{t<=k} w_t b(t, T_k) M(T_k - t) X(t).
 
     M is the (K+1, n, n) source on the grid, ``a`` the arrival weights per
-    node and ``b`` a callable k -> b(T_0..T_k, T_k), called once per node
-    k >= 1.  X and its unit mode sigma, the same march on M = 1, are
-    stepped together, untilted, the endpoint t = k solved implicitly.
-    Returns X / sigma.
+    node and ``b`` a callable k -> b(T_0..T_k, T_k), broadcast to k + 1
+    weights, called once per node k >= 1.  X and its unit mode sigma, the
+    same march on M = 1, are stepped together, the endpoint t = k solved
+    implicitly.  Returns X / sigma.
     """
     K = len(M) - 1
     w = np.full(K + 1, h)
@@ -495,7 +507,7 @@ def _general_march(M, a, h, b):
     X[0], sigma[0] = a[0] * M[0], a[0]
     diag = None
     for k in range(1, K + 1):
-        bk = np.asarray(b(k), dtype=float)
+        bk = np.broadcast_to(np.asarray(b(k), dtype=float), k + 1)
         c = w[:k] * bk[:k]
         ck = 0.5 * h * bk[k]
         if ck != diag:
@@ -547,7 +559,7 @@ def march_solve(m, cfg: SolverConfig, *, tol_traj=TOL_TRAJ) -> Trajectory:
     grid = cfg.grid
     ML, MR, jump_idx = _limits(as_path(m), grid)
     _validate_source(ML, MR, jump_idx, tol_traj)
-    out, left, _ = _march(ML, MR, jump_idx, grid.h, cfg.nu)
+    out, left = _march(ML, MR, jump_idx, grid.h, cfg.nu)
     _validate_nodes(out, tol_traj)
     if jump_idx:
         _validate_nodes(np.stack([left[j] for j in jump_idx]), tol_traj, "left limit",

@@ -390,7 +390,7 @@ class TestScalarCommand:
         import reduktor.scalar
 
         def nan_march(ML, MR, jump_idx, h, b):
-            return np.full(ML.shape, np.nan), {}, np.ones(ML.shape)
+            return np.full(ML.shape, np.nan), {}
 
         monkeypatch.setattr(reduktor.scalar, "_march", nan_march)
         out = tmp_path / "beta.csv"

@@ -232,6 +232,15 @@ BIT_CASES = {  # source and rate
 }
 
 
+@pytest.mark.parametrize("mean", [SYM_M, 1.8 * SYM_M], ids=["doubly-stochastic", "row-sums-1.8"])
+def test_non_finite_stderr_is_rejected(mean):
+    # a NaN stderr makes a NaN tolerance, which every check of the mean passes
+    stderr = np.zeros((3, 3))
+    stderr[0, 1] = np.nan
+    with pytest.raises(InputValidationError, match="non-finite"):
+        McEstimate(mean=mean, stderr=stderr, n_samples=10, seed=0)
+
+
 @pytest.mark.parametrize("R", [100, 2 * CHUNK + 37])
 @pytest.mark.parametrize("case", BIT_CASES.values(), ids=BIT_CASES.keys())
 def test_bit_identical_to_per_history_loop(case, R):

@@ -127,7 +127,8 @@ def test_general_kernel_evaluates_b_once_per_node():
     assert horizons[3:] == list(grid.nodes[1:])
 
 
-MARCH_CODE = {"_march", "_march_terms", "_blocked_solve", "_stepped_march", "_general_march"}
+MARCH_CODE = {"_march", "_march_terms", "_blocked_solve", "_stepped_march", "_constant_march",
+              "_general_march"}
 
 
 def code_names(code):
@@ -179,10 +180,12 @@ def test_scalar_march(alpha):
 
 
 def test_unit_mode_is_unit_growth():
+    # sigma is marched tilted, as the march of the source e^{-nu t}
     K = GRID.steps
-    ones = np.ones((K + 1, 1, 1))
-    _, _, sigma = _march(ones, ones, [], GRID.h, NU)
-    want = ref.unit_growth(NU, GRID.h, K)
+    tilt = np.exp(-NU * GRID.h * np.arange(K + 1)).reshape(-1, 1, 1)
+    w = volterra._march_terms(tilt, tilt, [], GRID.h, NU)[0]
+    sigma = volterra._blocked_solve(w, tilt, tilt)
+    want = ref.unit_growth(NU, GRID.h, K) * tilt[:, 0, 0]
     assert np.abs(sigma[:, 0, 0] / want - 1.0).max() < TOL
 
 
@@ -215,8 +218,8 @@ import hashlib, numpy as np
 from reduktor.volterra import _march
 K = 12000
 S = np.cos(np.linspace(0.0, 60.0, K + 1)).reshape(-1, 1, 1)
-out, _, sigma = _march(S, S, [], 60.0 / K, 1.0)
-print(hashlib.sha256(out.tobytes() + sigma.tobytes()).hexdigest())
+out, _ = _march(S, S, [], 60.0 / K, 1.0)
+print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
 
@@ -264,9 +267,24 @@ print(hashlib.sha256(traj.values.tobytes()).hexdigest())
 
 
 def test_long_stepped_matrix_march_does_not_depend_on_blas_threads():
-    # an n >= 3 source steps X node by node past 10^4 terms, on the
-    # zero-stride stack of a constant source
+    # a constant n >= 3 source marches past 10^4 nodes on one running sum
     digests = digests_at_blas_threads(LONG_CONSTANT_MARCH)
+    assert digests[0] == digests[1]
+
+
+LONG_LIFTED_MARCH = """
+import hashlib
+from reduktor.scalar import LiftedPath, PiecewiseInput
+from reduktor.volterra import SolverConfig, TimeGrid, march_solve
+traj = march_solve(LiftedPath(PiecewiseInput(1.0), 3), SolverConfig(1.0, TimeGrid(20.0, 2000)))
+left = b"".join(traj.left_values[j].tobytes() for j in traj.jump_nodes)
+print(hashlib.sha256(traj.values.tobytes() + left).hexdigest())
+"""
+
+
+def test_long_two_limit_matrix_march_does_not_depend_on_blas_threads():
+    # an n >= 3 source with jumps steps X node by node
+    digests = digests_at_blas_threads(LONG_LIFTED_MARCH)
     assert digests[0] == digests[1]
 
 
@@ -288,7 +306,7 @@ def scalar_source(K, jump_nodes, seed=0):
 
 def march_1x1(lo, hi, jump_nodes, nu, h):
     """The kernel on a 1 x 1 stack: normalized node values and left limits."""
-    out, left, _ = _march(lo.reshape(-1, 1, 1), hi.reshape(-1, 1, 1), list(jump_nodes), h, nu)
+    out, left = _march(lo.reshape(-1, 1, 1), hi.reshape(-1, 1, 1), list(jump_nodes), h, nu)
     return out[:, 0, 0], {j: v[0, 0] for j, v in left.items()}
 
 
@@ -344,7 +362,7 @@ def test_blocked_solve_property(seed, K, h, hnu, data):
     nu = hnu / h
     assert_matches_scalar_reference(lo, hi, jump_nodes, nu, h)
     ML, MR = lift(lo, 2), lift(hi, 2)
-    out, left, _ = _march(ML, MR, jump_nodes, h, nu)
+    out, left = _march(ML, MR, jump_nodes, h, nu)
     want, want_left = ref.march_two_limit(ML, MR, nu, h)
     assert np.abs(out - want).max() < TOL
     for j in jump_nodes:
@@ -373,3 +391,41 @@ def test_long_horizon_unit_input_is_exactly_one():
     # the tilted source e^{-nu t} * 1 is the unit mode's own source
     traj = scalar_march(ConstantInput(1.0), LONG.nu, LONG.grid)
     np.testing.assert_array_equal(traj.beta, np.ones(LONG.grid.steps + 1))
+
+
+CONSTANT_3X3 = [[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]]  # configs/constant_matrix.json
+
+
+@pytest.mark.parametrize("path", [random_model(3, 2, 5).m_path(), ConstantPath(CONSTANT_3X3),
+                                  LiftedPath(PiecewiseInput(1.0), 3)],
+                         ids=["bath-3x2", "constant-3x3", "lifted-alternating"])
+def test_long_horizon_matrix_march_is_doubly_stochastic(path):
+    # n >= 3 marches the tilted source e^{-nu t} M, so nothing overflows
+    traj = march_solve(path, LONG)
+    assert np.isfinite(traj.values).all()
+    assert dstoch_residual(traj.values).max() < 1e-10
+    assert traj.values.min() >= 0.0
+
+
+def test_long_horizon_identity_3x3_stays_the_identity():
+    # the constant route marches X and sigma in the same operations
+    traj = march_solve(ConstantPath(np.eye(3)), LONG)
+    np.testing.assert_array_equal(traj.values, np.broadcast_to(np.eye(3), traj.values.shape))
+
+
+def test_constant_route_matches_the_stepped_route(monkeypatch):
+    # a zero-stride stack takes the running sum, a contiguous copy of it
+    # the node-by-node history sum
+    K, h = 2000, 3.0 / 2000
+    ML = np.broadcast_to(np.array(CONSTANT_3X3), (K + 1, 3, 3))
+    stepped, _ = _march(np.ascontiguousarray(ML), np.ascontiguousarray(ML), [], h, NU)
+    monkeypatch.setattr(volterra, "_stepped_march", None)
+    constant, _ = _march(ML, ML, [], h, NU)
+    assert np.abs(constant - stepped).max() < 1e-12
+
+
+def test_constant_route_is_doubly_stochastic_to_rounding():
+    # sigma comes from the loop that marches X, so the residual stays at
+    # rounding over the K = 10^4 nodes of configs/constant_matrix.json
+    traj = march_solve(ConstantPath(CONSTANT_3X3), SolverConfig(1.0, TimeGrid(10.0, 10000)))
+    assert dstoch_residual(traj.values).max() < 1e-13

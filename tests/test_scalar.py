@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from reduktor.dstoch import theta
-from reduktor.errors import ValueEscapeError
+from reduktor.errors import ValidationFailure, ValueEscapeError
 from reduktor.scalar import (
     ConstantInput,
     CosineInput,
     LiftedPath,
     PiecewiseInput,
     ScalarInput,
+    ScalarTrajectory,
     TabulatedInput,
     lift_scalar,
     piecewise_delay_solve,
@@ -205,6 +206,21 @@ class TestTrigOde:
 
 
 class TestLift:
+    def test_non_finite_beta_is_rejected(self):
+        # NaN fails every comparison, so the check must be one NaN fails
+        grid = TimeGrid(1.0, 4)
+        traj = ScalarTrajectory(grid=grid, beta=np.array([1.0, np.nan, 0.5, 0.5, 0.5]))
+        with pytest.raises(ValidationFailure) as err:
+            lift_scalar(traj, 3)
+        assert err.value.node == 1
+
+    def test_first_negative_node_is_named(self):
+        grid = TimeGrid(1.0, 4)
+        traj = ScalarTrajectory(grid=grid, beta=np.array([1.0, 0.5, 1.5, -1.0, 2.0]))
+        with pytest.raises(ValidationFailure) as err:
+            lift_scalar(traj, 3)
+        assert err.value.node == 2
+
     def test_extremes(self):
         grid = TimeGrid(1.0, 4)
         ones = scalar_march(ConstantInput(1.0), 0.0, grid)

@@ -304,6 +304,19 @@ class TestGeneralKernel:
         with pytest.raises(KernelNormalizationViolation):
             march_solve_general(generic_model.m_path(), broken, TimeGrid(3.0, 300))
 
+    def test_constant_b_may_be_a_number(self, generic_model):
+        # b's value is broadcast to the shape of the times, in the
+        # normalization check and in the march alike
+        grid = TimeGrid(3.0, 300)
+        number = Kernel(a=lambda T: 1.0 - np.asarray(T, dtype=float) / 4.0,
+                        b=lambda t, T: 0.25)
+        array = Kernel(a=number.a, b=lambda t, T: 0.25 + 0.0 * np.asarray(t, dtype=float))
+        assert kernel_normalization_residual(number, 3.0, 100) == \
+            kernel_normalization_residual(array, 3.0, 100)
+        got = march_solve_general(generic_model.m_path(), number, grid)
+        want = march_solve_general(generic_model.m_path(), array, grid)
+        np.testing.assert_array_equal(got.values, want.values)
+
 
 class TestKernelNormalization:
     def test_poisson_kernel_residual(self):
