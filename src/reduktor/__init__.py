@@ -26,7 +26,7 @@ _EXPORTS = {name: module for module, names in {
     "channels": ("BathModel", "GenericityReport", "KrausFamily", "basis_genericity",
                  "genericity_check", "kraus_at", "m_of_t", "second_order_matrix"),
     "dstoch": ("BlockPartition", "DStochMatrix", "compression", "compression_many",
-               "decomposability_witness", "is_dstoch", "perm_matrix",
+               "decomposability_witness", "perm_matrix",
                "single_block_partition", "support_blocks", "theta", "theta_of",
                "validate_dstoch", "zero_sum_basis"),
     "jump_mc": ("McEstimate", "PoissonRealization", "evolve_realization",

@@ -85,15 +85,6 @@ def validate_dstoch(raw, tol_sum=TOL_SUM, tol_entry=TOL_ENTRY) -> DStochMatrix:
     return DStochMatrix(raw, tol_sum=tol_sum, tol_entry=tol_entry)
 
 
-def is_dstoch(raw, tol_sum=TOL_SUM, tol_entry=TOL_ENTRY) -> bool:
-    a = np.asarray(raw, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    return (a.min() >= -tol_entry
-            and np.abs(a.sum(axis=1) - 1.0).max() <= tol_sum
-            and np.abs(a.sum(axis=0) - 1.0).max() <= tol_sum)
-
-
 def dstoch_residual(raw):
     """Largest violation of the doubly stochastic constraints.
 

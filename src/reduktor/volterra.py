@@ -42,12 +42,12 @@ marched on its own and lifted back (the paper's scalar reduction, which
 for n = 2 covers every source).  The lift is doubly stochastic whatever
 beta is, so ``march_solve`` checks a 2 x 2 source before marching it.
 
-A 1 x 1 march (sigma, scalar inputs and the beta mode of every 2 x 2
-source) is one lower-triangular system in the node averages of X,
-solved in blocks of MARCH_BLOCK nodes (``_blocked_solve``; Hairer,
-Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).  Larger
-sources (n >= 3) step X node by node (``_stepped_march``); a constant one
-sums its history, and sigma's, in one running term (``_constant_march``).
+The march of an n x n source (sigma, a scalar input and the beta mode of
+a 2 x 2 source have n = 1) is one block lower-triangular system in the
+node averages of X, solved in blocks of MARCH_BLOCK // n nodes
+(``_blocked_solve``; Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+Comput. 6 (1985) 532).  A constant n >= 3 source instead sums its
+history, and sigma's, in one running term (``_constant_march``).
 Every route solves for the tilted e^{-b T} X from the source e^{-b t} M(t),
 since T_k = T_{k-t} + T_t on the grid, so nothing overflows at large b T.
 
@@ -65,8 +65,8 @@ Xbar = (XL + XR) / 2 and jumps D = MR - ML = XR - XL, that pair is
 
     (MR[s] XL[t] + ML[s] XR[t]) / 2 = Mbar[s] Xbar[t] - D[s] D[t] / 4,
 
-so each step is still one contraction of Mbar with Xbar, and both
-routes solve for Xbar.  The only extra terms are the t = 0 endpoint,
+so each step is still one contraction of Mbar with Xbar, and the march
+solves for Xbar.  The only extra terms are the t = 0 endpoint,
 which uses the left limit ML[k], the implicit endpoint, which uses
 XL[k] = Xbar[k] - D[k] / 2, and the pairs where both t and k - t are
 jump nodes; none depends on X, and ``_march_terms`` forms them once.
@@ -79,11 +79,12 @@ explicit trapezoid convolution
 
 at every node, which ``_convolution`` forms as one zero-padded
 FFT product (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
-(1985) 532), O(K log K) work for all nodes where a march steps node by
-node.  The series transforms its source once and sums its levels tilted
-by e^{-gamma t}, gamma the growth rate of the trapezoid unit mode, so the
-levels sum to about 1 at every node and the FFT's rounding, relative to
-each level's largest value, stays below the series' check at any nu T.
+(1985) 532), O(K log K) work for all nodes where the march's history
+sums take O(K^2).  The series transforms its source once and sums its
+levels tilted by e^{-gamma t}, gamma the growth rate of the trapezoid unit
+mode, so the levels sum to about 1 at every node and the FFT's rounding,
+relative to each level's largest value, stays below the series' check at
+any nu T.
 """
 
 from __future__ import annotations
@@ -106,10 +107,12 @@ from .errors import (
 
 TOL_TRAJ = 1e-7
 DEFAULT_TAIL_TOL = 1e-10
-# Nodes per block of the 1 x 1 march (_blocked_solve).  Its one B x B
-# inversion and each product with the inverse stay below the sizes at which
-# OpenBLAS threads an LU (10^4 entries) or a matrix-vector product (9216),
-# so the bits cannot depend on the thread count.
+# Rows of the march's block system (_blocked_solve): an n x n march takes
+# blocks of B = MARCH_BLOCK // n nodes, so its one system is Bn x Bn with
+# Bn <= 64 (n x n, one node per block, for n > 64).
+# That inversion and each product with the inverse stay below the sizes at
+# which OpenBLAS threads an LU (10^4 entries) or a product with a matrix or
+# vector, so the bits cannot depend on the thread count.
 MARCH_BLOCK = 64
 
 
@@ -241,6 +244,9 @@ class ConstantPath(_SmoothPath):
 
     def __init__(self, matrix):
         self.matrix = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+            raise InputValidationError(
+                f"constant source must be a square matrix, got shape {self.matrix.shape}")
         if not np.isfinite(self.matrix).all():
             raise InputValidationError("constant source has non-finite entries")
 
@@ -332,15 +338,24 @@ def _validate_source(ML, MR, jump_idx, tol):
         _validate_nodes(ML[jump_idx], tol, "source left limit", jump_idx)
 
 
-def _block_pull(S, H, j0, j1, acc):
-    """Add the pull of finished nodes j0..j1-1 to every later node of acc.
+def _block_pull(Mbar, H, j0, X):
+    """Add the pull of the finished nodes j0..j1-1 to every later node of X.
 
-    acc[k] += sum_{j0 <= t < j1} S[k - t] H[t] for k >= j1: the B x B
-    Toeplitz products of one finished block with the history weights of
-    every later block, each node's share a dot product of j1 - j0 terms.
+    X[k] += sum_{j0 <= t < j1} Mbar[k - t] H[t] for k >= j1, H the history
+    weights w_t Xbar[t] of the block: its Toeplitz products with every
+    later block at once.  For n = 1 each node's share is a dot product of
+    j1 - j0 terms (``np.correlate``); for larger n it is one ``np.einsum``
+    over a sliding window of Mbar, which calls no BLAS, so no sum depends
+    on the thread count.
     """
-    if j1 < len(acc):
-        acc[j1:] += np.correlate(S[1:len(acc) - j0], H[j0:j1][::-1], "valid")
+    j1 = j0 + len(H)
+    if j1 == len(X):
+        return
+    if X.shape[-1] == 1:
+        X[j1:, 0, 0] += np.correlate(Mbar[1:len(X) - j0, 0, 0], H[::-1, 0, 0], "valid")
+    else:
+        window = np.lib.stride_tricks.sliding_window_view(Mbar[1:len(X) - j0], len(H), 0)
+        X[j1:] += np.einsum("kijt,tjl->kil", window, H[::-1])
 
 
 def _march_terms(ML, MR, jump_idx, h, b):
@@ -363,69 +378,49 @@ def _march_terms(ML, MR, jump_idx, h, b):
     if not jump_idx:
         return w, ML, ML, {}
     Mbar = 0.5 * (ML + MR)
-    s = {j: 0.5 * (MR[j] - ML[j]) for j in jump_idx}
+    jumps = np.array(jump_idx)
+    s = 0.5 * (MR[jumps] - ML[jumps])
     f = Mbar.copy()
-    for k in jump_idx:
-        f[k] -= w[0] * (Mbar[0] @ s[k] + s[k] @ Mbar[0])
-        for t in jump_idx:
-            if k + t <= K:
-                f[k + t] -= w[t] * (s[k] @ s[t])
-    return w, Mbar, f, s
+    for i, k in enumerate(jump_idx):
+        f[k] -= w[0] * (Mbar[0] @ s[i] + s[i] @ Mbar[0])
+        pairs = jumps <= K - k  # partners t, in order, with k + t on the grid
+        f[k + jumps[pairs]] -= w[jumps[pairs], None, None] * (s[i] @ s[pairs])
+    return w, Mbar, f, dict(zip(jump_idx, s))
 
 
 def _blocked_solve(w, Mbar, f):
-    """Node averages Xbar of a 1 x 1 march, block by block.
+    """Node averages Xbar of the march, block by block.
 
-    Mbar and f are the (K+1, 1, 1) stacks of ``_march_terms``.  The march
-    is one lower-triangular system,
+    Mbar and f are the (K+1, n, n) stacks of ``_march_terms``.  The march
+    is one block lower-triangular system,
 
-        d Xbar[k] - sum_{t<k} w_t Mbar[k - t] Xbar[t] = f[k],
+        D Xbar[k] - sum_{t<k} w_t Mbar[k - t] Xbar[t] = f[k],
 
-    with d = 1 - w_0 Mbar[0] the implicit step.  The nodes go in blocks of
-    B = MARCH_BLOCK (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
-    Comput. 6 (1985) 532): each block takes the pull of the finished
-    blocks and applies the inverse of the one B x B system (a singular
-    implicit step raises LinAlgError), a partial last block its leading
-    block, exact for a lower-triangular matrix.  Each finished block adds
-    its pull to every later node at once (``_block_pull``), so each node
-    sums its history in block order, in products too small for BLAS to
-    split over threads.
+    with D = 1 - w_0 Mbar[0] the implicit step.  The nodes go in blocks of
+    B = MARCH_BLOCK // n, at least one (Hairer, Lubich & Schlichte, SIAM
+    J. Sci. Stat. Comput. 6 (1985) 532): each block takes the pull of the
+    finished blocks and applies the inverse of the one Bn x Bn system (a
+    singular implicit step raises LinAlgError), a partial last block its
+    leading block, exact for a block lower-triangular matrix.  Each finished block
+    adds its pull to every later node at once (``_block_pull``), summed in
+    X ahead of the solved nodes, so each node sums its history in block
+    order, in products too small for BLAS to split over threads.
     """
-    S, f = Mbar[:, 0, 0], f[:, 0, 0]
-    K = len(S) - 1
-    B = min(MARCH_BLOCK, K)
-    lag = np.abs(np.subtract.outer(np.arange(B), np.arange(B)))
-    system = -w[1] * np.tril(S[lag], -1)  # [u, v] = -w Mbar[u - v] below the diagonal
-    np.fill_diagonal(system, 1.0 - w[0] * S[0])
-    inverse = np.linalg.inv(system)
-    xbar = np.empty(K + 1)
-    H = np.empty(K + 1)  # w_t Xbar[t]
-    acc = np.zeros(K + 1)  # pull of the finished blocks
-    xbar[0] = S[0]
-    H[0] = w[0] * xbar[0]
-    _block_pull(S, H, 0, 1, acc)
+    K, n = len(Mbar) - 1, Mbar.shape[-1]
+    B = min(max(MARCH_BLOCK // n, 1), K)
+    lag = np.subtract.outer(np.arange(B), np.arange(B))
+    # [u, v] = -w Mbar[u - v] below the diagonal, D on it
+    system = -w[1] * np.where((lag > 0)[:, :, None, None], Mbar[np.abs(lag)], 0.0)
+    system[np.arange(B), np.arange(B)] = np.eye(n) - w[0] * Mbar[0]
+    inverse = np.linalg.inv(system.transpose(0, 2, 1, 3).reshape(B * n, B * n))
+    X = np.zeros_like(Mbar)
+    X[0] = Mbar[0]
+    _block_pull(Mbar, w[0] * X[:1], 0, X)
     for k0 in range(1, K + 1, B):
         k1 = min(k0 + B, K + 1)
-        xbar[k0:k1] = inverse[:k1 - k0, :k1 - k0] @ (acc[k0:k1] + f[k0:k1])
-        H[k0:k1] = w[k0:k1] * xbar[k0:k1]
-        _block_pull(S, H, k0, k1, acc)
-    return xbar.reshape(-1, 1, 1)
-
-
-def _stepped_march(w, Mbar, f):
-    """Node averages Xbar of an n x n march, node by node.
-
-    The same system as ``_blocked_solve``, one node at a time: Xbar[k] =
-    (1 - w_0 Mbar[0])^{-1} (f[k] + sum_{t<k} w_t Mbar[k - t] Xbar[t]).
-    """
-    X, H = np.empty_like(Mbar), np.empty_like(Mbar)  # H[t] = w_t Xbar(t)
-    X[0] = Mbar[0]
-    H[0] = w[0] * X[0]
-    pref = np.linalg.inv(np.eye(Mbar.shape[-1]) - w[0] * Mbar[0])
-    for k in range(1, len(Mbar)):
-        # np.einsum calls no BLAS, so no sum depends on the thread count
-        X[k] = pref @ (f[k] + np.einsum("tij,tjk->ik", Mbar[k:0:-1], H[:k]))
-        H[k] = w[k] * X[k]
+        rhs = (X[k0:k1] + f[k0:k1]).reshape(-1, n)
+        X[k0:k1] = (inverse[:len(rhs), :len(rhs)] @ rhs).reshape(-1, n, n)
+        _block_pull(Mbar, w[k0:k1, None, None] * X[k0:k1], k0, X)
     return X
 
 
@@ -468,10 +463,9 @@ def _march(ML, MR, jump_idx, h, b):
     own.  Only the doubly stochastic part of the source reaches the
     output, so callers check a 2 x 2 source first.  A jump-free source of
     zero stride in t (``ConstantPath``) is marched with its sigma by
-    ``_constant_march``.  Otherwise a 1 x 1 source and sigma are solved by
-    ``_blocked_solve``, a larger source is stepped by ``_stepped_march``,
-    both for the node averages Xbar, and the node values and left limits
-    are Xbar + s and Xbar - s, s the shift of ``_march_terms``.
+    ``_constant_march``.  Every other source and sigma are solved for the
+    node averages Xbar by ``_blocked_solve``, and the node values and left
+    limits are Xbar + s and Xbar - s, s the shift of ``_march_terms``.
     """
     if ML.shape[-1] == 2:
         bL, bR = ((1.0 - M[:, 0, 1] - M[:, 1, 0]).reshape(-1, 1, 1) for M in (ML, MR))
@@ -482,7 +476,7 @@ def _march(ML, MR, jump_idx, h, b):
     if ML.strides[0] == 0 and not jump_idx:
         X, sigma = _constant_march(ML[0], w, tilt[:, 0, 0])
     else:
-        X = (_blocked_solve if ML.shape[-1] == 1 else _stepped_march)(w, Mbar, f)
+        X = _blocked_solve(w, Mbar, f)
         sigma = _blocked_solve(w, tilt, tilt)
     left = {j: (X[j] - s) / sigma[j] for j, s in shift.items()}
     for j, s in shift.items():
@@ -572,12 +566,16 @@ def march_solve_general(m, kernel: Kernel, grid: TimeGrid, *,
                         tol_traj=TOL_TRAJ, norm_tol=1e-6) -> Trajectory:
     """March Mbar(T) = a(T) M(T) + int_0^T M(T-t) Mbar(t) b(t, T) dt.
 
-    The kernel normalization is checked on sampled horizons first.  Each
-    node is divided by the discrete unit-mode factor of the same scheme,
-    keeping the output doubly stochastic to machine precision.
+    The kernel normalization is checked on sampled horizons first, by
+    Simpson's rule on panels of a sixteenth of a grid step (at least 2048):
+    on a kernel the march resolves, its error stays far below norm_tol at
+    any horizon.  Each node is divided by the discrete unit-mode factor of
+    the same scheme, keeping the output doubly stochastic to machine
+    precision.
     """
     for T in (grid.t_max, grid.t_max / 2.0, grid.t_max / 4.0):
-        res = kernel_normalization_residual(kernel, T, quad_steps=2048)
+        quad_steps = max(2048, math.ceil(16.0 * T / grid.h))
+        res = kernel_normalization_residual(kernel, T, quad_steps=quad_steps)
         if res > norm_tol:
             raise KernelNormalizationViolation(T, res)
     path = as_path(m)

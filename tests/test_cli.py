@@ -63,6 +63,15 @@ class TestExitCodes:
         assert run(["solve", "--config", cfg, "--out", out]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("matrix", [[[1, 0, 0], [0, 1, 0]], [0.5, 0.5], [[[1.0]]]],
+                             ids=["2x3", "vector", "3-d"])
+    def test_non_square_constant_source_writes_nothing(self, tmp_path, capsys, matrix):
+        cfg = write_config(tmp_path / "cfg.json", constant_M=matrix)
+        out = tmp_path / "traj.csv"
+        assert run(["solve", "--config", cfg, "--out", out]) == 2
+        assert not out.exists()
+        assert "square matrix" in capsys.readouterr().err
+
     def test_numerical_failure(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json",
                            constant_M=[[0.7, 0.4], [0.4, 0.7]])

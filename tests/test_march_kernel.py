@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import march_reference as ref
 from reduktor import jump_mc, volterra
 from reduktor.dstoch import dstoch_residual, lift
+from reduktor.errors import KernelNormalizationViolation
 from reduktor.presets import random_model, spin_flip_model
 from reduktor.scalar import (
     ConstantInput,
@@ -127,8 +128,7 @@ def test_general_kernel_evaluates_b_once_per_node():
     assert horizons[3:] == list(grid.nodes[1:])
 
 
-MARCH_CODE = {"_march", "_march_terms", "_blocked_solve", "_stepped_march", "_constant_march",
-              "_general_march"}
+MARCH_CODE = {"_march", "_march_terms", "_blocked_solve", "_constant_march", "_general_march"}
 
 
 def code_names(code):
@@ -283,8 +283,23 @@ print(hashlib.sha256(traj.values.tobytes() + left).hexdigest())
 
 
 def test_long_two_limit_matrix_march_does_not_depend_on_blas_threads():
-    # an n >= 3 source with jumps steps X node by node
+    # an n >= 3 source with jumps is solved in blocks of MARCH_BLOCK // 3 nodes
     digests = digests_at_blas_threads(LONG_LIFTED_MARCH)
+    assert digests[0] == digests[1]
+
+
+LONG_8X8_MARCH = """
+import hashlib
+from reduktor.presets import random_model
+from reduktor.volterra import SolverConfig, TimeGrid, march_solve
+traj = march_solve(random_model(8, 4, 5).m_path(), SolverConfig(1.0, TimeGrid(3.0, 1000)))
+print(hashlib.sha256(traj.values.tobytes()).hexdigest())
+"""
+
+
+def test_blocked_8x8_march_does_not_depend_on_blas_threads():
+    # blocks of 8 nodes: the largest system (64 x 64) and block products
+    digests = digests_at_blas_threads(LONG_8X8_MARCH)
     assert digests[0] == digests[1]
 
 
@@ -370,6 +385,70 @@ def test_blocked_solve_property(seed, K, h, hnu, data):
     assert dstoch_residual(out).max() < TOL
 
 
+# -- the blocked n x n solver ------------------------------------------------
+
+B3 = MARCH_BLOCK // 3
+
+
+@pytest.mark.parametrize("K", [1, 2, B3 - 1, B3, B3 + 1, 3 * B3 + 5])
+def test_matrix_blocked_solve_at_any_grid_size(K):
+    # n = 3 takes blocks of B3 nodes: one partial block, exact blocks, and a
+    # partial last block
+    model = random_model(3, 2, seed=5)
+    grid = TimeGrid(K * 0.01, K)
+    traj = march_solve(model.m_path(), SolverConfig(NU, grid))
+    want = ref.march_smooth(model.m_many(grid.nodes), NU, grid.h)
+    assert np.abs(traj.values - want).max() < TOL
+
+
+def test_blocked_solve_takes_one_node_per_block_past_the_block_size():
+    # n > MARCH_BLOCK leaves one n x n node per block
+    n = MARCH_BLOCK + 1
+    model = random_model(n, 1, seed=5)
+    grid = TimeGrid(0.03, 3)
+    traj = march_solve(model.m_path(), SolverConfig(NU, grid))
+    want = ref.march_smooth(model.m_many(grid.nodes), NU, grid.h)
+    assert np.abs(traj.values - want).max() < TOL
+
+
+@pytest.mark.parametrize("tau_nodes", [B3 - 1, B3, B3 + 1])
+def test_matrix_jumps_at_block_boundaries(tau_nodes):
+    # n = 3 bath models switched next to, at the end of and at the start of
+    # a block; jump nodes tau and 2 tau pair into 3 tau
+    grid = TimeGrid((4 * B3 + 5) * 0.01, 4 * B3 + 5)
+    path = Switched(3, tau=tau_nodes * grid.h)
+    traj = march_solve(path, SolverConfig(NU, grid))
+    assert traj.jump_nodes[:3] == (tau_nodes, 2 * tau_nodes, 3 * tau_nodes)
+    want, want_left = ref.march_two_limit(*limits(path, grid, traj.jump_nodes), NU, grid.h)
+    assert np.abs(traj.values - want).max() < TOL
+    for j in traj.jump_nodes:
+        assert np.abs(traj.left_values[j] - want_left[j]).max() < TOL
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_jump_terms_match_the_double_loop(n):
+    # f sums the pair terms -w_t s[k] s[t] of jump nodes k and t with
+    # k + t <= K in the order of a double loop over the jump nodes
+    K, h, b = 400, 0.01, 1.5
+    rng = np.random.default_rng(n)
+    jump_idx = sorted(int(j) for j in rng.choice(np.arange(1, K + 1), 200, replace=False))
+    ML = rng.uniform(0.0, 1.0, (K + 1, n, n))
+    MR = ML.copy()
+    MR[jump_idx] += rng.uniform(-0.1, 0.1, (len(jump_idx), n, n))
+    w, Mbar, f, shift = volterra._march_terms(ML, MR, jump_idx, h, b)
+    s = {j: 0.5 * (MR[j] - ML[j]) for j in jump_idx}
+    want = Mbar.copy()
+    for k in jump_idx:
+        want[k] -= w[0] * (Mbar[0] @ s[k] + s[k] @ Mbar[0])
+        for t in jump_idx:
+            if k + t <= K:
+                want[k + t] -= w[t] * (s[k] @ s[t])
+    assert f.tobytes() == want.tobytes()
+    assert sorted(shift) == jump_idx
+    for j in jump_idx:
+        assert shift[j].tobytes() == s[j].tobytes()
+
+
 LONG = SolverConfig(1.0, TimeGrid(800.0, 1600))  # nu T = 800: e^{nu T} overflows
 
 
@@ -407,21 +486,35 @@ def test_long_horizon_matrix_march_is_doubly_stochastic(path):
     assert traj.values.min() >= 0.0
 
 
+def test_long_horizon_general_kernel_is_doubly_stochastic():
+    # the normalization check resolves the kernel on the grid at nu T = 800
+    traj = march_solve_general(random_model(3, 2, 5).m_path(), poisson_kernel(1.0), LONG.grid)
+    assert np.isfinite(traj.values).all()
+    assert dstoch_residual(traj.values).max() < 1e-10
+
+
+def test_long_horizon_general_kernel_rejects_a_scaled_memory_weight():
+    poisson = poisson_kernel(1.0)
+    scaled = Kernel(poisson.a, lambda t, T: 1.001 * poisson.b(t, T))
+    with pytest.raises(KernelNormalizationViolation):
+        march_solve_general(random_model(3, 2, 5).m_path(), scaled, LONG.grid)
+
+
 def test_long_horizon_identity_3x3_stays_the_identity():
     # the constant route marches X and sigma in the same operations
     traj = march_solve(ConstantPath(np.eye(3)), LONG)
     np.testing.assert_array_equal(traj.values, np.broadcast_to(np.eye(3), traj.values.shape))
 
 
-def test_constant_route_matches_the_stepped_route(monkeypatch):
+def test_constant_route_matches_the_blocked_route(monkeypatch):
     # a zero-stride stack takes the running sum, a contiguous copy of it
-    # the node-by-node history sum
+    # the blocked history sum
     K, h = 2000, 3.0 / 2000
     ML = np.broadcast_to(np.array(CONSTANT_3X3), (K + 1, 3, 3))
-    stepped, _ = _march(np.ascontiguousarray(ML), np.ascontiguousarray(ML), [], h, NU)
-    monkeypatch.setattr(volterra, "_stepped_march", None)
+    blocked, _ = _march(np.ascontiguousarray(ML), np.ascontiguousarray(ML), [], h, NU)
+    monkeypatch.setattr(volterra, "_blocked_solve", None)
     constant, _ = _march(ML, ML, [], h, NU)
-    assert np.abs(constant - stepped).max() < 1e-12
+    assert np.abs(constant - blocked).max() < 1e-12
 
 
 def test_constant_route_is_doubly_stochastic_to_rounding():
