@@ -34,6 +34,9 @@ from .volterra import (
     march_solve,
 )
 
+TOL_CYCLE = 1e-12   # distance of P^k from the identity that counts as equal
+TOL_PERIOD = 1e-9   # deviation of M(t + period) from M(t) that rescaling_check allows
+
 
 @dataclass
 class DeltaEstimate:
@@ -97,18 +100,18 @@ class ConvergenceReport:
         return float(self.distances[-1])
 
 
-def predict_limit(m, t_max, n_samples=64, support_tol=1e-8):
-    """Blockwise-uniform projector from sampled support patterns."""
+def predict_limit(m, t_max, n_samples=64):
+    """Blockwise-uniform projector from sampled support patterns (``support_blocks``)."""
     path = as_path(m)
     ts = np.linspace(t_max / n_samples, t_max, n_samples)
     samples = path.many(ts)
-    part = support_blocks(samples, tol=support_tol)
+    part = support_blocks(samples)
     n = samples.shape[-1]
     return theta_of(part, n), part
 
 
 def convergence_report(m, nu, cfg: SolverConfig, *, window=0.1,
-                       eps_conv=1e-3, support_tol=1e-8) -> ConvergenceReport:
+                       eps_conv=1e-3) -> ConvergenceReport:
     """Solve, predict the limit from supports, and classify the outcome.
 
     Verdict ``converged`` requires the final distance below eps_conv, a
@@ -118,7 +121,7 @@ def convergence_report(m, nu, cfg: SolverConfig, *, window=0.1,
     """
     cfg = SolverConfig(nu=nu, grid=cfg.grid, n_max=cfg.n_max)
     traj = march_solve(m, cfg)
-    limit, part = predict_limit(m, cfg.grid.t_max, support_tol=support_tol)
+    limit, part = predict_limit(m, cfg.grid.t_max)
     diffs = traj.values - limit.entries
     distances = np.abs(diffs).max(axis=(1, 2))
     c_values = compression_many(traj.values)
@@ -153,14 +156,14 @@ class CyclicReport:
     limit_residual: float
 
 
-def cyclic_order(p, tol=1e-12, max_order=64):
-    """Smallest k >= 1 with P^k = identity, or None."""
+def cyclic_order(p, max_order=64):
+    """Smallest k >= 1 with P^k = identity within TOL_CYCLE, or None."""
     p = np.asarray(getattr(p, "entries", p), dtype=float)
     n = p.shape[0]
     acc = np.eye(n)
     for k in range(1, max_order + 1):
         acc = acc @ p
-        if np.abs(acc - np.eye(n)).max() <= tol:
+        if np.abs(acc - np.eye(n)).max() <= TOL_CYCLE:
             return k
     return None
 
@@ -199,8 +202,7 @@ def cyclic_permutation(k) -> np.ndarray:
     return perm_matrix(tuple(range(1, k)) + (0,))
 
 
-def rescaling_check(m, tau, nu, cfg: SolverConfig, *, period=2.0 * np.pi,
-                    period_tol=1e-9) -> float:
+def rescaling_check(m, tau, nu, cfg: SolverConfig, *, period=2.0 * np.pi) -> float:
     """Invariance of the dynamics under joint time/rate rescaling.
 
     For a source with the given period, solving with (M, nu) and with
@@ -211,7 +213,7 @@ def rescaling_check(m, tau, nu, cfg: SolverConfig, *, period=2.0 * np.pi,
     path = as_path(m)
     probe = np.linspace(0.13, period, 7)
     dev = max(float(np.abs(path(t + period) - path(t)).max()) for t in probe)
-    if dev > period_tol:
+    if dev > TOL_PERIOD:
         raise PeriodMismatchError(
             f"source is not {period:g}-periodic (deviation {dev:.3e})")
     base = march_solve(m, SolverConfig(nu=nu, grid=cfg.grid))

@@ -176,14 +176,13 @@ def kraus_at(model: BathModel, t) -> KrausFamily:
     return KrausFamily(t=float(t), operators=ops)
 
 
-def m_of_t(model: BathModel, t, tol=1e-9) -> DStochMatrix:
+def m_of_t(model: BathModel, t) -> DStochMatrix:
     """Doubly stochastic matrix of squared propagator matrix elements.
 
     M[i, j](t) = sum_ab |<i| A[a, b](t) |j>|^2 in the measurement basis.
-    M(0) is the identity.
+    M(0) is the identity; it is checked with the ``validate_dstoch`` defaults.
     """
-    return validate_dstoch(model.m_many(np.array([float(t)]))[0],
-                           tol_sum=tol, tol_entry=tol)
+    return validate_dstoch(model.m_many(np.array([float(t)]))[0])
 
 
 def second_order_matrix(model: BathModel) -> np.ndarray:
@@ -206,11 +205,11 @@ def second_order_matrix(model: BathModel) -> np.ndarray:
     return 2.0 / model.n2 * m2
 
 
-def basis_genericity(model: BathModel, which_block, tol_offdiag=TOL_OFFDIAG) -> bool:
+def basis_genericity(model: BathModel, which_block) -> bool:
     """Whether one block has all off-diagonal elements nonzero in the basis.
 
     True iff every off-diagonal matrix element of B[a, b] expressed in the
-    measurement basis exceeds tol_offdiag in modulus.
+    measurement basis exceeds TOL_OFFDIAG in modulus.
     """
     a, b = which_block
     if not (0 <= a < model.n2 and 0 <= b < model.n2):
@@ -221,7 +220,7 @@ def basis_genericity(model: BathModel, which_block, tol_offdiag=TOL_OFFDIAG) -> 
     off = np.abs(rotated[~np.eye(model.n, dtype=bool)])
     if off.size == 0:
         return True
-    return bool(off.min() > tol_offdiag)
+    return bool(off.min() > TOL_OFFDIAG)
 
 
 @dataclass

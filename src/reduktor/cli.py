@@ -148,12 +148,13 @@ def _n_max(cfg):
     return None if n_max is None else _integral(n_max, "N_max")
 
 
-def _seed(args, cfg):
-    from .jump_mc import _key
+def _histories_and_seed(args, cfg):
+    from .jump_mc import _check_run
 
+    R = _integral(cfg.get("R", 10000), "R")
     seed = args.seed if args.seed is not None else _integral(cfg.get("seed", 0), "seed")
-    _key(seed)  # an out-of-range seed is a config error before any solver runs
-    return seed
+    _check_run(R, seed)  # too few histories or a bad seed is a config error before any solver
+    return R, seed
 
 
 def cmd_solve(args):
@@ -201,8 +202,7 @@ def cmd_simulate(args):
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
     nu = _nu_from(cfg)
-    R = _integral(cfg.get("R", 10000), "R")
-    seed = _seed(args, cfg)
+    R, seed = _histories_and_seed(args, cfg)
     source = _source_from(cfg)
     est = monte_carlo_average(source, nu, grid.t_max, R, seed)
     _write(args.out, mc_estimate_to_csv(est, nu=nu, T=grid.t_max))
@@ -217,8 +217,7 @@ def cmd_compare(args):
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
     nu = _nu_from(cfg)
-    R = _integral(cfg.get("R", 10000), "R")
-    seed = _seed(args, cfg)
+    R, seed = _histories_and_seed(args, cfg)
     thresholds = cfg.get("thresholds", {})
     tol_series = float(thresholds.get("solver_vs_series", 1e-6))
     sigmas = float(thresholds.get("mc_sigmas", 3.0))

@@ -28,6 +28,8 @@ from .errors import (
 TOL_SUM = 1e-9
 TOL_ENTRY = 1e-12
 UNIT_COMPRESSION_TOL = 1e-8
+TOL_SUPPORT = 1e-8          # entries above it are support_blocks' edges
+TOL_WITNESS_SUPPORT = 1e-9  # entries above it are decomposability_witness' edges
 
 
 def _entries(m):
@@ -259,16 +261,16 @@ def _partition_from_components(comps) -> BlockPartition:
     return BlockPartition(blocks=blocks, id_sector=ids)
 
 
-def decomposability_witness(m, tol=UNIT_COMPRESSION_TOL, *, support_tol=1e-9):
+def decomposability_witness(m, tol=UNIT_COMPRESSION_TOL):
     """Find a permutation P making P @ M block-decomposable.
 
     Returns (perm, BlockPartition) when compression(M) >= 1 - tol and the
     support splits; returns None otherwise.  The witness comes from the
-    connected components of the bipartite row/column support graph: each
-    component's sorted rows are sent onto its sorted columns, so P @ M has
-    support only inside the column sets, which form the partition.  A
-    component with unequal row and column counts (impossible for a doubly
-    stochastic M) gives None.  Unit compression is equivalent to
+    connected components of the bipartite row/column support graph (entries
+    above TOL_WITNESS_SUPPORT): each component's sorted rows are sent onto
+    its sorted columns, so P @ M has support only inside the column sets,
+    which form the partition.  A component with unequal row and column
+    counts (impossible for a doubly stochastic M) gives None.  Unit compression is equivalent to
     decomposability after a permutation, so for exact inputs a witness
     exists exactly when the compression is one.
     """
@@ -280,7 +282,7 @@ def decomposability_witness(m, tol=UNIT_COMPRESSION_TOL, *, support_tol=1e-9):
     bipartite[:n, n:] = a  # rows are nodes 0..n-1, columns n..2n-1
     perm = [0] * n
     blocks = []
-    for comp in _support_components(bipartite, support_tol):
+    for comp in _support_components(bipartite, TOL_WITNESS_SUPPORT):
         rows = [i for i in comp if i < n]
         cols = [j - n for j in comp if j >= n]
         if len(rows) != len(cols):
@@ -293,10 +295,10 @@ def decomposability_witness(m, tol=UNIT_COMPRESSION_TOL, *, support_tol=1e-9):
     return tuple(perm), _partition_from_components(sorted(blocks))
 
 
-def support_blocks(samples, tol=1e-8) -> BlockPartition:
+def support_blocks(samples) -> BlockPartition:
     """Partition induced by the union of support patterns of the samples.
 
-    Entries above tol are treated as edges; the symmetrized graph's
+    Entries above TOL_SUPPORT are treated as edges; the symmetrized graph's
     connected components become blocks, singletons go to the identity
     sector.
     """
@@ -312,5 +314,5 @@ def support_blocks(samples, tol=1e-8) -> BlockPartition:
         np.maximum(union, np.abs(s), out=union)
     # Ignore the diagonal: self-loops never join indices.
     np.fill_diagonal(union, 0.0)
-    comps = _support_components(union, tol)
+    comps = _support_components(union, TOL_SUPPORT)
     return _partition_from_components(comps)

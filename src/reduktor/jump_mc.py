@@ -51,6 +51,7 @@ from .volterra import _csv_lines, _matrix_stack, as_path
 CHUNK = 2048  # histories per partial sum; fixed, so the summation order is too
 FLOOR = 32    # fewest histories in a stratum, and the R p_k that makes count k one
 BATCH_BYTES = 1 << 15  # M(t) stack of one path.many call (one history's, if larger)
+TOL_PRODUCT = 1e-9  # double stochasticity of every history's product
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def _tail_counts(tail, k_c, n, stream):
     return zip(*np.unique(k_c + np.minimum(idx, len(cdf) - 1), return_counts=True))
 
 
-def _stratum_sums(path, T, counts, stream, run, product_tol, label):
+def _stratum_sums(path, T, counts, stream, run, label):
     """Entrywise sums of the products and of their squares over one stratum.
 
     ``counts`` holds (count, histories) pairs.  The histories go in batches
@@ -192,13 +193,12 @@ def _stratum_sums(path, T, counts, stream, run, product_tol, label):
             gaps[:, 1:] -= gaps[:, :-1]  # numpy reads the overlap as it was
             mats = _matrix_stack(path, gaps.ravel())
             prods = _products(mats.reshape((b, k + 1) + mats.shape[1:]))
-            if product_tol is not None:
-                res = dstoch_residual(prods)
-                bad = np.flatnonzero(~(res <= product_tol))
-                if bad.size:
-                    raise InputValidationError(
-                        f"stratum {label}, history {i + bad[0]} produced a non-stochastic "
-                        f"product (residual {res[bad[0]]:.3e})")
+            res = dstoch_residual(prods)
+            bad = np.flatnonzero(~(res <= TOL_PRODUCT))
+            if bad.size:
+                raise InputValidationError(
+                    f"stratum {label}, history {i + bad[0]} produced a non-stochastic "
+                    f"product (residual {res[bad[0]]:.3e})")
             run[1:b + 1, 0] = prods
             np.multiply(prods, prods, out=run[1:b + 1, 1])
             np.add.accumulate(run[:b + 1], axis=0, out=run[:b + 1])
@@ -206,8 +206,14 @@ def _stratum_sums(path, T, counts, stream, run, product_tol, label):
     return total + run[b]
 
 
-def monte_carlo_average(m, nu, T, R, seed, *, workers=1,
-                        product_tol=1e-9) -> McEstimate:
+def _check_run(R, seed):
+    """Raise ValueError unless ``monte_carlo_average`` takes R histories and the seed."""
+    if R < 100:
+        raise ValueError(f"need at least 100 histories, got {R}")
+    _key(seed)
+
+
+def monte_carlo_average(m, nu, T, R, seed, *, workers=1) -> McEstimate:
     """Average the composed evolution over R histories, stratified by count.
 
     Exact for the no-event term p_0 M(T); the R histories go to the strata
@@ -215,14 +221,12 @@ def monte_carlo_average(m, nu, T, R, seed, *, workers=1,
     for fixed (seed, R): each stratum has its own keyed stream, and the sums
     are formed in a fixed order.  ``workers`` is accepted for compatibility
     and ignored.  Each product is checked to be doubly stochastic within
-    ``product_tol`` (None skips the check); the first that is not raises
-    ``InputValidationError`` naming its stratum and history.
+    TOL_PRODUCT; the first that is not raises ``InputValidationError``
+    naming its stratum and history.
     """
-    if R < 100:
-        raise ValueError(f"need at least 100 histories, got {R}")
-    if nu < 0 or T <= 0:
-        raise ValueError("need nu >= 0 and T > 0")
-    _key(seed)  # an out-of-range seed fails before any evaluation
+    _check_run(R, seed)  # before any evaluation
+    if not (0 <= nu < math.inf and 0 < T < math.inf):  # NaN fails too
+        raise ValueError(f"need finite nu >= 0 and T > 0, got nu={nu}, T={T}")
     path = as_path(m)
     m_T = _matrix_stack(path, np.array([T]))[0]
     if nu == 0:
@@ -238,19 +242,16 @@ def monte_carlo_average(m, nu, T, R, seed, *, workers=1,
         else:
             stream, label = _stream(seed, 0), f"k>={k_c}"
             counts = _tail_counts(tail, k_c, n, stream)
-        total, total_sq = _stratum_sums(path, T, counts, stream, run, product_tol, label)
+        total, total_sq = _stratum_sums(path, T, counts, stream, run, label)
         m_s = total / n
         mean = mean + p * m_s
         var = var + p * p * (np.maximum(total_sq - n * m_s * m_s, 0.0) / (n - 1)) / n
     return McEstimate(mean=mean, stderr=np.sqrt(var), n_samples=R, seed=int(seed))
 
 
-def mc_estimate_to_csv(est: McEstimate, *, nu=None, T=None) -> str:
+def mc_estimate_to_csv(est: McEstimate, *, nu, T) -> str:
     """Mean block then stderr block, with commented metadata headers."""
-    meta = [f"# histories={est.n_samples}", f"# seed={est.seed}"]
-    if nu is not None:
-        meta.insert(0, f"# nu={nu:.17g}")
-    if T is not None:
-        meta.insert(1, f"# T={T:.17g}")
+    meta = [f"# nu={nu:.17g}", f"# T={T:.17g}", f"# histories={est.n_samples}",
+            f"# seed={est.seed}"]
     lines = meta + ["# mean"] + _csv_lines(est.mean) + ["# stderr"] + _csv_lines(est.stderr)
     return "\n".join(lines) + "\n"

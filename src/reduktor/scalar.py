@@ -32,10 +32,11 @@ import numpy as np
 
 from .dstoch import lift
 from .errors import NonRealReconstructionError, ValueEscapeError
-from .volterra import (TimeGrid, Trajectory, _csv_lines, _limits, _march, _SmoothPath,
-                       _validate_nodes)
+from .volterra import (SolverConfig, TimeGrid, Trajectory, _csv_lines, _limits, _march,
+                       _SmoothPath, _validate_nodes)
 
-SCALAR_ESCAPE_TOL = 1e-7
+SCALAR_ESCAPE_TOL = 1e-7  # how far a marched beta may leave [0, 1]
+TOL_IMAG = 1e-7  # imaginary residue of the ODE route's reconstruction
 
 
 # -- scalar inputs -----------------------------------------------------------
@@ -164,8 +165,7 @@ def scalar_trajectory_to_csv(traj: ScalarTrajectory) -> str:
 
 # -- marching solver ---------------------------------------------------------
 
-def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid, *,
-                 escape_tol=SCALAR_ESCAPE_TOL) -> ScalarTrajectory:
+def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid) -> ScalarTrajectory:
     """Trapezoid marching of the scalar equation.
 
     The n = 1 case of the matrix march (``volterra._march``): the march
@@ -176,17 +176,16 @@ def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid, *,
     blocks of ``volterra.MARCH_BLOCK`` nodes.  Quadrature panels use
     one-sided limits at discontinuities of alpha, which therefore must
     sit on grid nodes.  A node that leaves [0, 1] by more than
-    escape_tol, or is not finite, raises ValueEscapeError.
+    SCALAR_ESCAPE_TOL, or is not finite, raises ValueEscapeError.
     """
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
+    SolverConfig(nu=nu, grid=grid)  # a negative or non-finite nu fails here
     ts = grid.nodes
     aL, aR, jump_idx = _limits(alpha, grid, matrix=False)
     out, left = _march(aL[:, None, None], aR[:, None, None], jump_idx, grid.h, nu)
     betaR = out[:, 0, 0]
     lo, hi = betaR.min(), betaR.max()  # nan if any node is, and nan escapes too
-    if not (lo >= -escape_tol and hi <= 1.0 + escape_tol):
-        k = int(np.argmin(betaR) if not lo >= -escape_tol else np.argmax(betaR))
+    if not (lo >= -SCALAR_ESCAPE_TOL and hi <= 1.0 + SCALAR_ESCAPE_TOL):
+        k = int(np.argmin(betaR) if not lo >= -SCALAR_ESCAPE_TOL else np.argmax(betaR))
         raise ValueEscapeError(k, float(betaR[k]))
     jumps_log = [(float(ts[j]), float(left[j][0, 0]), float(betaR[j])) for j in jump_idx]
     return ScalarTrajectory(grid=grid, beta=betaR, jumps=jumps_log)
@@ -220,10 +219,8 @@ def lift_scalar(traj: ScalarTrajectory, n) -> Trajectory:
         raise ValueError("matrix lift needs n >= 2")
     values = lift(traj.beta, n)
     _validate_nodes(values, 1e-9, "lifted trajectory")
-    jump_nodes = tuple(traj.grid.index_of(t) for t, _, _ in traj.jumps)
     left_values = {traj.grid.index_of(t): lift(lo, n) for t, lo, _ in traj.jumps}
-    return Trajectory(grid=traj.grid, values=values,
-                      jump_nodes=jump_nodes, left_values=left_values)
+    return Trajectory(grid=traj.grid, values=values, left_values=left_values)
 
 
 # -- exact method of steps for the alternating input -------------------------
@@ -329,13 +326,13 @@ class TrigSolution:
         return _channel_states(np.asarray(ts, dtype=float))
 
 
-def trig_ode_solve(grid: TimeGrid, *, imag_tol=1e-7) -> TrigSolution:
+def trig_ode_solve(grid: TimeGrid) -> TrigSolution:
     """Solve the raised-cosine input case through the channel ODEs.
 
     The two cubics are integrated as first-order systems by exact matrix
     exponentials of their companion matrices (real for a, complex for b),
     and beta is reconstructed as e^{-t} (a + b e^{it} + conj(b) e^{-it}).
-    Raises when the reconstruction has imaginary residue above imag_tol.
+    Raises when the reconstruction has imaginary residue above TOL_IMAG.
     """
     ts = grid.nodes
     a_state, b_state = _channel_states(ts)
@@ -343,7 +340,7 @@ def trig_ode_solve(grid: TimeGrid, *, imag_tol=1e-7) -> TrigSolution:
     osc = np.exp(1j * ts)
     recon = a_state[:, 0] + b * osc + np.conj(b) * np.conj(osc)
     imag_res = float(np.abs(recon.imag).max())
-    if imag_res > imag_tol:
+    if imag_res > TOL_IMAG:
         raise NonRealReconstructionError(imag_res)
     beta = np.exp(-ts) * recon.real
     return TrigSolution(trajectory=ScalarTrajectory(grid=grid, beta=beta),

@@ -105,8 +105,10 @@ from .errors import (
     ValidationFailure,
 )
 
-TOL_TRAJ = 1e-7
-DEFAULT_TAIL_TOL = 1e-10
+TOL_TRAJ = 1e-7    # double stochasticity of every march node and left limit
+TOL_NORM = 1e-6    # kernel normalization |int_0^T b(t, T) dt + a(T) - 1|
+TOL_TAIL = 1e-10   # Poisson tail P[K > n_max] left out of the series
+TOL_GRID = 1e-9    # distance of a time from its node, relative to max(1, |t|)
 # Rows of the march's block system (_blocked_solve): an n x n march takes
 # blocks of B = MARCH_BLOCK // n nodes, so its one system is Bn x Bn with
 # Bn <= 64 (n x n, one node per block, for n > 64).
@@ -124,8 +126,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.t_max <= 0 or self.steps < 1:
-            raise ValueError(f"need t_max > 0 and steps >= 1, got {self}")
+        if not 0 < self.t_max < math.inf or self.steps < 1:  # NaN fails too
+            raise ValueError(f"need a finite t_max > 0 and steps >= 1, got {self}")
 
     @property
     def h(self) -> float:
@@ -137,10 +139,10 @@ class TimeGrid:
         out.setflags(write=False)
         return out
 
-    def index_of(self, t, tol=1e-9) -> int:
-        """Node index of a time that must lie on the grid."""
+    def index_of(self, t) -> int:
+        """Node index of a time that must lie on the grid, within TOL_GRID."""
         j = int(round(t / self.h))
-        if not (0 <= j <= self.steps) or abs(t - j * self.h) > tol * max(1.0, abs(t)):
+        if not (0 <= j <= self.steps) or abs(t - j * self.h) > TOL_GRID * max(1.0, abs(t)):
             raise ValueError(f"time {t!r} does not lie on the grid (h={self.h!r})")
         return j
 
@@ -154,8 +156,8 @@ class SolverConfig:
     n_max: int | None = None
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError(f"reduction rate must be >= 0, got {self.nu}")
+        if not 0 <= self.nu < math.inf:  # NaN fails too
+            raise ValueError(f"reduction rate nu must be finite and >= 0, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -269,12 +271,15 @@ def as_path(m):
 
 @dataclass
 class Trajectory:
-    """Matrix values on a uniform grid, right-continuous at jump nodes."""
+    """Matrix values on a uniform grid, right-continuous at jump nodes (keys of left_values)."""
 
     grid: TimeGrid
     values: np.ndarray
-    jump_nodes: tuple = ()
     left_values: dict = field(default_factory=dict)
+
+    @property
+    def jump_nodes(self) -> tuple:
+        return tuple(sorted(self.left_values))
 
     @property
     def times(self) -> np.ndarray:
@@ -324,8 +329,8 @@ def _validate_nodes(values, tol, what="trajectory", nodes=None):
                                 detail=what)
 
 
-def _validate_source(ML, MR, jump_idx, tol):
-    """Check a 2 x 2 source doubly stochastic at every node and left limit.
+def _validate_source(ML, MR, jump_idx):
+    """Check a 2 x 2 source doubly stochastic within TOL_TRAJ at every node and left limit.
 
     The march lifts a doubly stochastic output from any 2 x 2 source (see
     ``_march``), so the output check cannot catch a bad one; larger
@@ -333,9 +338,9 @@ def _validate_source(ML, MR, jump_idx, tol):
     """
     if ML.shape[-1] != 2:
         return
-    _validate_nodes(MR, tol, "source")
+    _validate_nodes(MR, TOL_TRAJ, "source")
     if jump_idx:
-        _validate_nodes(ML[jump_idx], tol, "source left limit", jump_idx)
+        _validate_nodes(ML[jump_idx], TOL_TRAJ, "source left limit", jump_idx)
 
 
 def _block_pull(Mbar, H, j0, X):
@@ -542,51 +547,49 @@ def _limits(path, grid, matrix=True):
     return ML, MR, jump_idx
 
 
-def march_solve(m, cfg: SolverConfig, *, tol_traj=TOL_TRAJ) -> Trajectory:
+def march_solve(m, cfg: SolverConfig) -> Trajectory:
     """March the rescaled equation N(T) = M(T) + nu int_0^T M(T-t) N(t) dt.
 
     Composite trapezoid on the uniform grid with the implicit endpoint
     term solved exactly; jumps of the source use one-sided limits.  The
     output is N divided by the discrete growth factor, validated doubly
-    stochastic at every node and every left limit within tol_traj.
+    stochastic at every node and every left limit within TOL_TRAJ.
     """
     grid = cfg.grid
     ML, MR, jump_idx = _limits(as_path(m), grid)
-    _validate_source(ML, MR, jump_idx, tol_traj)
+    _validate_source(ML, MR, jump_idx)
     out, left = _march(ML, MR, jump_idx, grid.h, cfg.nu)
-    _validate_nodes(out, tol_traj)
+    _validate_nodes(out, TOL_TRAJ)
     if jump_idx:
-        _validate_nodes(np.stack([left[j] for j in jump_idx]), tol_traj, "left limit",
+        _validate_nodes(np.stack([left[j] for j in jump_idx]), TOL_TRAJ, "left limit",
                         jump_idx)
-    return Trajectory(grid=grid, values=out, jump_nodes=tuple(jump_idx),
-                      left_values=left)
+    return Trajectory(grid=grid, values=out, left_values=left)
 
 
-def march_solve_general(m, kernel: Kernel, grid: TimeGrid, *,
-                        tol_traj=TOL_TRAJ, norm_tol=1e-6) -> Trajectory:
+def march_solve_general(m, kernel: Kernel, grid: TimeGrid) -> Trajectory:
     """March Mbar(T) = a(T) M(T) + int_0^T M(T-t) Mbar(t) b(t, T) dt.
 
     The kernel normalization is checked on sampled horizons first, by
     Simpson's rule on panels of a sixteenth of a grid step (at least 2048):
-    on a kernel the march resolves, its error stays far below norm_tol at
+    on a kernel the march resolves, its error stays far below TOL_NORM at
     any horizon.  Each node is divided by the discrete unit-mode factor of
     the same scheme, keeping the output doubly stochastic to machine
-    precision.
+    precision, and checked within TOL_TRAJ.
     """
     for T in (grid.t_max, grid.t_max / 2.0, grid.t_max / 4.0):
         quad_steps = max(2048, math.ceil(16.0 * T / grid.h))
         res = kernel_normalization_residual(kernel, T, quad_steps=quad_steps)
-        if res > norm_tol:
+        if res > TOL_NORM:
             raise KernelNormalizationViolation(T, res)
     path = as_path(m)
     if np.asarray(path.jump_times(0.0, grid.t_max)).size:
         raise ValueError("the generalized-kernel solver requires a continuous source")
     ts = grid.nodes
     M = _matrix_stack(path, ts)
-    _validate_source(M, M, [], tol_traj)
+    _validate_source(M, M, [])
     a = np.broadcast_to(np.asarray(kernel.a(ts), dtype=float), ts.shape)
     out = _general_march(M, a, grid.h, lambda k: kernel.b(ts[:k + 1], ts[k]))
-    _validate_nodes(out, tol_traj)
+    _validate_nodes(out, TOL_TRAJ)
     return Trajectory(grid=grid, values=out)
 
 
@@ -691,8 +694,8 @@ def _pick_series_order(nu, T, n_max, tail_tol):
     return k, tail
 
 
-def neumann_series(m, cfg: SolverConfig, T, *, tail_tol=DEFAULT_TAIL_TOL) -> SeriesResult:
-    """Realization-count expansion truncated by the Poisson tail bound.
+def neumann_series(m, cfg: SolverConfig, T) -> SeriesResult:
+    """Realization-count expansion truncated by the Poisson tail bound TOL_TAIL.
 
     Evaluates sum_{k=0}^{n_max} nu^k F_{k+1}(T) over the normalizing unit
     series, where F_1 = M and F_{m+1}(T) = int_0^T M(T-t) F_m(t) dt by
@@ -700,14 +703,13 @@ def neumann_series(m, cfg: SolverConfig, T, *, tail_tol=DEFAULT_TAIL_TOL) -> Ser
     normalization, so no large exponentials are formed: the levels are
     summed tilted (see ``neumann_series_trajectory``).
     """
-    traj = neumann_series_trajectory(m, cfg, tail_tol=tail_tol, horizon=T)
-    nmax, tail = _pick_series_order(cfg.nu, T, cfg.n_max, tail_tol)
+    traj = neumann_series_trajectory(m, cfg, horizon=T)
+    nmax, tail = _pick_series_order(cfg.nu, T, cfg.n_max, TOL_TAIL)
     return SeriesResult(value=DStochMatrix(traj.values[-1]),
                         n_terms=nmax, tail_bound=tail)
 
 
-def neumann_series_trajectory(m, cfg: SolverConfig, *, tail_tol=DEFAULT_TAIL_TOL,
-                              horizon=None) -> Trajectory:
+def neumann_series_trajectory(m, cfg: SolverConfig, *, horizon=None) -> Trajectory:
     """Series evaluation at every grid node up to the horizon.
 
     Level F_{m+1} is the trapezoid convolution of M with F_m at all K + 1
@@ -725,15 +727,12 @@ def neumann_series_trajectory(m, cfg: SolverConfig, *, tail_tol=DEFAULT_TAIL_TOL
             f"h * nu = {h * nu:g} > 0.5; refine the grid for the series expansion")
     T = grid.t_max if horizon is None else float(horizon)
     K = grid.index_of(T)
-    if K == grid.steps:
-        sub = grid
-    else:
-        sub = TimeGrid(t_max=float(grid.nodes[K]), steps=K)
+    sub = TimeGrid(t_max=float(grid.nodes[K]), steps=K)  # equal to grid when K = steps
     path = as_path(m)
     if np.asarray(path.jump_times(0.0, T)).size:
         raise ValueError("the series evaluator requires a continuous source")
     M = _matrix_stack(path, grid.nodes[:K + 1])
-    nmax, _tail = _pick_series_order(nu, T, cfg.n_max, tail_tol)
+    nmax, _tail = _pick_series_order(nu, T, cfg.n_max, TOL_TAIL)
     total = np.zeros_like(M)
     mass = np.zeros(K + 1)
     gen = _series_levels(M, h, nu)

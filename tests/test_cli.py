@@ -219,6 +219,19 @@ class TestCompare:
         verdict = json.loads(out.read_text())
         assert verdict["pairs"]["march_vs_series"]["max_abs"] < 1e-12
 
+    def test_too_few_histories_fail_before_any_solver(self, tmp_path, capsys, monkeypatch):
+        import reduktor.volterra
+
+        def march_solve(*args, **kwargs):
+            raise AssertionError("compare marched before it checked R")
+
+        monkeypatch.setattr(reduktor.volterra, "march_solve", march_solve)
+        cfg = write_config(tmp_path / "cfg.json", R=50)
+        out = tmp_path / "verdict.json"
+        assert run(["compare", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        assert "config error: need at least 100 histories, got 50" in capsys.readouterr().err
+
     def test_march_error_estimate_widens_the_mc_band(self, tmp_path):
         # on a constant source every stratum of the Monte Carlo is exact, so
         # its gap to the march is the march's own O(h^2) error, which the
@@ -298,6 +311,27 @@ def test_integral_float_reads_as_its_integer(tmp_path, field, command, whole):
         assert run([command, "--config", cfg, "--out", out, "--quiet"]) == 0
         texts.append(out.read_bytes())
     assert texts[0] == texts[1]
+
+
+RATE_COMMANDS = ("solve", "series", "simulate", "compare", "asymptote", "scalar")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("field, command", [
+    *(("nu", command) for command in RATE_COMMANDS),
+    *(("t_max", command) for command in RATE_COMMANDS + ("genericity",))])
+def test_non_finite_rate_or_horizon_is_config_error(tmp_path, capsys, field, command, value):
+    # json reads NaN and Infinity; both are refused before any solver runs
+    scalar = json.loads((CONFIGS / "scalar_alternating.json").read_text())["scalar"]
+    grid = {"t_max": value if field == "t_max" else 2.0, "steps": 200}
+    cfg = write_config(tmp_path / "cfg.json", scalar=scalar, grid=grid,
+                       nu=value if field == "nu" else 1.0)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and field in captured.err
 
 
 class TestAsymptoteAndGenericity:

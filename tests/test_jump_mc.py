@@ -24,7 +24,7 @@ from reduktor.jump_mc import (
     _stream,
 )
 from reduktor.presets import random_model
-from reduktor.volterra import ConstantPath, SolverConfig, TimeGrid, march_solve
+from reduktor.volterra import ConstantPath, SolverConfig, TimeGrid, _SmoothPath, march_solve
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 SYM_M = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
@@ -110,6 +110,16 @@ class TestAverage:
     def test_minimum_sample_size(self, generic_model):
         with pytest.raises(ValueError):
             monte_carlo_average(generic_model.m_path(), 1.0, 1.0, 50, seed=0)
+
+    @pytest.mark.parametrize("nu, T", [(math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan),
+                                       (1.0, math.inf)])
+    def test_non_finite_rate_or_horizon_fails_before_any_evaluation(self, nu, T):
+        class Unevaluated(_SmoothPath):
+            def many(self, ts):
+                raise AssertionError("the source was evaluated")
+
+        with pytest.raises(ValueError, match="finite nu >= 0 and T > 0"):
+            monte_carlo_average(Unevaluated(), nu, T, 100, seed=0)
 
     def test_constant_input_against_closed_form(self):
         nu, T = 1.0, 2.0

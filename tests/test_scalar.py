@@ -76,6 +76,11 @@ class TestScalarMarch:
             scalar_march(Broken(), 1.0, TimeGrid(1.0, 100))
         assert np.isnan(failure.value.value)
 
+    @pytest.mark.parametrize("nu", [np.nan, np.inf])
+    def test_non_finite_rate_is_rejected(self, nu):
+        with pytest.raises(ValueError, match="nu"):
+            scalar_march(ConstantInput(0.5), nu, TimeGrid(1.0, 100))
+
     def test_initial_value_matches_input(self):
         traj = scalar_march(CosineInput(), 1.0, TimeGrid(1.0, 100))
         assert traj.beta[0] == 1.0

@@ -90,6 +90,14 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             SolverConfig(nu=-0.5, grid=TimeGrid(1.0, 10))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_and_rate(self, value):
+        # NaN compares false with every bound, so the checks must reject it outright
+        with pytest.raises(ValueError, match="t_max"):
+            TimeGrid(value, 10)
+        with pytest.raises(ValueError, match="nu"):
+            SolverConfig(nu=value, grid=TimeGrid(1.0, 10))
+
 
 class TestMarch:
     def test_node_zero_is_identity_for_physical_sources(self, generic_model):
