@@ -8,6 +8,14 @@ by 1/sqrt(n2), is a family of operators A[a, b](t) satisfying the two-sided
 normalization sum_ab A A^dag = sum_ab A^dag A = 1.  Squared matrix elements
 of the family in the measurement basis give a doubly stochastic matrix
 M(t) with M(0) = identity.
+
+A finite bath has finitely many Bohr frequencies w_k - w_l, differences of
+the joint generator's eigenvalues, so M(t) is an exact sum of their
+exponentials with rank-one residues (``_residues``).  ``BathModel.m_many``
+evaluates that realization, two real GEMMs per block of times, where it
+costs less than the propagator route, one complex GEMM and a partial trace
+per block; the choice is made per model from (n, n2) alone, and the two
+routes are checked against each other when the model is built.
 """
 
 from __future__ import annotations
@@ -23,12 +31,49 @@ from .errors import (
     InputValidationError,
     NonHermitianModelError,
     NonUnitaryBasisError,
+    NumericalError,
 )
 
 TOL_HERMITIAN = 1e-12
 TOL_UNITARY = 1e-10
 TOL_OFFDIAG = 1e-10
 M_BLOCK_BYTES = 1 << 18  # working memory of one block of BathModel.m_many
+TOL_REALIZATION = 1e-12  # agreement of m_many's two routes, checked at build
+REALIZATION_CHECK_TIMES = (0.5, 1.7, 4.1)
+
+
+def _bohr_wins(n, n2):
+    """Whether an n x n2 model's m_many takes the Bohr-frequency route.
+
+    Per time the route costs n^2 d (d - 1) real multiply-adds, d = n n2,
+    against the 4 d^3 of the propagator's complex d x d product.  Its pair
+    phases and few-row products take longer per multiply-add: on 2 cores
+    with one BLAS thread it ran 1.6x as fast as the propagator at 8x4 and
+    1.1x at 8x2 and 8x3, but 0.9x at 12x3 and 0.5x at 16x1 and 16x4, so
+    the line is drawn at 3 d^3.
+    """
+    d = n * n2
+    return n * n * (d - 1) < 3 * d * d
+
+
+def _residues(g, n, n2):
+    """Pairs and residues of M(t) at its Bohr frequencies, from G = g.
+
+    With U[k, l, i] = sum_a G[(a,i),k] conj(G[(a,i),l]) and the rank-one
+    residues Y_kl = U_kl (x) conj(U_kl) / n2,
+    M(t) = sum_k Y_kk + 2 Re sum_{k<l} e^{-i (w_k - w_l) t} Y_kl.
+    Returns the pair indices k < l, the (2, P, n^2) tables 2 Re Y_kl and
+    -2 Im Y_kl, and sum_k Y_kk, flattened.
+    """
+    d = n * n2
+    g = g.reshape(n2, n, d).transpose(1, 0, 2)
+    u = g.transpose(0, 2, 1) @ g.conj()  # U[k, l, i] at [i, k, l]
+    k, l = np.triu_indices(d, 1)
+    pairs = u[:, k, l].T
+    y = pairs[:, :, None] * pairs[:, None, :].conj()
+    w = np.stack([y.real, -y.imag]).reshape(2, -1, n * n) * (2.0 / n2)
+    diag = np.diagonal(u, axis1=1, axis2=2).real
+    return k, l, w, (diag @ diag.T / n2).ravel()
 
 
 class BathModel(_SmoothPath):
@@ -84,8 +129,18 @@ class BathModel(_SmoothPath):
         big_basis = np.kron(np.eye(n2), basis)
         self._g = big_basis.conj().T @ evecs
         self._gh = self._g.conj().T
-        # times per m_many block: two complex (block, n n2, n n2) stacks
-        self._block = max(1, M_BLOCK_BYTES // (32 * (n * n2) ** 2))
+        self._bohr = _bohr_wins(n, n2)
+        d = n * n2
+        if self._bohr:
+            self._k, self._l, self._w, self._y0 = _residues(self._g, n, n2)
+            # times per block, a multiple of 8: the phases, the gathered
+            # pairs, their real and imaginary parts, and two products
+            per_time = 16 * d + 64 * len(self._k) + 16 * n * n
+            self._block = 8 * max(1, M_BLOCK_BYTES // per_time // 8)
+            self._check_routes()
+        else:
+            # times per m_many block: two complex (block, d, d) stacks
+            self._block = max(1, M_BLOCK_BYTES // (32 * d * d))
 
     @classmethod
     def from_joint_generator(cls, joint, n, n2, basis=None):
@@ -109,22 +164,26 @@ class BathModel(_SmoothPath):
     def m_many(self, ts) -> np.ndarray:
         """Evaluate M(t) for a batch of times; returns (len(ts), n, n).
 
-        Times run in blocks of ``self._block``, each one BLAS product
-        (G e^{-i w t}) @ G^dag whose two complex (block, n n2, n n2) stacks
-        take at most M_BLOCK_BYTES = 256 KiB together (or one time's worth,
-        if larger), small enough to stay in a core's L2 cache.  The output
-        is the only array that grows with len(ts), and a time's value does
-        not depend on the rest of the batch.
+        Times run in blocks of ``self._block`` by one of two routes, chosen
+        per model from (n, n2) by ``_bohr_wins``: the Bohr-frequency
+        realization (``_bohr_block``, two real GEMMs per block) or the
+        propagator (``_m_block``, one complex GEMM (G e^{-i w t}) @ G^dag
+        per block and a partial trace).  A block's work arrays take about
+        M_BLOCK_BYTES = 256 KiB (or the smallest block's worth, if larger:
+        one time on the propagator route, eight on the realization), small
+        enough to stay in a core's L2 cache.  The output is the only array
+        that grows with len(ts), and a time's value does not depend on the
+        rest of the batch.
         """
         ts = np.asarray(ts, dtype=float)
         out = np.empty((len(ts), self.n, self.n))
+        block = self._bohr_block if self._bohr else self._m_block
         for lo in range(0, len(ts), self._block):
-            self._m_block(ts[lo:lo + self._block], out[lo:lo + self._block])
-        out /= self.n2
+            block(ts[lo:lo + self._block], out[lo:lo + self._block])
         return out
 
     def _m_block(self, ts, out):
-        """Write n2 M(t) for one block of times into out (the stacks die on return).
+        """Write M(t) for one block of times into out (the stacks die on return).
 
         The partial trace over the bath adds the n2^2 slices [:, a, :, b] of
         the squared moduli to the first in (a, b) row-major order, the order
@@ -139,6 +198,49 @@ class BathModel(_SmoothPath):
         out[...] = sq[:, 0, :, 0]
         for ab in range(1, n2 * n2):
             out += sq[:, ab // n2, :, ab % n2]
+        out /= n2
+
+    def _check_routes(self):
+        """Raise NumericalError unless the two routes agree at a few times."""
+        ts = np.array(REALIZATION_CHECK_TIMES)
+        got, want = np.empty((2, len(ts), self.n, self.n))
+        self._bohr_block(ts, got)
+        self._m_block(ts, want)
+        dev = float(np.abs(got - want).max())
+        if not dev <= TOL_REALIZATION:
+            raise NumericalError(
+                f"Bohr-frequency realization of M(t) deviates from the propagator by "
+                f"{dev:.3e} (tolerance {TOL_REALIZATION:g})")
+
+    def _bohr_block(self, ts, out):
+        """Write M(t) for at most ``self._block`` times into out from the residues.
+
+        The pair phases p_kl = e^{-i w_k t} conj(e^{-i w_l t}) go into
+        Re p and Im p, each a contiguous (block, P) array, and M(t) is
+        Re p @ _w[0] + Im p @ _w[1] + sum_k Y_kk.  A time's bits must not
+        depend on its place in the batch.  So both GEMMs always have the
+        same shape, ``self._block`` rows (a multiple of 8) with the unused
+        ones zero: one row would make a GEMM a matrix-vector product, and
+        other row counts other BLAS kernels, with other rounding.  And the
+        pair phases are formed by real products and sums, each rounded
+        once, where numpy's vectorized complex product rounds the tail of
+        an array differently from its body.
+        """
+        b = len(ts)
+        e = np.exp(np.multiply.outer(ts, -1j * self._evals))
+        ek = np.take(e, self._k, axis=1)
+        el = np.take(e, self._l, axis=1)
+        x = np.empty((2, self._block, len(self._k)))
+        x[:, b:] = 0.0
+        re, im = x[0, :b], x[1, :b]
+        np.multiply(ek.real, el.real, out=re)
+        re += ek.imag * el.imag
+        np.multiply(ek.imag, el.real, out=im)
+        im -= ek.real * el.imag
+        prod = x[0] @ self._w[0]
+        prod += x[1] @ self._w[1]
+        np.add(prod[:b], self._y0, out=out.reshape(b, -1))
+        np.maximum(out, 0.0, out=out)  # a sum of squared moduli; cancellation leaves -eps
 
     many = m_many
 

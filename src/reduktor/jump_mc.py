@@ -26,9 +26,10 @@ the next k uniforms, sorted; its row of the batch's gap array holds them
 and T, scaled by T and differenced in place.  All histories of one count
 have as many gaps, so each batch of them whose M(t) stack takes at most
 BATCH_BYTES is one ``many`` call and one stacked product, checked for
-double stochasticity in one pass; the tail goes count by count.  32 KiB
-batches ran 16-19 % faster than 12 KiB (R = 20000, 3x2 bath model), with
-no measurable change in the resident set of ten ``oracle`` benchmark jobs.
+double stochasticity in one pass; the tail goes count by count.  On the
+``oracle`` benchmark's 3x2 bath model (R = 20000, one BLAS thread, 2
+cores, medians of 24 and 40 paired repeats), 64 KiB batches took 0.89-0.94
+of the time of 32 KiB and 12 KiB 1.19-1.24, with bit-identical results.
 
 Determinism contract: within each stratum the products are accumulated
 from zero in history order, in fixed chunks of CHUNK histories whose sums
@@ -50,7 +51,7 @@ from .volterra import _csv_lines, _matrix_stack, as_path
 
 CHUNK = 2048  # histories per partial sum; fixed, so the summation order is too
 FLOOR = 32    # fewest histories in a stratum, and the R p_k that makes count k one
-BATCH_BYTES = 1 << 15  # M(t) stack of one path.many call (one history's, if larger)
+BATCH_BYTES = 1 << 16  # M(t) stack of one path.many call (one history's, if larger)
 TOL_PRODUCT = 1e-9  # double stochasticity of every history's product
 
 
@@ -64,8 +65,8 @@ class PoissonRealization:
     def __post_init__(self):
         ts = tuple(float(t) for t in self.jumps)
         object.__setattr__(self, "jumps", ts)
-        if self.T <= 0:
-            raise InputValidationError(f"horizon must be positive, got {self.T}")
+        if not 0 < self.T < math.inf:  # NaN fails too
+            raise InputValidationError(f"horizon T must be positive and finite, got {self.T}")
         prev = 0.0
         for t in ts:
             if not prev < t < self.T:
@@ -96,8 +97,8 @@ def _stream(seed, index):
 
 def sample_realization(nu, T, stream) -> PoissonRealization:
     """Draw one Poisson realization: count, then sorted uniform positions."""
-    if nu < 0 or T <= 0:
-        raise ValueError("need nu >= 0 and T > 0")
+    if not (0 <= nu < math.inf and 0 < T < math.inf):  # NaN fails too
+        raise ValueError(f"need finite nu >= 0 and T > 0, got nu={nu}, T={T}")
     k = int(stream.poisson(nu * T)) if nu > 0 else 0
     return PoissonRealization(T=float(T), jumps=tuple(np.sort(stream.uniform(0.0, T, size=k))))
 

@@ -63,8 +63,8 @@ class PiecewiseInput(ScalarInput):
     """
 
     def __init__(self, tau, pattern=(1.0, 0.0)):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < tau < np.inf:  # NaN fails too
+            raise ValueError(f"tau must be positive and finite, got {tau}")
         pattern = tuple(float(p) for p in pattern)
         if not pattern or any(not 0.0 <= p <= 1.0 for p in pattern):
             raise ValueError("pattern values must lie in [0, 1]")
@@ -241,8 +241,8 @@ def piecewise_delay_solve(tau, nu, n_intervals, *, nodes_per_interval=200) -> Sc
     """
     from numpy.polynomial import Polynomial
 
-    if tau <= 0 or nu < 0:
-        raise ValueError("need tau > 0 and nu >= 0")
+    if not (0 < tau < np.inf and 0 <= nu < np.inf):  # NaN fails too
+        raise ValueError(f"need finite tau > 0 and nu >= 0, got tau={tau}, nu={nu}")
     K = int(n_intervals)
     if K < 1:
         raise ValueError("need at least one interval")

@@ -1,9 +1,11 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
+from reduktor import channels
 from reduktor.channels import (
     M_BLOCK_BYTES,
     BathModel,
@@ -18,6 +20,7 @@ from reduktor.errors import (
     BlockIndexOutOfRange,
     NonHermitianModelError,
     NonUnitaryBasisError,
+    NumericalError,
 )
 from reduktor.presets import SIGMA_X, random_model
 
@@ -158,11 +161,17 @@ def m_reshape_sum(model, ts):
 
 
 class TestMMany:
-    SHAPES = [(2, 1), (3, 2), (8, 4)]
+    # (2, 1), (3, 2) and (8, 4) take the Bohr-frequency route, (16, 1) the propagator
+    SHAPES = [(2, 1), (3, 2), (8, 4), (16, 1)]
+
+    def test_routes(self):
+        assert [rotated_model(n, n2, seed=1)._bohr for n, n2 in self.SHAPES] \
+            == [True, True, True, False]
 
     @pytest.mark.parametrize("n2", [1, 2, 3, 4])
     def test_partial_trace_bits_equal_reshape_sum(self, n2):
-        model = rotated_model(3, n2, seed=31 + n2)
+        model = rotated_model(16, n2, seed=31 + n2)
+        assert not model._bohr  # the route that takes a partial trace
         block = model._block
         for length in (block - 1, block, block + 1):
             ts = np.linspace(0.0, 7.0, length)
@@ -172,8 +181,9 @@ class TestMMany:
     def test_matches_propagator_at_block_edges(self, n, n2):
         model = rotated_model(n, n2, seed=17)
         block = model._block
-        for length in (0, 1, block - 1, block, block + 1, 4001):
-            ts = np.linspace(0.0, 7.0, length)
+        for t_max, length in itertools.product(
+                (7.0, 1000.0), (0, 1, block - 1, block, block + 1, 4001)):
+            ts = np.linspace(0.0, t_max, length)
             got = model.m_many(ts)
             assert got.shape == (length, n, n)
             want = np.array([m_reference(model, t) for t in ts]).reshape(length, n, n)
@@ -191,18 +201,31 @@ class TestMMany:
                 np.testing.assert_array_equal(model.m_many(ts[i:])[0], batch[i])
 
     def test_block_memory_bounded(self):
-        model = rotated_model(8, 4, seed=29)
-        ts = np.linspace(0.0, 7.0, 4001)
-        model.m_many(ts[:10])
-        tracemalloc.start()
-        try:
-            out = model.m_many(ts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the block's two complex stacks take M_BLOCK_BYTES, its real
-        # squares and phases a fraction more
-        assert peak <= out.nbytes + 2 * M_BLOCK_BYTES
+        for n, n2 in self.SHAPES:
+            model = rotated_model(n, n2, seed=29)
+            ts = np.linspace(0.0, 7.0, 4001)
+            model.m_many(ts[:10])
+            tracemalloc.start()
+            try:
+                out = model.m_many(ts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a block's work arrays take about M_BLOCK_BYTES, its
+            # temporaries a fraction more
+            assert peak <= out.nbytes + 2 * M_BLOCK_BYTES, (n, n2)
+
+    def test_build_check_catches_a_corrupt_residue(self, monkeypatch):
+        residues = channels._residues
+
+        def corrupt(*args):
+            k, l, w, y0 = residues(*args)
+            w[0, 3, 1] += 1e-9
+            return k, l, w, y0
+
+        monkeypatch.setattr(channels, "_residues", corrupt)
+        with pytest.raises(NumericalError, match="realization of M\\(t\\) deviates"):
+            rotated_model(3, 2, seed=5)
 
 
 class TestSecondOrder:

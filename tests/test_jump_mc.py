@@ -37,6 +37,17 @@ class TestRealization:
         with pytest.raises(InputValidationError):
             PoissonRealization(T=1.0, jumps=(0.5, 1.5))
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_non_finite_horizon_rejected(self, T):
+        with pytest.raises(InputValidationError, match="horizon T"):
+            PoissonRealization(T=T, jumps=())
+
+    @pytest.mark.parametrize("nu, T", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                       (1.0, math.inf)])
+    def test_non_finite_rate_or_horizon_not_sampled(self, nu, T):
+        with pytest.raises(ValueError, match="finite nu >= 0 and T > 0"):
+            sample_realization(nu, T, _stream(0, 1))
+
     def test_gaps_cover_horizon(self):
         r = PoissonRealization(T=2.0, jumps=(0.5, 1.2))
         np.testing.assert_allclose(r.gaps, [0.5, 0.7, 0.8])

@@ -31,6 +31,11 @@ class TestInputs:
         with pytest.raises(ValueError):
             TabulatedInput([0.0, 1.0], [0.5, 1.5])
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_period_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            PiecewiseInput(tau)
+
     def test_nan_rejected(self):
         nan = float("nan")
         with pytest.raises(ValueError):
@@ -152,6 +157,12 @@ class TestDelaySolve:
         for k, (t, lo, hi) in enumerate(traj.jumps, start=1):
             assert t == pytest.approx(k * tau)
             assert hi - lo == pytest.approx((-1.0) ** k * np.exp(-nu * k * tau), abs=1e-8)
+
+    @pytest.mark.parametrize("tau,nu,named", [(1.0, np.nan, "nu=nan"), (1.0, np.inf, "nu=inf"),
+                                              (np.nan, 1.0, "tau=nan"), (np.inf, 1.0, "tau=inf")])
+    def test_non_finite_period_or_rate_rejected(self, tau, nu, named):
+        with pytest.raises(ValueError, match=named):
+            piecewise_delay_solve(tau, nu, 2, nodes_per_interval=4)
 
     @pytest.mark.parametrize("tau,nu", [(1.0, 1.0), (0.5, 2.0)])
     def test_agrees_with_march(self, tau, nu):
