@@ -12,10 +12,11 @@ M(t) with M(0) = identity.
 A finite bath has finitely many Bohr frequencies w_k - w_l, differences of
 the joint generator's eigenvalues, so M(t) is an exact sum of their
 exponentials with rank-one residues (``_residues``).  ``BathModel.m_many``
-evaluates that realization, two real GEMMs per block of times, where it
-costs less than the propagator route, one complex GEMM and a partial trace
-per block; the choice is made per model from (n, n2) alone, and the two
-routes are checked against each other when the model is built.
+evaluates that realization, two real GEMMs per group of GEMM_ROWS times,
+where it costs less than the propagator route, one complex GEMM and a
+partial trace per block of times, and its table fits in REALIZATION_BYTES;
+the choice is made per model from (n, n2) alone, and the two routes are
+checked against each other when the model is built.
 """
 
 from __future__ import annotations
@@ -38,8 +39,22 @@ TOL_HERMITIAN = 1e-12
 TOL_UNITARY = 1e-10
 TOL_OFFDIAG = 1e-10
 M_BLOCK_BYTES = 1 << 18  # working memory of one block of BathModel.m_many
+REALIZATION_BYTES = 1 << 21  # the realization's residue table and one GEMM group, at most
 TOL_REALIZATION = 1e-12  # agreement of m_many's two routes, checked at build
 REALIZATION_CHECK_TIMES = (0.5, 1.7, 4.1)
+GEMM_ROWS = 8  # rows of every BLAS product of the realization route
+
+
+def _bohr_bytes(n, n2):
+    """Bytes of an n x n2 model's residue table, and of one time's work arrays.
+
+    The table is (2, P, n^2) floats, P = d (d - 1) / 2 pairs, d = n n2; a
+    time takes its d phases, its gathered pairs, their real and imaginary
+    parts, and two products.
+    """
+    d = n * n2
+    p = d * (d - 1) // 2
+    return 16 * p * n * n, 16 * d + 64 * p + 16 * n * n
 
 
 def _bohr_wins(n, n2):
@@ -47,13 +62,28 @@ def _bohr_wins(n, n2):
 
     Per time the route costs n^2 d (d - 1) real multiply-adds, d = n n2,
     against the 4 d^3 of the propagator's complex d x d product.  Its pair
-    phases and few-row products take longer per multiply-add: on 2 cores
-    with one BLAS thread it ran 1.6x as fast as the propagator at 8x4 and
-    1.1x at 8x2 and 8x3, but 0.9x at 12x3 and 0.5x at 16x1 and 16x4, so
-    the line is drawn at 3 d^3.
+    phases and 8-row products take longer per multiply-add, so the line is
+    drawn at 3 d^3.  On 2 cores with one BLAS thread (calls of thousands
+    of times) that sent 3x1, 2x2, 3x2, 4x2, 6x2, 6x3, 4x4, 6x4 and 8x4 to
+    a route 1.3-1.9x as fast as the other, 2x8, 4x8, 2x16, 4x16 and 2x32
+    to one 3.4-44x as fast, and 8x1, 12x1, 16x1, 12x2, 16x2 and 16x4 to
+    one 1.1-2.4x as fast.  Near the line the routes ran at most 1.15x
+    apart: 2x1 and 8x3 (realization, 1.06x and 1.15x as fast as the
+    propagator) and 4x1, 6x1, 8x2 and 12x3 (propagator; the realization
+    ran 1.06x, 0.98x, 1.12x and 1.03x as fast).
+
+    The route also keeps its residue table and works on GEMM_ROWS times
+    at once, and both must fit in REALIZATION_BYTES.  Past that the table
+    streams from memory for every group of times (12x4, inside the line,
+    ran at 0.8x the propagator's speed), and a large bath would take many
+    times the propagator's memory (2x64: 4.2 MB against 0.5 MB).  So 8x8
+    and 2x64 take the propagator too, though the realization ran 2.3x and
+    63x as fast there.
     """
     d = n * n2
-    return n * n * (d - 1) < 3 * d * d
+    table, per_time = _bohr_bytes(n, n2)
+    return n * n * (d - 1) < 3 * d * d \
+        and table + GEMM_ROWS * per_time <= REALIZATION_BYTES
 
 
 def _residues(g, n, n2):
@@ -133,10 +163,9 @@ class BathModel(_SmoothPath):
         d = n * n2
         if self._bohr:
             self._k, self._l, self._w, self._y0 = _residues(self._g, n, n2)
-            # times per block, a multiple of 8: the phases, the gathered
-            # pairs, their real and imaginary parts, and two products
-            per_time = 16 * d + 64 * len(self._k) + 16 * n * n
-            self._block = 8 * max(1, M_BLOCK_BYTES // per_time // 8)
+            # times per block, a multiple of GEMM_ROWS
+            per_time = _bohr_bytes(n, n2)[1]
+            self._block = GEMM_ROWS * max(1, M_BLOCK_BYTES // per_time // GEMM_ROWS)
             self._check_routes()
         else:
             # times per m_many block: two complex (block, d, d) stacks
@@ -166,14 +195,16 @@ class BathModel(_SmoothPath):
 
         Times run in blocks of ``self._block`` by one of two routes, chosen
         per model from (n, n2) by ``_bohr_wins``: the Bohr-frequency
-        realization (``_bohr_block``, two real GEMMs per block) or the
-        propagator (``_m_block``, one complex GEMM (G e^{-i w t}) @ G^dag
-        per block and a partial trace).  A block's work arrays take about
-        M_BLOCK_BYTES = 256 KiB (or the smallest block's worth, if larger:
-        one time on the propagator route, eight on the realization), small
-        enough to stay in a core's L2 cache.  The output is the only array
-        that grows with len(ts), and a time's value does not depend on the
-        rest of the batch.
+        realization (``_bohr_block``, two real GEMMs per group of
+        GEMM_ROWS times) or the propagator (``_m_block``, one complex GEMM
+        (G e^{-i w t}) @ G^dag per block and a partial trace).  A block's
+        work arrays take about M_BLOCK_BYTES = 256 KiB, small enough to stay
+        in a core's L2 cache, or the smallest block's worth, if larger: one
+        time on the propagator route, one group on the realization, within
+        REALIZATION_BYTES with the table.  A short call works on its own
+        times, padded to a whole group on the realization.  The output is
+        the only array that grows with len(ts), and a time's value does not
+        depend on the rest of the batch.
         """
         ts = np.asarray(ts, dtype=float)
         out = np.empty((len(ts), self.n, self.n))
@@ -216,30 +247,33 @@ class BathModel(_SmoothPath):
         """Write M(t) for at most ``self._block`` times into out from the residues.
 
         The pair phases p_kl = e^{-i w_k t} conj(e^{-i w_l t}) go into
-        Re p and Im p, each a contiguous (block, P) array, and M(t) is
+        Re p and Im p, each a contiguous array of P columns, and M(t) is
         Re p @ _w[0] + Im p @ _w[1] + sum_k Y_kk.  A time's bits must not
-        depend on its place in the batch.  So both GEMMs always have the
-        same shape, ``self._block`` rows (a multiple of 8) with the unused
-        ones zero: one row would make a GEMM a matrix-vector product, and
+        depend on its place in the batch.  So every GEMM has the same
+        shape: the rows go through them in groups of GEMM_ROWS, one BLAS
+        product per group (a stacked matmul), the unused rows of the last
+        group zero.  One row would make a GEMM a matrix-vector product, and
         other row counts other BLAS kernels, with other rounding.  And the
         pair phases are formed by real products and sums, each rounded
         once, where numpy's vectorized complex product rounds the tail of
         an array differently from its body.
         """
         b = len(ts)
+        rows = -(-b // GEMM_ROWS) * GEMM_ROWS
         e = np.exp(np.multiply.outer(ts, -1j * self._evals))
         ek = np.take(e, self._k, axis=1)
         el = np.take(e, self._l, axis=1)
-        x = np.empty((2, self._block, len(self._k)))
+        x = np.empty((2, rows, len(self._k)))
         x[:, b:] = 0.0
         re, im = x[0, :b], x[1, :b]
         np.multiply(ek.real, el.real, out=re)
         re += ek.imag * el.imag
         np.multiply(ek.imag, el.real, out=im)
         im -= ek.real * el.imag
+        x = x.reshape(2, -1, GEMM_ROWS, len(self._k))
         prod = x[0] @ self._w[0]
         prod += x[1] @ self._w[1]
-        np.add(prod[:b], self._y0, out=out.reshape(b, -1))
+        np.add(prod.reshape(rows, -1)[:b], self._y0, out=out.reshape(b, -1))
         np.maximum(out, 0.0, out=out)  # a sum of squared moduli; cancellation leaves -eps
 
     many = m_many

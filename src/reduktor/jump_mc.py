@@ -28,8 +28,9 @@ have as many gaps, so each batch of them whose M(t) stack takes at most
 BATCH_BYTES is one ``many`` call and one stacked product, checked for
 double stochasticity in one pass; the tail goes count by count.  On the
 ``oracle`` benchmark's 3x2 bath model (R = 20000, one BLAS thread, 2
-cores, medians of 24 and 40 paired repeats), 64 KiB batches took 0.89-0.94
-of the time of 32 KiB and 12 KiB 1.19-1.24, with bit-identical results.
+cores, quartiles of two runs of 40 paired repeats), 64 KiB batches took
+0.88-0.94 of the time of 32 KiB and 12 KiB 1.11-1.22, with bit-identical
+results.
 
 Determinism contract: within each stratum the products are accumulated
 from zero in history order, in fixed chunks of CHUNK histories whose sums

@@ -7,7 +7,9 @@ from scipy import linalg as sla
 
 from reduktor import channels
 from reduktor.channels import (
+    GEMM_ROWS,
     M_BLOCK_BYTES,
+    REALIZATION_BYTES,
     BathModel,
     basis_genericity,
     genericity_check,
@@ -145,6 +147,16 @@ def m_reference(model, t):
     return (np.abs(c) ** 2).sum(axis=(0, 2)) / n2
 
 
+def traced_peak(f):
+    """Peak of the memory traced while f runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def m_reshape_sum(model, ts):
     """m_many with the partial trace taken by one reshape-sum per block."""
     n, n2 = model.n, model.n2
@@ -214,6 +226,32 @@ class TestMMany:
             # a block's work arrays take about M_BLOCK_BYTES, its
             # temporaries a fraction more
             assert peak <= out.nbytes + 2 * M_BLOCK_BYTES, (n, n2)
+
+    @pytest.mark.parametrize("n, n2", [(2, 1), (3, 2)])
+    def test_short_call_works_on_one_group(self, n, n2):
+        # a block of many GEMM groups: a call of one time allocates, and
+        # multiplies, one group of rows, not the whole block
+        model = rotated_model(n, n2, seed=37)
+        assert model._bohr and model._block >= 16 * GEMM_ROWS
+        ts = np.linspace(0.0, 7.0, model._block)
+        model.m_many(ts)
+        one, group, block = [traced_peak(lambda: model.m_many(ts[:k]))
+                             for k in (1, GEMM_ROWS, model._block)]
+        assert one <= group and 8 * group <= block, (one, group, block)
+
+    def test_large_bath_memory_bounded(self):
+        # 2x32 takes the realization, whose one GEMM group (1.0 MB) is past
+        # M_BLOCK_BYTES; 2x64 would need 4.2 MB and takes the propagator
+        for (n, n2), bohr in (((2, 32), True), ((2, 64), False)):
+            model = rotated_model(n, n2, seed=41)
+            assert model._bohr is bohr
+            ts = np.linspace(0.0, 7.0, GEMM_ROWS + 1)
+            out = model.m_many(ts)
+            peak = traced_peak(lambda: model.m_many(ts))
+            assert peak <= out.nbytes + REALIZATION_BYTES, (n, n2, peak)
+            for t in (0.0, 3.3, 7.0):
+                np.testing.assert_allclose(model.m_many([t])[0], m_reference(model, t),
+                                           rtol=0.0, atol=1e-14)
 
     def test_build_check_catches_a_corrupt_residue(self, monkeypatch):
         residues = channels._residues
