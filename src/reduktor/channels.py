@@ -13,10 +13,10 @@ A finite bath has finitely many Bohr frequencies w_k - w_l, differences of
 the joint generator's eigenvalues, so M(t) is an exact sum of their
 exponentials with rank-one residues (``_residues``).  ``BathModel.m_many``
 evaluates that realization, two real GEMMs per group of GEMM_ROWS times,
-where it costs less than the propagator route, one complex GEMM and a
-partial trace per block of times, and its table fits in REALIZATION_BYTES;
-the choice is made per model from (n, n2) alone, and the two routes are
-checked against each other when the model is built.
+where it costs less than the propagator route (one complex GEMM and a
+partial trace per block of times) and its residue table fits in
+REALIZATION_BYTES; the choice is made per model from (n, n2) alone, and the
+two routes are checked against each other when the model is built.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _bohr_wins(n, n2):
     at once, and both must fit in REALIZATION_BYTES.  Past that the table
     streams from memory for every group of times (12x4, inside the line,
     ran at 0.8x the propagator's speed), and a large bath would take many
-    times the propagator's memory (2x64: 4.2 MB against 0.5 MB).  So 8x8
+    times the propagator's memory (2x64: 4.7 MB against 0.5 MB).  So 8x8
     and 2x64 take the propagator too, though the realization ran 2.3x and
     63x as fast there.
     """

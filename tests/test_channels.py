@@ -241,7 +241,7 @@ class TestMMany:
 
     def test_large_bath_memory_bounded(self):
         # 2x32 takes the realization, whose one GEMM group (1.0 MB) is past
-        # M_BLOCK_BYTES; 2x64 would need 4.2 MB and takes the propagator
+        # M_BLOCK_BYTES; 2x64 would need 4.7 MB and takes the propagator
         for (n, n2), bohr in (((2, 32), True), ((2, 64), False)):
             model = rotated_model(n, n2, seed=41)
             assert model._bohr is bohr
