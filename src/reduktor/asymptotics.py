@@ -35,7 +35,13 @@ from .volterra import (
 )
 
 TOL_CYCLE = 1e-12   # distance of P^k from the identity that counts as equal
-TOL_PERIOD = 1e-9   # deviation of M(t + period) from M(t) that rescaling_check allows
+TOL_PERIOD = 1e-9   # deviation of M(t + PERIOD) from M(t) that rescaling_check allows
+EPS_CONV = 1e-3     # final distance to the predicted limit that counts as converged
+LIMIT_SAMPLES = 64  # times on (0, t_max] whose supports predict_limit reads
+TAIL_WINDOW = 0.1   # share of the trajectory's nodes whose distance must not rise
+MAX_ORDER = 64      # largest cyclic order cyclic_order looks for
+CYCLIC_STEPS = 600  # grid steps of cyclic_example's closed-form trajectory
+PERIOD = 2.0 * np.pi  # period of the sources rescaling_check takes
 
 
 @dataclass
@@ -100,24 +106,23 @@ class ConvergenceReport:
         return float(self.distances[-1])
 
 
-def predict_limit(m, t_max, n_samples=64):
-    """Blockwise-uniform projector from sampled support patterns (``support_blocks``)."""
+def predict_limit(m, t_max):
+    """Blockwise-uniform projector from the supports at LIMIT_SAMPLES times on (0, t_max]."""
     path = as_path(m)
-    ts = np.linspace(t_max / n_samples, t_max, n_samples)
+    ts = np.linspace(t_max / LIMIT_SAMPLES, t_max, LIMIT_SAMPLES)
     samples = path.many(ts)
     part = support_blocks(samples)
     n = samples.shape[-1]
     return theta_of(part, n), part
 
 
-def convergence_report(m, nu, cfg: SolverConfig, *, window=0.1,
-                       eps_conv=1e-3) -> ConvergenceReport:
+def convergence_report(m, nu, cfg: SolverConfig) -> ConvergenceReport:
     """Solve, predict the limit from supports, and classify the outcome.
 
-    Verdict ``converged`` requires the final distance below eps_conv, a
+    Verdict ``converged`` requires the final distance below EPS_CONV, a
     tenfold drop of the compression from its maximum, and a nonincreasing
-    distance over the trailing window.  When every index sits in the
-    identity sector the verdict is ``identity_sector_only``.
+    distance over the trailing TAIL_WINDOW share of the nodes.  When every
+    index sits in the identity sector the verdict is ``identity_sector_only``.
     """
     cfg = SolverConfig(nu=nu, grid=cfg.grid, n_max=cfg.n_max)
     traj = march_solve(m, cfg)
@@ -125,12 +130,12 @@ def convergence_report(m, nu, cfg: SolverConfig, *, window=0.1,
     diffs = traj.values - limit.entries
     distances = np.abs(diffs).max(axis=(1, 2))
     c_values = compression_many(traj.values)
-    tail = max(2, int(window * len(distances)))
+    tail = max(2, int(TAIL_WINDOW * len(distances)))
     tail_slice = distances[-tail:]
     nonincreasing = bool(np.all(np.diff(tail_slice) <= 1e-9))
     if not part.blocks:
         verdict = "identity_sector_only" if distances.max() < 1e-6 else "not_converged"
-    elif (distances[-1] < eps_conv
+    elif (distances[-1] < EPS_CONV
           and c_values[-1] <= 0.1 * c_values.max() + 1e-15
           and nonincreasing):
         verdict = "converged"
@@ -156,20 +161,20 @@ class CyclicReport:
     limit_residual: float
 
 
-def cyclic_order(p, max_order=64):
-    """Smallest k >= 1 with P^k = identity within TOL_CYCLE, or None."""
+def cyclic_order(p):
+    """Smallest k <= MAX_ORDER with P^k = identity within TOL_CYCLE, or None."""
     p = np.asarray(getattr(p, "entries", p), dtype=float)
     n = p.shape[0]
     acc = np.eye(n)
-    for k in range(1, max_order + 1):
+    for k in range(1, MAX_ORDER + 1):
         acc = acc @ p
         if np.abs(acc - np.eye(n)).max() <= TOL_CYCLE:
             return k
     return None
 
 
-def cyclic_example(p, k, nu, T, *, steps=600) -> CyclicReport:
-    """Constant permutation input: closed-form trajectory and its limit.
+def cyclic_example(p, k, nu, T) -> CyclicReport:
+    """Constant permutation input: trajectory on CYCLIC_STEPS steps, and its limit.
 
     For M(t) = P the averaged evolution is exp(nu t (P - 1)) P, from the
     constant-input reduction of the integral equation.  As P^k = 1, the
@@ -184,7 +189,7 @@ def cyclic_example(p, k, nu, T, *, steps=600) -> CyclicReport:
     if order != k:
         raise NotCyclicOfOrderK(
             f"matrix has cyclic order {order}, expected {k}")
-    grid = TimeGrid(t_max=float(T), steps=int(steps))
+    grid = TimeGrid(t_max=float(T), steps=CYCLIC_STEPS)
     q = np.arange(k)
     omega = np.exp(2j * np.pi * q / k)
     powers = np.stack([np.linalg.matrix_power(p, r) for r in q])
@@ -202,22 +207,22 @@ def cyclic_permutation(k) -> np.ndarray:
     return perm_matrix(tuple(range(1, k)) + (0,))
 
 
-def rescaling_check(m, tau, nu, cfg: SolverConfig, *, period=2.0 * np.pi) -> float:
+def rescaling_check(m, tau, nu, cfg: SolverConfig) -> float:
     """Invariance of the dynamics under joint time/rate rescaling.
 
-    For a source with the given period, solving with (M, nu) and with
-    (M'(t) = M(period * t / tau), nu' = period * nu / tau) on grids whose
+    For a source of period PERIOD, solving with (M, nu) and with
+    (M'(t) = M(PERIOD * t / tau), nu' = PERIOD * nu / tau) on grids whose
     nodes correspond exactly gives trajectories related by pure time
     rescaling; the sup-norm mismatch over corresponding nodes is returned.
     """
     path = as_path(m)
-    probe = np.linspace(0.13, period, 7)
-    dev = max(float(np.abs(path(t + period) - path(t)).max()) for t in probe)
+    probe = np.linspace(0.13, PERIOD, 7)
+    dev = max(float(np.abs(path(t + PERIOD) - path(t)).max()) for t in probe)
     if dev > TOL_PERIOD:
         raise PeriodMismatchError(
-            f"source is not {period:g}-periodic (deviation {dev:.3e})")
+            f"source is not {PERIOD:g}-periodic (deviation {dev:.3e})")
     base = march_solve(m, SolverConfig(nu=nu, grid=cfg.grid))
-    scale = period / tau
+    scale = PERIOD / tau
     scaled_grid = TimeGrid(t_max=cfg.grid.t_max / scale, steps=cfg.grid.steps)
     scaled_path = _RescaledPath(path, scale)
     scaled = march_solve(scaled_path, SolverConfig(nu=nu * scale, grid=scaled_grid))

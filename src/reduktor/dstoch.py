@@ -261,22 +261,23 @@ def _partition_from_components(comps) -> BlockPartition:
     return BlockPartition(blocks=blocks, id_sector=ids)
 
 
-def decomposability_witness(m, tol=UNIT_COMPRESSION_TOL):
+def decomposability_witness(m):
     """Find a permutation P making P @ M block-decomposable.
 
-    Returns (perm, BlockPartition) when compression(M) >= 1 - tol and the
-    support splits; returns None otherwise.  The witness comes from the
-    connected components of the bipartite row/column support graph (entries
-    above TOL_WITNESS_SUPPORT): each component's sorted rows are sent onto
-    its sorted columns, so P @ M has support only inside the column sets,
-    which form the partition.  A component with unequal row and column
-    counts (impossible for a doubly stochastic M) gives None.  Unit compression is equivalent to
+    Returns (perm, BlockPartition) when compression(M) is at least
+    1 - UNIT_COMPRESSION_TOL and the support splits; returns None otherwise.
+    The witness comes from the connected components of the bipartite
+    row/column support graph (entries above TOL_WITNESS_SUPPORT): each
+    component's sorted rows are sent onto its sorted columns, so P @ M has
+    support only inside the column sets, which form the partition.  A
+    component with unequal row and column counts (impossible for a doubly
+    stochastic M) gives None.  Unit compression is equivalent to
     decomposability after a permutation, so for exact inputs a witness
     exists exactly when the compression is one.
     """
     a = _entries(m)
     n = a.shape[0]
-    if compression(a) < 1.0 - tol:
+    if compression(a) < 1.0 - UNIT_COMPRESSION_TOL:
         return None
     bipartite = np.zeros((2 * n, 2 * n))
     bipartite[:n, n:] = a  # rows are nodes 0..n-1, columns n..2n-1

@@ -106,10 +106,6 @@ class KernelNormalizationViolation(NumericalError):
             f"kernel normalization violated at T={T:g} (residual {residual:.3e})")
 
 
-class UnsupportedOrderError(NumericalError):
-    pass
-
-
 class ValueEscapeError(NumericalError):
     def __init__(self, node, value):
         self.node = node

@@ -14,9 +14,10 @@ no history; each count 1 <= k < k_c is a stratum of its own, and the
 counts k >= k_c form one tail stratum whose counts are drawn by inverse
 CDF from the conditional Poisson law.  The mean is p_0 M(T) + sum_s p_s m_s
 and the squared stderr sum_s p_s**2 s_s**2 / R_s, from the sample mean m_s
-and variance s_s**2 of the R_s histories of stratum s; ``_strata`` sets k_c
-and the R_s.  The weights are formed here, in lgamma form, not taken from
-the series.
+and variance s_s**2 of the R_s histories of stratum s, summed about the
+stratum's first product so that products agreeing to many digits do not
+cancel; ``_strata`` sets k_c and the R_s.  The weights are formed here, in
+lgamma form, not taken from the series.
 
 Stratum k draws only uniforms, from the counter-based stream
 ``_stream(seed, k)``: a Philox4x64-10 generator keyed (seed mod 2**64, k),
@@ -169,15 +170,16 @@ def _tail_counts(tail, k_c, n, stream):
 
 
 def _stratum_sums(path, T, counts, stream, run, label):
-    """Entrywise sums of the products and of their squares over one stratum.
+    """Entrywise sums of the products x and of (x - s)^2 over one stratum, and s.
 
-    ``counts`` holds (count, histories) pairs.  The histories go in batches
-    of at most BATCH_BYTES of M(t) stack (or one history) within one chunk,
-    each one ``many`` call and one stacked product.  The products and their
-    squares are accumulated from zero in history order within each chunk,
-    in ``run``, of shape (b + 1, 2, n, n) for batches of up to b histories,
-    and the chunk sums in chunk order.  ``np.add.accumulate`` adds in
-    sequence, where ``sum`` would add a 1x1 stack pairwise.
+    s is the stratum's first product.  ``counts`` holds (count, histories)
+    pairs.  The histories go in batches of at most BATCH_BYTES of M(t) stack
+    (or one history) within one chunk, each one ``many`` call and one
+    stacked product.  The products and the squares are accumulated from
+    zero in history order within each chunk, in ``run``, of shape
+    (b + 1, 2, n, n) for batches of up to b histories, and the chunk sums in
+    chunk order.  ``np.add.accumulate`` adds in sequence, where ``sum``
+    would add a 1x1 stack pairwise.
     """
     cap = max(1, BATCH_BYTES // run[0, 0].nbytes)
     total, i, b = 0.0, 0, 0
@@ -201,11 +203,14 @@ def _stratum_sums(path, T, counts, stream, run, label):
                 raise InputValidationError(
                     f"stratum {label}, history {i + bad[0]} produced a non-stochastic "
                     f"product (residual {res[bad[0]]:.3e})")
+            if not i:
+                shift = prods[0].copy()
             run[1:b + 1, 0] = prods
-            np.multiply(prods, prods, out=run[1:b + 1, 1])
+            dev = np.subtract(prods, shift, out=run[1:b + 1, 1])
+            np.multiply(dev, dev, out=dev)
             np.add.accumulate(run[:b + 1], axis=0, out=run[:b + 1])
             i += b
-    return total + run[b]
+    return total + run[b], shift
 
 
 def _check_run(R, seed):
@@ -244,10 +249,11 @@ def monte_carlo_average(m, nu, T, R, seed, *, workers=1) -> McEstimate:
         else:
             stream, label = _stream(seed, 0), f"k>={k_c}"
             counts = _tail_counts(tail, k_c, n, stream)
-        total, total_sq = _stratum_sums(path, T, counts, stream, run, label)
+        (total, total_sq), shift = _stratum_sums(path, T, counts, stream, run, label)
         m_s = total / n
         mean = mean + p * m_s
-        var = var + p * p * (np.maximum(total_sq - n * m_s * m_s, 0.0) / (n - 1)) / n
+        dev = m_s - shift
+        var = var + p * p * (np.maximum(total_sq - n * dev * dev, 0.0) / (n - 1)) / n
     return McEstimate(mean=mean, stderr=np.sqrt(var), n_samples=R, seed=int(seed))
 
 

@@ -19,15 +19,13 @@ def spin_flip_model() -> BathModel:
     return BathModel(SIGMA_X.reshape(1, 1, 2, 2))
 
 
-def bathless_diagonal_model(levels=(0.0, 1.0)) -> BathModel:
-    """Diagonal generator measured in its own eigenbasis: M(t) = identity.
+def bathless_diagonal_model() -> BathModel:
+    """Generator diag(0, 1) measured in its own eigenbasis: M(t) = identity.
 
     Eigenvalues are passed in ascending order so the cached
     eigendecomposition is exactly the computational basis.
     """
-    h = np.diag(np.asarray(levels, dtype=complex))
-    n = len(levels)
-    return BathModel(h.reshape(1, 1, n, n))
+    return BathModel(np.diag([0.0, 1.0]).astype(complex).reshape(1, 1, 2, 2))
 
 
 def random_model(n, n2, seed, scale=1.0) -> BathModel:
@@ -60,18 +58,14 @@ def block_diagonal_model(model_a: BathModel, model_b: BathModel) -> BathModel:
     return BathModel(blocks, basis=basis)
 
 
-def integer_spectrum_model(n, n2, seed, spectrum=None) -> BathModel:
-    """Model whose joint generator has integer eigenvalues.
+def integer_spectrum_model(n, n2, seed) -> BathModel:
+    """Model whose joint generator has the eigenvalues k - d // 2, k < d = n n2.
 
     All propagator beat frequencies are integers, so the generated matrix
     family is 2*pi-periodic.
     """
     dim = n * n2
-    if spectrum is None:
-        spectrum = np.arange(dim, dtype=float) - dim // 2
-    spectrum = np.asarray(spectrum, dtype=float)
-    if len(spectrum) != dim or np.any(spectrum != np.round(spectrum)):
-        raise ValueError("need an integer spectrum of length n * n2")
+    spectrum = np.arange(dim, dtype=float) - dim // 2
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(g)
@@ -80,12 +74,8 @@ def integer_spectrum_model(n, n2, seed, spectrum=None) -> BathModel:
     return BathModel.from_joint_generator(joint, n, n2)
 
 
-def battery(count=10, scale=1.0, seed0=100):
-    """Fixed battery of generic random models at desk-scale dimensions."""
+def battery():
+    """Fixed battery of ten generic random models at desk-scale dimensions."""
     shapes = [(2, 2), (3, 2), (2, 2), (3, 2), (2, 3),
               (3, 2), (2, 2), (3, 3), (2, 3), (3, 2)]
-    out = []
-    for i in range(count):
-        n, n2 = shapes[i % len(shapes)]
-        out.append(random_model(n, n2, seed=seed0 + i, scale=scale))
-    return out
+    return [random_model(n, n2, seed=100 + i) for i, (n, n2) in enumerate(shapes)]

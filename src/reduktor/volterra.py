@@ -101,7 +101,6 @@ from .errors import (
     InputValidationError,
     KernelNormalizationViolation,
     TailBoundExceededError,
-    UnsupportedOrderError,
     ValidationFailure,
 )
 
@@ -171,14 +170,12 @@ class Kernel:
 
     a: object
     b: object
-    description: str = ""
 
 
 def poisson_kernel(nu) -> Kernel:
     """Kernel reproducing the exponential-waiting-time equation."""
     return Kernel(a=lambda T: np.exp(-nu * np.asarray(T, dtype=float)),
-                  b=lambda t, T: nu * np.exp(-nu * (T - np.asarray(t, dtype=float))),
-                  description=f"poisson(nu={nu:g})")
+                  b=lambda t, T: nu * np.exp(-nu * (T - np.asarray(t, dtype=float))))
 
 
 def kernel_normalization_residual(kernel: Kernel, T, quad_steps=1000) -> float:
@@ -745,7 +742,7 @@ def neumann_series_trajectory(m, cfg: SolverConfig, *, horizon=None) -> Trajecto
     return Trajectory(grid=sub, values=out)
 
 
-def derivative_consistency(m, traj: Trajectory, cfg: SolverConfig, k=1) -> float:
+def derivative_consistency(m, traj: Trajectory, cfg: SolverConfig) -> float:
     """Residual of the once-differentiated equation along a trajectory.
 
     Differentiating the rescaled equation once gives
@@ -758,10 +755,8 @@ def derivative_consistency(m, traj: Trajectory, cfg: SolverConfig, k=1) -> float
     second-order finite differences of the node values; the returned value
     is the largest sup-norm residual over the nodes.  The convolution of
     e^{-nu t} M with Mbar' gives e^{-nu T} times the integral, so nothing
-    overflows at large nu T.  Only first order (k=1) is supported.
+    overflows at large nu T.
     """
-    if k != 1:
-        raise UnsupportedOrderError(f"only k=1 is implemented, got k={k}")
     nu, h = cfg.nu, cfg.grid.h
     ts = cfg.grid.nodes
     M = _matrix_stack(as_path(m), ts)

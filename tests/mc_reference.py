@@ -44,23 +44,29 @@ def strata(nu, T, R, seed):
 
 
 def average(path, nu, T, R, seed):
-    """Mean and stderr: p_0 M(T) + sum_s p_s m_s, and sum_s p_s^2 s_s^2 / R_s."""
+    """Mean and stderr: p_0 M(T) + sum_s p_s m_s, and sum_s p_s^2 s_s^2 / R_s.
+
+    s_s^2 is (sum (x - x_0)^2 - n (m_s - x_0)^2) / (n - 1) over the stratum's
+    products x, x_0 the first of them.
+    """
     m_T = evolve_realization(path, PoissonRealization(T, ()))
     mean, var = 0.0 + math.exp(-nu * T) * m_T, 0.0
     for _, p, reals in strata(nu, T, R, seed):
+        shift = evolve_realization(path, reals[0])
         total = total_sq = 0.0
         for lo in range(0, len(reals), CHUNK):
             part = part_sq = 0.0
             for r in reals[lo:lo + CHUNK]:
                 prod = evolve_realization(path, r)
                 part = part + prod
-                part_sq = part_sq + prod * prod
+                part_sq = part_sq + (prod - shift) * (prod - shift)
             total = total + part
             total_sq = total_sq + part_sq
         n = len(reals)
         m_s = total / n
         mean = mean + p * m_s
-        var = var + p * p * (np.maximum(total_sq - n * m_s * m_s, 0.0) / (n - 1)) / n
+        dev = m_s - shift
+        var = var + p * p * (np.maximum(total_sq - n * dev * dev, 0.0) / (n - 1)) / n
     return mean, np.sqrt(var)
 
 

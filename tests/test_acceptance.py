@@ -154,7 +154,7 @@ def test_criterion_5_asymptotic_battery():
     nu = 1.0
     worst_ratio = 0.0
     worst_d1 = worst_d2 = 0.0
-    for model in battery(10):
+    for model in battery():
         gen = genericity_check(model, np.linspace(0.05, 25.0, 500))
         assert gen.generic, "battery model unexpectedly not generic"
         rep1 = convergence_report(model.m_path(), nu,
@@ -243,7 +243,7 @@ def test_criterion_8_second_order_and_decomposability():
             for j in range(5 - i):
                 w = (i / 4.0, j / 4.0, (4 - i - j) / 4.0)
                 m = sum(wk * perms[kk] for wk, kk in zip(w, trio))
-                has_witness = decomposability_witness(m, 1e-8) is not None
+                has_witness = decomposability_witness(m) is not None
                 mismatches += has_witness != (compression(m) >= 1.0 - 1e-8)
                 checked += 1
     ok = worst_order >= 2.7 and worst_form <= 1e-12 and mismatches == 0
@@ -258,8 +258,7 @@ def test_criterion_9_generalized_kernel():
     model = random_model(2, 2, seed=31)
     res_poisson = kernel_normalization_residual(poisson_kernel(1.0), 3.0, 1000)
     rational = Kernel(a=lambda T: 1.0 / (1.0 + np.asarray(T, dtype=float)),
-                      b=lambda t, T: np.ones_like(np.asarray(t, dtype=float)) / (1.0 + T),
-                      description="rational")
+                      b=lambda t, T: np.ones_like(np.asarray(t, dtype=float)) / (1.0 + T))
     res_rational = kernel_normalization_residual(rational, 3.0, 1000)
     grid = TimeGrid(5.0, 1000)
     march = march_solve(model.m_path(), SolverConfig(nu=1.0, grid=grid))

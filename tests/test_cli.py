@@ -267,6 +267,25 @@ def test_missing_nu_is_config_error(tmp_path, capsys, command, shipped):
     assert "config error" in captured.err and "nu" in captured.err
 
 
+@pytest.mark.parametrize("command", ["compare", "asymptote", "genericity"])
+def test_thresholds_key_is_config_error(tmp_path, capsys, monkeypatch, command):
+    # the checks' thresholds are fixed: a config that sets one, even to its
+    # fixed value, is refused before the command reads anything else
+    def grid_from(cfg):
+        raise AssertionError(f"{command} read its grid before it refused thresholds")
+
+    monkeypatch.setattr("reduktor.cli._grid_from", grid_from)
+    cfg = write_config(tmp_path / "cfg.json", thresholds={"mc_sigmas": 3.0})
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: config key 'thresholds' is not supported" in captured.err
+    for fixed in ("solver_vs_series 1e-06", "mc_sigmas 3", "eps_conv 0.001", "delta 0.999"):
+        assert fixed in captured.err
+
+
 INTEGER_FIELDS = {
     "seed": ("simulate", "compare"),
     "R": ("simulate", "compare"),

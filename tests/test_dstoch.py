@@ -271,7 +271,7 @@ class TestDecomposability:
                 for j in range(5 - i):
                     w = (i / 4.0, j / 4.0, (4 - i - j) / 4.0)
                     m = sum(wk * perms[k] for wk, k in zip(w, trio))
-                    has_witness = decomposability_witness(m, 1e-8) is not None
+                    has_witness = decomposability_witness(m) is not None
                     assert has_witness == (compression(m) >= 1.0 - 1e-8)
 
 

@@ -314,6 +314,21 @@ def test_constant_source_exact_at_rate_10():
     assert np.abs(est.mean - truth).max() <= 1e-12
 
 
+def test_stderr_of_nearly_equal_products():
+    # at nu T = 80 the tail's products agree to about 5e-11: squares summed
+    # about zero would cancel to rounding noise, and summed about the
+    # stratum's first product they keep the variance of a two-pass sum
+    path = random_model(3, 2, seed=0).m_path()
+    nu, T, R = 1.0, 80.0, 200
+    est = monte_carlo_average(path, nu, T, R, seed=7)
+    var = 0.0
+    for _, p, reals in ref.strata(nu, T, R, 7):
+        x = np.stack([evolve_realization(path, r) for r in reals])
+        var = var + p * p * ((x - x.mean(axis=0)) ** 2).sum(axis=0) / (len(x) - 1) / len(x)
+    assert (est.stderr > 0.0).all()
+    np.testing.assert_allclose(est.stderr, np.sqrt(var), rtol=0.01, atol=0.0)
+
+
 def random_joint(seed, d=6):
     g = np.random.default_rng(seed).standard_normal((d, d, 2)) @ [1.0, 1.0j]
     h = (g + g.conj().T) / 2.0

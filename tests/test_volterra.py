@@ -11,7 +11,6 @@ from reduktor.errors import (
     GridTooCoarseError,
     KernelNormalizationViolation,
     TailBoundExceededError,
-    UnsupportedOrderError,
     ValidationFailure,
 )
 from reduktor.presets import random_model, spin_flip_model
@@ -374,12 +373,6 @@ class TestDerivativeConsistency:
         traj = march_solve(path, cfg)
         res = derivative_consistency(path, traj, cfg)
         assert np.isfinite(res) and res < 1e-3
-
-    def test_higher_order_unsupported(self, generic_model):
-        cfg = SolverConfig(nu=1.0, grid=TimeGrid(1.0, 50))
-        traj = march_solve(generic_model.m_path(), cfg)
-        with pytest.raises(UnsupportedOrderError):
-            derivative_consistency(generic_model.m_path(), traj, cfg, k=2)
 
 
 class TestCsv:
