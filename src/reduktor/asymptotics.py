@@ -29,6 +29,7 @@ from .volterra import (
     TimeGrid,
     Trajectory,
     _csv_lines,
+    _modal_solve,
     _SmoothPath,
     as_path,
     march_solve,
@@ -176,13 +177,12 @@ def cyclic_order(p):
 def cyclic_example(p, k, nu, T) -> CyclicReport:
     """Constant permutation input: trajectory on CYCLIC_STEPS steps, and its limit.
 
-    For M(t) = P the averaged evolution is exp(nu t (P - 1)) P, from the
-    constant-input reduction of the integral equation.  As P^k = 1, the
-    spectral projectors Pi_q = (1/k) sum_{r<k} omega^{-q r} P^r with
-    omega = e^{2 pi i / k} give it exactly as
-    Re sum_q omega^q e^{nu t (omega^q - 1)} Pi_q.  For q != 0,
-    |e^{nu t (omega^q - 1)}| = e^{-nu t (1 - cos(2 pi q / k))} decays to 0,
-    so the limit is Pi_0, the power average (1/k) sum_{r<k} P^r.
+    For M(t) = P the averaged evolution is P exp(nu t (P - 1)), the closed
+    form of ``volterra._modal_solve`` with realization (C, L, B) = (P, 0, 1).
+    As P^k = 1, the eigenvalues of nu (P - 1) are nu (omega - 1) for k-th
+    roots of unity omega, whose real parts are negative except at
+    omega = 1, so the limit is the projector onto the fixed vectors of P,
+    the power average (1/k) sum_{r<k} P^r.
     """
     p = np.asarray(getattr(p, "entries", p), dtype=float)
     order = cyclic_order(p)
@@ -190,16 +190,11 @@ def cyclic_example(p, k, nu, T) -> CyclicReport:
         raise NotCyclicOfOrderK(
             f"matrix has cyclic order {order}, expected {k}")
     grid = TimeGrid(t_max=float(T), steps=CYCLIC_STEPS)
-    q = np.arange(k)
-    omega = np.exp(2j * np.pi * q / k)
-    powers = np.stack([np.linalg.matrix_power(p, r) for r in q])
-    proj = np.tensordot(np.conj(omega[np.outer(q, q) % k]), powers, 1) / k
-    modes = omega * np.exp(nu * np.outer(grid.nodes, omega - 1.0))
-    values = np.tensordot(modes, proj, 1).real
-    traj = Trajectory(grid=grid, values=values)
-    limit = proj[0].real
+    values, _imag = _modal_solve(p, np.zeros_like(p), np.eye(len(p)), nu, grid.nodes)
+    limit = sum(np.linalg.matrix_power(p, r) for r in range(k)) / k
     residual = float(np.abs(values[-1] - limit).max())
-    return CyclicReport(trajectory=traj, limit=limit, limit_residual=residual)
+    return CyclicReport(trajectory=Trajectory(grid=grid, values=values), limit=limit,
+                        limit_residual=residual)
 
 
 def cyclic_permutation(k) -> np.ndarray:

@@ -34,6 +34,13 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 TOL_SERIES = 1e-6  # compare: largest |march - series| that passes
 MC_SIGMAS = 3.0    # compare: Monte Carlo band, in stderr, on top of march_err
+# every key some command reads, at the top level and nested under grid and
+# scalar; a config with any other key is refused, not run on defaults
+CONFIG_KEYS = {"B", "N_max", "R", "basis", "constant_M", "grid", "n", "n2", "nu", "scalar",
+               "seed"}
+NESTED_KEYS = {"grid": {"steps", "t_max"},
+               "scalar": {"amplitude", "mean", "pattern", "tau", "times", "value", "values",
+                          "variant"}}
 
 
 def _pairs_to_complex(data):
@@ -56,14 +63,27 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if isinstance(cfg, dict) and "thresholds" in cfg:  # ignoring it would change verdicts silently
+    if isinstance(cfg, dict):
+        _check_keys(cfg)
+    return cfg
+
+
+def _check_keys(cfg):
+    """Refuse a config key no command reads, by name, before anything runs."""
+    if "thresholds" in cfg:  # ignoring it would change verdicts silently
         from .asymptotics import EPS_CONV
         from .channels import DELTA_GENERIC
         raise ConfigError(
             "config key 'thresholds' is not supported; the checks use fixed values: "
             f"solver_vs_series {TOL_SERIES:g}, mc_sigmas {MC_SIGMAS:g}, "
             f"eps_conv {EPS_CONV:g}, delta {DELTA_GENERIC:g}")
-    return cfg
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    for name, keys in NESTED_KEYS.items():
+        if isinstance(cfg.get(name), dict):
+            unknown += sorted(f"{name}.{key}" for key in set(cfg[name]) - keys)
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                          "no command reads them")
 
 
 def _integral(value, what):
@@ -343,9 +363,8 @@ def cmd_scalar(args):
                                               nodes_per_interval=grid.steps // k)
                 gap = float(np.abs(exact.beta - traj.beta).max())
                 notes.append(f"max |march - method of steps| = {gap:.3e}")
-        if isinstance(alpha, CosineInput) and nu == 1.0 \
-                and alpha.mean == 0.5 and alpha.amplitude == 0.5:
-            ode = trig_ode_solve(grid)
+        if isinstance(alpha, CosineInput):
+            ode = trig_ode_solve(alpha, nu, grid)
             gap = float(np.abs(ode.trajectory.beta - traj.beta).max())
             notes.append(f"max |march - ode route| = {gap:.3e}")
         return f"final beta = {traj.beta[-1]:.6g}" + ("; " + "; ".join(notes) if notes else "")

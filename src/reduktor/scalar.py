@@ -20,8 +20,8 @@ alpha(t) * 1 + (1 - alpha(t)) * Theta_n of an input.
 
 Three solution methods are provided: trapezoid marching (any input), an
 exact polynomial method of steps for the alternating 1/0 input with period
-tau, and a constant-coefficient ODE reconstruction for the raised-cosine
-input at unit reduction rate.
+tau, and the constant-coefficient ODE route for the cosine input at any
+reduction rate, mean and amplitude (``volterra._modal_solve``).
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dstoch import lift
-from .errors import NonRealReconstructionError, ValueEscapeError
+from .errors import ValueEscapeError
 from .volterra import (SolverConfig, TimeGrid, Trajectory, _csv_lines, _limits, _march,
-                       _SmoothPath, _validate_nodes)
+                       _modal_solve, _SmoothPath, _validate_nodes)
 
 SCALAR_ESCAPE_TOL = 1e-7  # how far a marched beta may leave [0, 1]
-TOL_IMAG = 1e-7  # imaginary residue of the ODE route's reconstruction
 
 
 # -- scalar inputs -----------------------------------------------------------
@@ -271,78 +270,32 @@ def piecewise_delay_solve(tau, nu, n_intervals, *, nodes_per_interval=200) -> Sc
     return ScalarTrajectory(grid=grid, beta=beta, jumps=jumps)
 
 
-# -- constant-coefficient ODE route for the raised-cosine input ---------------
+# -- ODE route for the cosine input -------------------------------------------
 
-# With alpha(t) = 1/2 + cos(t)/2 and unit reduction rate, the rescaled
-# solution splits into oscillation channels e^t beta = a + b e^{it} +
-# conj(b) e^{-it} whose coefficients satisfy constant-coefficient cubics:
-#     a''' - a'' + a' - a/2 = 0          a(0) = a'(0) = a''(0) = 1/2
-#     b''' + (3i-1) b'' - 2(1+i) b' + b/2 = 0
-#                                        b(0) = 1/4, b'(0) = 1/4,
-#                                        b''(0) = (1 - i)/4
-# The channels are defined by a = 1/2 + (1/2) int N and
-# b = 1/4 + (1/4) int e^{-it} N for N = e^t beta, from which the equations
-# and initial data follow by differentiation.
-
-_A_LAST_ROW = np.array([0.5, -1.0, 1.0])
-_A_INIT = np.array([0.5, 0.5, 0.5])
-_B_LAST_ROW = np.array([-0.5, 2.0 + 2.0j, 1.0 - 3.0j])
-_B_INIT = np.array([0.25, 0.25, 0.25 - 0.25j])
-
-
-def _companion(last_row):
-    """Companion matrix of the cubic y^(3) = last_row . (y, y', y'')."""
-    c = np.zeros((3, 3), dtype=last_row.dtype)
-    c[0, 1] = 1.0
-    c[1, 2] = 1.0
-    c[2, :] = last_row
-    return c
-
-
-def _expm_states(system, y0, ts):
-    """Rows of exp(system * t) @ y0 for each t via eigendecomposition."""
-    w, v = np.linalg.eig(system)
-    coef = np.linalg.solve(v, np.asarray(y0, dtype=complex))
-    return (np.exp(np.outer(ts, w))[:, None, :] * (v * coef)).sum(axis=2)
-
-
-def _channel_states(ts):
-    """Real (a, a', a'') and complex (b, b', b'') channel states at ts."""
-    a = _expm_states(_companion(_A_LAST_ROW), _A_INIT, ts).real
-    return a, _expm_states(_companion(_B_LAST_ROW), _B_INIT, ts)
+# alpha(t) = mean + amplitude cos t is c e^{L t} y0 on the states (1, cos t, sin t)
+_COSINE_L = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+_COSINE_Y0 = np.array([[1.0], [1.0], [0.0]])
 
 
 @dataclass
 class TrigSolution:
-    """Cosine-input solution with channel states for residual checking."""
+    """Cosine-input solution of the ODE route and its imaginary residue."""
 
     trajectory: ScalarTrajectory
-    a_state: np.ndarray      # (len, 3): a, a', a''
-    b_state: np.ndarray      # (len, 3) complex: b, b', b''
     imag_residual: float
 
-    def states_at(self, ts):
-        """Channel states at arbitrary times (exact, for residual oracles)."""
-        return _channel_states(np.asarray(ts, dtype=float))
 
+def trig_ode_solve(alpha: CosineInput, nu, grid: TimeGrid) -> TrigSolution:
+    """Solve the cosine input through the constant-coefficient ODE.
 
-def trig_ode_solve(grid: TimeGrid) -> TrigSolution:
-    """Solve the raised-cosine input case through the channel ODEs.
-
-    The two cubics are integrated as first-order systems by exact matrix
-    exponentials of their companion matrices (real for a, complex for b),
-    and beta is reconstructed as e^{-t} (a + b e^{it} + conj(b) e^{-it}).
-    Raises when the reconstruction has imaginary residue above TOL_IMAG.
+    The input is realized on the three states (1, cos t, sin t), so beta
+    is the closed form of ``volterra._modal_solve``: a matrix exponential
+    of a 3 x 3 system, at any nu, mean and amplitude.  Raises
+    NonRealReconstructionError when the reconstruction has imaginary
+    residue above ``volterra.TOL_IMAG``.
     """
-    ts = grid.nodes
-    a_state, b_state = _channel_states(ts)
-    b = b_state[:, 0]
-    osc = np.exp(1j * ts)
-    recon = a_state[:, 0] + b * osc + np.conj(b) * np.conj(osc)
-    imag_res = float(np.abs(recon.imag).max())
-    if imag_res > TOL_IMAG:
-        raise NonRealReconstructionError(imag_res)
-    beta = np.exp(-ts) * recon.real
-    return TrigSolution(trajectory=ScalarTrajectory(grid=grid, beta=beta),
-                        a_state=a_state, b_state=b_state,
-                        imag_residual=imag_res)
+    SolverConfig(nu=nu, grid=grid)  # a negative or non-finite nu fails here
+    c = np.array([[alpha.mean, alpha.amplitude, 0.0]])
+    values, imag = _modal_solve(c, _COSINE_L, _COSINE_Y0, nu, grid.nodes)
+    return TrigSolution(trajectory=ScalarTrajectory(grid=grid, beta=values[:, 0, 0]),
+                        imag_residual=imag)

@@ -100,6 +100,7 @@ from .errors import (
     GridTooCoarseError,
     InputValidationError,
     KernelNormalizationViolation,
+    NonRealReconstructionError,
     TailBoundExceededError,
     ValidationFailure,
 )
@@ -108,6 +109,7 @@ TOL_TRAJ = 1e-7    # double stochasticity of every march node and left limit
 TOL_NORM = 1e-6    # kernel normalization |int_0^T b(t, T) dt + a(T) - 1|
 TOL_TAIL = 1e-10   # Poisson tail P[K > n_max] left out of the series
 TOL_GRID = 1e-9    # distance of a time from its node, relative to max(1, |t|)
+TOL_IMAG = 1e-7    # imaginary residue of _modal_solve's real solution
 # Rows of the march's block system (_blocked_solve): an n x n march takes
 # blocks of B = MARCH_BLOCK // n nodes, so its one system is Bn x Bn with
 # Bn <= 64 (n x n, one node per block, for n > 64).
@@ -157,6 +159,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 <= self.nu < math.inf:  # NaN fails too
             raise ValueError(f"reduction rate nu must be finite and >= 0, got {self.nu}")
+        if self.n_max is not None and self.n_max < 0:
+            raise ValueError(f"series order n_max must be >= 0, got {self.n_max}")
 
 
 @dataclass(frozen=True)
@@ -588,6 +592,25 @@ def march_solve_general(m, kernel: Kernel, grid: TimeGrid) -> Trajectory:
     out = _general_march(M, a, grid.h, lambda k: kernel.b(ts[:k + 1], ts[k]))
     _validate_nodes(out, TOL_TRAJ)
     return Trajectory(grid=grid, values=out)
+
+
+def _modal_solve(C, L, B, nu, ts):
+    """Exact tilted solution e^{-nu t} N(t) of a source M(t) = C e^{L t} B.
+
+    N = C Z for the state Z' = (L + nu B C) Z, Z(0) = B, so the solution is
+    C e^{S t} B with S = L + nu B C - nu: one eigendecomposition
+    S = V diag(w) V^{-1}, then Re (C V) e^{w t} (V^{-1} B) at every time.
+    It calls neither the march nor the series, so it checks both.  Returns
+    the (len(ts), p, q) values and their largest imaginary residue, which
+    must not exceed TOL_IMAG.
+    """
+    S = L + nu * (B @ C) - nu * np.eye(len(L))
+    w, V = np.linalg.eig(S)
+    values = np.einsum("pm,tm,mq->tpq", C @ V, np.exp(np.outer(ts, w)), np.linalg.solve(V, B))
+    imag = float(np.abs(values.imag).max())
+    if not imag <= TOL_IMAG:
+        raise NonRealReconstructionError(imag)
+    return values.real, imag
 
 
 @dataclass

@@ -139,7 +139,7 @@ def test_criterion_3_alternating_input_exact_pieces():
 def test_criterion_4_cosine_input_cross_method():
     """ODE reconstruction agrees with marching for the raised-cosine input."""
     grid = TimeGrid(5.0, 5000)
-    sol = trig_ode_solve(grid)
+    sol = trig_ode_solve(CosineInput(), 1.0, grid)
     march = scalar_march(CosineInput(), 1.0, grid)
     gap = float(np.abs(sol.trajectory.beta - march.beta).max())
     beta0 = sol.trajectory.beta[0]

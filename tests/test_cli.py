@@ -286,6 +286,37 @@ def test_thresholds_key_is_config_error(tmp_path, capsys, monkeypatch, command):
         assert fixed in captured.err
 
 
+@pytest.mark.parametrize("command", ["series", "compare"])
+@pytest.mark.parametrize("n_max", [-1, -3])
+def test_negative_series_order_is_config_error(tmp_path, capsys, command, n_max):
+    # refused before any solver runs or any verdict is written
+    cfg = write_config(tmp_path / "cfg.json", N_max=n_max)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: series order n_max must be >= 0, got {n_max}" in captured.err
+
+
+@pytest.mark.parametrize("key", ["histories", "N_max_", "grid.step", "scalar.amplitud"])
+@pytest.mark.parametrize("command", ["solve", "simulate", "compare", "scalar"])
+def test_unknown_config_key_is_config_error(tmp_path, capsys, command, key):
+    # a misspelt key would otherwise leave its setting at the default
+    scalar = json.loads((CONFIGS / "scalar_cosine.json").read_text())["scalar"]
+    cfg = json.loads(write_config(tmp_path / "cfg.json", scalar=scalar).read_text())
+    name, _, sub = key.partition(".")
+    (cfg[name] if sub else cfg)[sub or name] = 3
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out", out]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: unknown config key(s) {key!r}; no command reads them" in captured.err
+
+
 INTEGER_FIELDS = {
     "seed": ("simulate", "compare"),
     "R": ("simulate", "compare"),
@@ -413,6 +444,18 @@ class TestScalarCommand:
         }))
         assert run(["scalar", "--config", cfg, "--out", tmp_path / "b.csv"]) == 0
         assert "ode route" in capsys.readouterr().out
+
+    def test_trig_cross_check_at_any_rate(self, tmp_path, capsys):
+        # the ODE route covers every cosine input at every rate
+        cfg = tmp_path / "scalar.json"
+        cfg.write_text(json.dumps({
+            "scalar": {"variant": "trig", "mean": 0.6, "amplitude": -0.3},
+            "nu": 2.0,
+            "grid": {"t_max": 3.0, "steps": 600},
+        }))
+        assert run(["scalar", "--config", cfg, "--out", tmp_path / "b.csv"]) == 0
+        note = capsys.readouterr().out.split("max |march - ode route| = ")[1]
+        assert float(note) < 1e-5
 
     def test_unknown_variant(self, tmp_path):
         cfg = tmp_path / "scalar.json"

@@ -32,6 +32,7 @@ from reduktor.volterra import (
     SolverConfig,
     TimeGrid,
     _march,
+    _modal_solve,
     march_solve,
     march_solve_general,
     poisson_kernel,
@@ -504,6 +505,19 @@ def test_long_horizon_identity_3x3_stays_the_identity():
     # the constant route marches X and sigma in the same operations
     traj = march_solve(ConstantPath(np.eye(3)), LONG)
     np.testing.assert_array_equal(traj.values, np.broadcast_to(np.eye(3), traj.values.shape))
+
+
+def test_long_horizon_march_converges_on_an_unmixed_source():
+    # 0.999 1 + 0.001 Theta_3 is still 0.245 from uniform at nu T = 1000, so
+    # a march that returned the mixed limit would fail; its error against
+    # the closed form falls fourfold when the step halves (second order)
+    M = 0.999 * np.eye(3) + 0.001 / 3.0
+    exact, _imag = _modal_solve(M, np.zeros((3, 3)), np.eye(3), 1.0, np.array([1000.0]))
+    errors = [np.abs(march_solve(ConstantPath(M), SolverConfig(1.0, TimeGrid(1000.0, K))).final
+                     - exact[0]).max() for K in (2000, 4000)]
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
+    assert errors[1] < 5e-3
+    assert np.abs(exact[0] - 1.0 / 3.0).max() > 0.2
 
 
 def test_constant_route_matches_the_blocked_route(monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from reduktor.dstoch import theta
 from reduktor.errors import ValidationFailure, ValueEscapeError
@@ -172,48 +173,55 @@ class TestDelaySolve:
         assert np.abs(exact.beta - march.beta).max() < 1e-6
 
 
+COSINE_CASES = [(0.5, 0.5, 1.0), (0.6, -0.3, 0.7), (0.3, 0.2, 3.0), (0.5, 0.5, 2.0),
+                (0.5, 0.5, 0.0)]
+
+
 class TestTrigOde:
     def test_initial_value_exact(self):
-        sol = trig_ode_solve(TimeGrid(1.0, 10))
+        sol = trig_ode_solve(CosineInput(), 1.0, TimeGrid(1.0, 10))
         assert sol.trajectory.beta[0] == 1.0
 
     def test_agrees_with_march(self):
         grid = TimeGrid(5.0, 5000)
-        sol = trig_ode_solve(grid)
+        sol = trig_ode_solve(CosineInput(), 1.0, grid)
         march = scalar_march(CosineInput(), 1.0, grid)
         assert np.abs(sol.trajectory.beta - march.beta).max() < 1e-6
 
+    @pytest.mark.parametrize("mean, amplitude, nu", COSINE_CASES[1:])
+    def test_agrees_with_march_at_any_rate(self, mean, amplitude, nu):
+        grid = TimeGrid(5.0, 5000)
+        alpha = CosineInput(mean, amplitude)
+        sol = trig_ode_solve(alpha, nu, grid)
+        march = scalar_march(alpha, nu, grid)
+        assert np.abs(sol.trajectory.beta - march.beta).max() < 1e-6
+
     def test_reconstruction_real(self):
-        sol = trig_ode_solve(TimeGrid(5.0, 500))
+        sol = trig_ode_solve(CosineInput(), 1.0, TimeGrid(5.0, 500))
         assert sol.imag_residual < 1e-9
 
-    def test_ode_residual_oracle(self):
-        # five-point first-derivative stencil on the channel states versus
-        # the companion right-hand sides, at interior sample times
-        sol = trig_ode_solve(TimeGrid(5.0, 50))
-        ts = np.linspace(0.2, 4.8, 24)
-        d = 1e-3
-        stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * d)
-        offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * d
-        worst = 0.0
-        for t in ts:
-            a_sts, b_sts = sol.states_at(t + offsets)
-            da = stencil @ a_sts
-            db = stencil @ b_sts
-            a, da1, da2 = a_sts[2]
-            b, db1, db2 = b_sts[2]
-            worst = max(worst, abs(da[0] - da1), abs(da[1] - da2),
-                        abs(da[2] - (0.5 * a - da1 + da2)))
-            worst = max(worst, abs(db[0] - db1), abs(db[1] - db2),
-                        abs(db[2] - (-0.5 * b + 2.0 * (1.0 + 1.0j) * db1
-                                     + (1.0 - 3.0j) * db2)))
-        assert worst < 1e-8
+    @pytest.mark.parametrize("mean, amplitude, nu", COSINE_CASES)
+    def test_matches_matrix_exponential(self, mean, amplitude, nu):
+        # beta = c e^{S t} y0 on the states (1, cos t, sin t), with
+        # S = L + nu y0 c - nu
+        grid = TimeGrid(5.0, 50)
+        c, y0 = np.array([mean, amplitude, 0.0]), np.array([1.0, 1.0, 0.0])
+        L = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+        S = L + nu * np.outer(y0, c) - nu * np.eye(3)
+        expected = [c @ sla.expm(S * t) @ y0 for t in grid.nodes]
+        sol = trig_ode_solve(CosineInput(mean, amplitude), nu, grid)
+        np.testing.assert_allclose(sol.trajectory.beta, expected, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("nu", [-1.0, np.nan, np.inf])
+    def test_bad_rate_rejected(self, nu):
+        with pytest.raises(ValueError, match="nu"):
+            trig_ode_solve(CosineInput(), nu, TimeGrid(1.0, 10))
 
     def test_decays_toward_zero(self):
         # the contraction statistic of the raised cosine is 3/4 < 1, so
         # the envelope of beta must shrink over successive windows
         grid = TimeGrid(30.0, 3000)
-        sol = trig_ode_solve(grid)
+        sol = trig_ode_solve(CosineInput(), 1.0, grid)
         window = 500  # 5 time units
         sups = [np.abs(sol.trajectory.beta[k:k + window]).max()
                 for k in range(500, 2500, window)]
@@ -271,7 +279,7 @@ class TestLift:
 
     def test_cosine_lift_matches_full_solver(self):
         grid = TimeGrid(5.0, 2500)
-        sol = trig_ode_solve(grid)
+        sol = trig_ode_solve(CosineInput(), 1.0, grid)
         lifted = lift_scalar(sol.trajectory, 3)
         matrix = march_solve(LiftedPath(CosineInput(), 3),
                              SolverConfig(nu=1.0, grid=grid))
