@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,13 +35,13 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 TOL_SERIES = 1e-6  # compare: largest |march - series| that passes
 MC_SIGMAS = 3.0    # compare: Monte Carlo band, in stderr, on top of march_err
-# every key some command reads, at the top level and nested under grid and
-# scalar; a config with any other key is refused, not run on defaults
+# every top-level key some command reads, and the keys each scalar variant
+# reads besides "variant"; a config with any other key is refused, not run
+# on defaults
 CONFIG_KEYS = {"B", "N_max", "R", "basis", "constant_M", "grid", "n", "n2", "nu", "scalar",
                "seed"}
-NESTED_KEYS = {"grid": {"steps", "t_max"},
-               "scalar": {"amplitude", "mean", "pattern", "tau", "times", "value", "values",
-                          "variant"}}
+SCALAR_KEYS = {"constant": {"value"}, "piecewise": {"pattern", "tau"},
+               "trig": {"amplitude", "mean"}, "tabulated": {"times", "values"}}
 
 
 def _pairs_to_complex(data):
@@ -69,7 +70,10 @@ def _load_config(path):
 
 
 def _check_keys(cfg):
-    """Refuse a config key no command reads, by name, before anything runs."""
+    """Refuse a config key no command reads, by name, before anything runs.
+
+    Under scalar, that is any key its variant does not read.
+    """
     if "thresholds" in cfg:  # ignoring it would change verdicts silently
         from .asymptotics import EPS_CONV
         from .channels import DELTA_GENERIC
@@ -78,12 +82,26 @@ def _check_keys(cfg):
             f"solver_vs_series {TOL_SERIES:g}, mc_sigmas {MC_SIGMAS:g}, "
             f"eps_conv {EPS_CONV:g}, delta {DELTA_GENERIC:g}")
     unknown = sorted(set(cfg) - CONFIG_KEYS)
-    for name, keys in NESTED_KEYS.items():
+    variant = cfg["scalar"].get("variant") if isinstance(cfg.get("scalar"), dict) else None
+    read = SCALAR_KEYS.get(variant) if isinstance(variant, str) else None
+    if read is None:  # no variant, or one that the scalar command refuses by name
+        read = set().union(*SCALAR_KEYS.values())
+    nested = {"grid": {"steps", "t_max"}, "scalar": read | {"variant"}}
+    for name, keys in nested.items():
         if isinstance(cfg.get(name), dict):
             unknown += sorted(f"{name}.{key}" for key in set(cfg[name]) - keys)
     if unknown:
         raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
                           "no command reads them")
+
+
+def _one_source(cfg):
+    """Refuse a config that gives more than one source, by key, before any solver runs."""
+    sources = [[key] for key in ("constant_M", "scalar") if key in cfg]
+    model = sorted({"B", "basis", "n", "n2"} & set(cfg))
+    if len(sources) + bool(model) > 1:
+        named = " | ".join(", ".join(map(repr, keys)) for keys in sources + [model] if keys)
+        raise ConfigError(f"config gives more than one source ({named}); keep one")
 
 
 def _integral(value, what):
@@ -108,14 +126,18 @@ def _grid_from(cfg):
 def _nu_from(cfg):
     """The reduction rate; every command that solves requires it."""
     try:
-        return float(cfg["nu"])
+        nu = float(cfg["nu"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config needs a numeric nu: {exc!r}") from exc
+    if not 0 <= nu < math.inf:  # NaN fails too; checked before the source is read
+        raise ConfigError(f"reduction rate nu must be finite and >= 0, got {nu}")
+    return nu
 
 
 def _model_from(cfg):
     from .channels import BathModel
 
+    _one_source(cfg)
     try:
         n = _integral(cfg["n"], "n")
         n2 = _integral(cfg["n2"], "n2")
@@ -134,6 +156,7 @@ def _source_from(cfg):
     from .volterra import ConstantPath
 
     if "constant_M" in cfg:
+        _one_source(cfg)
         return ConstantPath(np.asarray(cfg["constant_M"], dtype=float))
     return _model_from(cfg).m_path()
 
@@ -141,6 +164,7 @@ def _source_from(cfg):
 def _scalar_input_from(cfg):
     from .scalar import ConstantInput, CosineInput, PiecewiseInput, TabulatedInput
 
+    _one_source(cfg)
     try:
         entry = cfg["scalar"]
         variant = entry["variant"]
@@ -348,8 +372,8 @@ def cmd_scalar(args):
 
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
-    alpha = _scalar_input_from(cfg)
     nu = _nu_from(cfg)
+    alpha = _scalar_input_from(cfg)
     traj = scalar_march(alpha, nu, grid)
     _write(args.out, scalar_trajectory_to_csv(traj))
 

@@ -10,28 +10,29 @@ is no time-discretization bias.  This is the oracle against which the
 quadrature solvers are validated.  ``monte_carlo_average`` samples the
 mixture by strata of k (stratified sampling: Cochran, *Sampling
 Techniques*, 3rd ed., 1977, ch. 5).  k = 0 is exact, p_0 M(T), and spends
-no history; each count 1 <= k < k_c is a stratum of its own, and the
-counts k >= k_c form one tail stratum whose counts are drawn by inverse
-CDF from the conditional Poisson law.  The mean is p_0 M(T) + sum_s p_s m_s
-and the squared stderr sum_s p_s**2 s_s**2 / R_s, from the sample mean m_s
-and variance s_s**2 of the R_s histories of stratum s, summed about the
-stratum's first product so that products agreeing to many digits do not
-cancel; ``_strata`` sets k_c and the R_s.  The weights are formed here, in
-lgamma form, not taken from the series.
+no history.  Each count k >= 1 with R p_k >= FLOOR is a stratum of its own,
+and so are the counts below those if they are few; otherwise they form one
+range stratum, and the counts above form another, whose counts are drawn by
+inverse CDF from the conditional Poisson law.  The mean is
+p_0 M(T) + sum_s p_s m_s and the squared stderr sum_s p_s**2 s_s**2 / R_s,
+from the sample mean m_s and variance s_s**2 of the R_s histories of
+stratum s, summed about the stratum's first product so that products
+agreeing to many digits do not cancel; ``_strata`` sets the strata and the
+R_s.  The weights are formed here, in lgamma form, not from the series.
 
-Stratum k draws only uniforms, from the counter-based stream
+A single count k draws only uniforms, from the counter-based stream
 ``_stream(seed, k)``: a Philox4x64-10 generator keyed (seed mod 2**64, k),
-for any integer seed in [-2**63, 2**64).  The tail draws its counts, then
-its instants, from ``_stream(seed, 0)``.  A history with k events takes
-the next k uniforms, sorted; its row of the batch's gap array holds them
-and T, scaled by T and differenced in place.  All histories of one count
-have as many gaps, so each batch of them whose M(t) stack takes at most
-BATCH_BYTES is one ``many`` call and one stacked product, checked for
-double stochasticity in one pass; the tail goes count by count.  On the
-``oracle`` benchmark's 3x2 bath model (R = 20000, one BLAS thread, 2
-cores, quartiles of two runs of 40 paired repeats), 64 KiB batches took
-0.88-0.94 of the time of 32 KiB and 12 KiB 1.11-1.22, with bit-identical
-results.
+for any integer seed in [-2**63, 2**64).  The ranges draw their counts,
+then their instants, from the one ``_stream(seed, 0)``, the lower range
+first.  A history with k events takes the next k uniforms, sorted; its row
+of the batch's gap array holds them and T, scaled by T and differenced in
+place.  All histories of one count have as many gaps, so each batch of them
+whose M(t) stack takes at most BATCH_BYTES is one ``many`` call and one
+stacked product, checked for double stochasticity in one pass; a range
+goes count by count.  On the ``oracle`` benchmark's 3x2 bath model
+(R = 20000, one BLAS thread, 2 cores, quartiles of two runs of 40 paired
+repeats), 64 KiB batches took 0.88-0.94 of the time of 32 KiB and 12 KiB
+1.11-1.22, with bit-identical results.
 
 Determinism contract: within each stratum the products are accumulated
 from zero in history order, in fixed chunks of CHUNK histories whose sums
@@ -140,33 +141,35 @@ class McEstimate:
 
 
 def _strata(lam, R):
-    """Strata of R histories at Poisson mean lam > 0: (k_c, weights, histories, tail).
+    """Strata of R histories at Poisson mean lam > 0: (label, k, p, histories) each.
 
-    Counts 1 <= k < k_c are single strata: every count below the mode
-    floor(lam) and every count with R p_k >= FLOOR, with k_c capped at
-    R // FLOOR.  The counts k >= k_c are the tail, and ``tail`` holds their
-    weights p_{k_c}, p_{k_c+1}, ... up to a count past which the law holds
-    less than exp(-45).  ``weights`` holds p_1..p_{k_c-1} and the tail's
-    weight.  Each stratum gets FLOOR histories and a share of the rest in
-    proportion to its weight, rounded by largest remainder, so
-    ``histories`` sums to R.
+    Count k >= 1 is a single stratum when R p_k >= FLOOR; these counts are
+    contiguous, as the pmf is unimodal.  The counts below them are single
+    too if they are no more and every stratum still gets FLOOR histories,
+    else one range; the counts above, to where the law holds < exp(-45),
+    are one range.  A range of one count is single.  ``p`` holds the
+    weights of counts k, k + 1, ...  Each stratum gets FLOOR histories and a
+    share of the rest by weight, rounded by largest remainder.
     """
     ks = range(int(lam + 10.0 * math.sqrt(lam)) + 41)
     p = np.array([math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) for k in ks])
-    big = np.flatnonzero(R * p[1:] >= FLOOR)  # counts 1, 2, ... with R p_k >= FLOOR
-    k_c = min(max(int(lam), 2 + big[-1] if big.size else 1), R // FLOOR)
-    weights = np.append(p[1:k_c], p[k_c:].sum())
+    single = [k for k in ks[1:] if R * p[k] >= FLOOR]
+    lo, hi = (single[0], single[-1] + 1) if single else (1, 1)
+    lo = 1 if lo - 1 <= hi - lo and FLOOR * hi <= R else lo  # few below, and room for them
+    edges = sorted({1, *range(lo, hi + 1), len(p)})
+    weights = np.array([p[a:b].sum() for a, b in zip(edges, edges[1:])])
     share = (R - FLOOR * len(weights)) * weights / weights.sum()
     histories = FLOOR + np.floor(share).astype(int)
     histories[np.argsort(np.floor(share) - share, kind="stable")[:R - histories.sum()]] += 1
-    return k_c, weights, histories, p[k_c:]
+    return [(f"k={a}" if b == a + 1 else f"k>={a}" if b == len(p) else f"k<={b - 1}",
+             a, p[a:b], n) for a, b, n in zip(edges, edges[1:], histories.tolist())]
 
 
-def _tail_counts(tail, k_c, n, stream):
-    """(count, histories) pairs of n tail histories, counts increasing."""
-    cdf = np.cumsum(tail)
+def _counts(p, k, n, stream):
+    """(count, histories) pairs, counts increasing, of n draws from p_k, p_k+1, ..."""
+    cdf = np.cumsum(p)
     idx = np.searchsorted(cdf, cdf[-1] * stream.random(n), "right")
-    return zip(*np.unique(k_c + np.minimum(idx, len(cdf) - 1), return_counts=True))
+    return zip(*np.unique(k + np.minimum(idx, len(cdf) - 1), return_counts=True))
 
 
 def _stratum_sums(path, T, counts, stream, run, label):
@@ -240,20 +243,17 @@ def monte_carlo_average(m, nu, T, R, seed, *, workers=1) -> McEstimate:
         # every history is the bare evolution; the average is exact
         return McEstimate(mean=m_T.copy(), stderr=np.zeros_like(m_T),
                           n_samples=R, seed=int(seed))
-    k_c, weights, histories, tail = _strata(nu * T, R)
+    ranges = _stream(seed, 0)  # both range strata draw from it, in count order
     run = np.empty((max(1, BATCH_BYTES // m_T.nbytes // 2) + 1, 2) + m_T.shape)
     mean, var = 0.0 + math.exp(-nu * T) * m_T, 0.0
-    for k, p, n in zip(range(1, k_c + 1), weights, histories):
-        if k < k_c:
-            stream, counts, label = _stream(seed, k), [(k, n)], f"k={k}"
-        else:
-            stream, label = _stream(seed, 0), f"k>={k_c}"
-            counts = _tail_counts(tail, k_c, n, stream)
+    for label, k, p, n in _strata(nu * T, R):
+        stream = _stream(seed, k) if len(p) == 1 else ranges  # a single count draws no count
+        counts = [(k, n)] if len(p) == 1 else _counts(p, k, n, stream)
         (total, total_sq), shift = _stratum_sums(path, T, counts, stream, run, label)
-        m_s = total / n
-        mean = mean + p * m_s
+        m_s, w = total / n, p.sum()
+        mean = mean + w * m_s
         dev = m_s - shift
-        var = var + p * p * (np.maximum(total_sq - n * dev * dev, 0.0) / (n - 1)) / n
+        var = var + w * w * (np.maximum(total_sq - n * dev * dev, 0.0) / (n - 1)) / n
     return McEstimate(mean=mean, stderr=np.sqrt(var), n_samples=R, seed=int(seed))
 
 

@@ -26,21 +26,22 @@ def strata(nu, T, R, seed):
     """(label, weight, realizations) of each stratum, in the library's order.
 
     A single count k draws k uniforms per history from stream (seed, k).
-    The tail, k >= k_c, draws one uniform per history from stream (seed, 0),
-    inverts the conditional Poisson law on it, sorts the counts, then draws
-    each history's uniforms in that order.
+    A range of counts draws one uniform per history from stream (seed, 0),
+    inverts the Poisson law of its counts on it, sorts the counts, then
+    draws each history's uniforms in that order.  The range above the single
+    counts goes on from where the range below them left that stream.
     """
-    k_c, weights, histories, tail = _strata(nu * T, R)
-    cdf = np.cumsum(tail)
-    for k, p, n in zip(range(1, k_c + 1), weights, histories):
-        if k < k_c:
-            stream, counts, label = _stream(seed, k), [k] * n, f"k={k}"
+    ranges = _stream(seed, 0)
+    for label, k, p, n in _strata(nu * T, R):
+        if len(p) == 1:
+            stream, counts = _stream(seed, k), [k] * n
         else:
-            stream, label = _stream(seed, 0), f"k>={k_c}"
-            counts = sorted(k_c + min(int(np.searchsorted(cdf, cdf[-1] * u, "right")),
-                                      len(cdf) - 1)
+            stream, cdf = ranges, np.cumsum(p)
+            counts = sorted(k + min(int(np.searchsorted(cdf, cdf[-1] * u, "right")),
+                                    len(cdf) - 1)
                             for u in stream.random(n))
-        yield label, p, [PoissonRealization(T, T * np.sort(stream.random(c))) for c in counts]
+        yield label, p.sum(), [PoissonRealization(T, T * np.sort(stream.random(c)))
+                               for c in counts]
 
 
 def average(path, nu, T, R, seed):

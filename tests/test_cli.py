@@ -14,6 +14,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(path, **overrides):
+    """The spin-flip model's config, or a constant source's if constant_M is given."""
     model = spin_flip_model()
     cfg = {
         "n": 2,
@@ -24,6 +25,9 @@ def write_config(path, **overrides):
         "R": 2000,
         "seed": 9,
     }
+    if "constant_M" in overrides:  # one source per config
+        for key in ("n", "n2", "B"):
+            del cfg[key]
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return path
@@ -315,6 +319,57 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, command, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"config error: unknown config key(s) {key!r}; no command reads them" in captured.err
+
+
+SYM = [[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]]
+TRIG = {"variant": "trig", "mean": 0.5, "amplitude": 0.5}
+MODEL = {"n": 2, "n2": 1, "B": complex_to_pairs(spin_flip_model().blocks)}
+UNREAD_OR_EXTRA_SOURCE = {  # command, keys the config adds, the refused key, the message
+    "constant-tau": ("scalar", {"scalar": {"variant": "constant", "value": 0.5, "tau": 2.0}},
+                     "scalar.tau", "unknown config key(s)"),
+    "piecewise-value": ("scalar", {"scalar": {"variant": "piecewise", "tau": 0.5,
+                                              "value": 0.5}}, "scalar.value",
+                        "unknown config key(s)"),
+    "trig-times": ("scalar", {"scalar": {**TRIG, "times": [0.0, 2.0]}}, "scalar.times",
+                   "unknown config key(s)"),
+    "tabulated-mean": ("scalar", {"scalar": {"variant": "tabulated", "times": [0.0, 2.0],
+                                             "values": [1.0, 0.5], "mean": 0.5}},
+                       "scalar.mean", "unknown config key(s)"),
+    "constant_M-and-model-solve": ("solve", {"constant_M": SYM, **MODEL}, "constant_M",
+                                   "more than one source"),
+    "constant_M-and-model-genericity": ("genericity", {"constant_M": SYM, **MODEL},
+                                        "constant_M", "more than one source"),
+    "constant_M-and-basis": ("simulate", {"constant_M": SYM, "basis": [[[1.0, 0.0]]]},
+                             "basis", "more than one source"),
+    "scalar-and-model": ("scalar", {"scalar": TRIG, **MODEL}, "n2",
+                         "more than one source"),
+    "scalar-and-constant_M": ("solve", {"scalar": TRIG, "constant_M": SYM}, "scalar",
+                              "more than one source"),
+}
+
+
+@pytest.mark.parametrize("command, keys, refused, message", UNREAD_OR_EXTRA_SOURCE.values(),
+                         ids=UNREAD_OR_EXTRA_SOURCE.keys())
+def test_unread_key_or_second_source_is_config_error(tmp_path, capsys, monkeypatch, command,
+                                                      keys, refused, message):
+    # a scalar key that the variant does not read, or a second source, would
+    # otherwise be ignored; both are refused before any solver runs
+    def solver(*args, **kwargs):
+        raise AssertionError(f"{command} ran a solver before it refused {refused}")
+
+    for name in ("volterra.march_solve", "scalar.scalar_march",
+                 "jump_mc.monte_carlo_average", "channels.genericity_check"):
+        monkeypatch.setattr(f"reduktor.{name}", solver)
+    cfg = {"nu": 1.0, "grid": {"t_max": 2.0, "steps": 200}, "R": 2000, "seed": 9, **keys}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out", out]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert message in captured.err and repr(refused) in captured.err
 
 
 INTEGER_FIELDS = {

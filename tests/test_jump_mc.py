@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -24,7 +25,14 @@ from reduktor.jump_mc import (
     _stream,
 )
 from reduktor.presets import random_model
-from reduktor.volterra import ConstantPath, SolverConfig, TimeGrid, _SmoothPath, march_solve
+from reduktor.volterra import (
+    ConstantPath,
+    SolverConfig,
+    TimeGrid,
+    _modal_solve,
+    _SmoothPath,
+    march_solve,
+)
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 SYM_M = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
@@ -242,10 +250,14 @@ BIT_CASES = {  # source and rate
     "bath-3x2": (lambda: random_model(3, 2, seed=5), 1.0),
     "bath-8x4": (lambda: random_model(8, 4, seed=6), 1.0),
     "constant": (lambda: ConstantPath(SYM_M), 1.0),
-    # nu T = 9.99 and 10: the mode moves from 9 to 10 events, so the counts
-    # below it gain a single stratum; most histories have many events
+    # nu T = 9.99 and 10: the mode moves from 9 to 10 events; at R = 4133
+    # the three counts below the single ones are single too, and at R = 100
+    # k >= 1 is one range; most histories have many events
     "bath-3x2-rate-9.99": (lambda: random_model(3, 2, seed=5), 4.995),
     "bath-3x2-rate-10": (lambda: random_model(3, 2, seed=5), 5.0),
+    # nu T = 60: at R = 4133 the counts 1..45 are one range, drawn from
+    # stream 0 before the range above the single counts
+    "bath-3x2-rate-60": (lambda: random_model(3, 2, seed=5), 30.0),
     # at nu T = 2e-6 every history is in the tail and nearly all have one
     # event; M(T) keeps its -0.0 entries in p_0 M(T), and the output must
     # print them as 0, as a sum started from +0.0 does
@@ -280,26 +292,58 @@ def test_bit_identical_to_per_history_loop(case, R):
 
 class TestStrata:
     @pytest.mark.parametrize("R", [100, 2 * CHUNK + 37, 20000])
-    @pytest.mark.parametrize("lam", [2e-6, 0.5, 2.0, 9.99, 10.0, 30.0])
+    @pytest.mark.parametrize("lam", [2e-6, 0.5, 2.0, 9.99, 10.0, 30.0, 200.0, 1000.0])
     def test_histories_sum_to_R(self, lam, R):
-        k_c, weights, histories, tail = _strata(lam, R)
+        strata = _strata(lam, R)
+        histories = np.array([n for *_, n in strata])
         assert histories.sum() == R
         assert histories.min() >= FLOOR
-        assert len(weights) == len(histories) == k_c
-        assert weights[-1] == tail.sum()
-        assert math.exp(-lam) + weights.sum() == pytest.approx(1.0, abs=1e-14)
-        p = math.exp(-lam) * np.cumprod(lam / np.arange(1.0, 150.0))  # p_1, p_2, ...
-        if k_c < R // FLOOR:  # no cap: every count below the mode, and
-            # every count with R p_k at or above the floor, is single
-            assert k_c >= int(lam)
-            assert (R * p[k_c - 1:] < FLOOR).all()
-        np.testing.assert_allclose(weights[:-1], p[:k_c - 1], rtol=1e-12, atol=0.0)
+        # the weights' lgamma-form exponents, of size lam log(lam), are
+        # rounded, so the tolerances grow with it past lam = 30
+        scale = max(1.0, lam * math.log(lam) / 110.0)
+        weights = np.concatenate([p for _, _, p, _ in strata])
+        assert math.exp(-lam) + weights.sum() == pytest.approx(1.0, abs=1e-14 * scale)
+        counts = np.concatenate([k + np.arange(len(p)) for _, k, p, _ in strata])
+        np.testing.assert_array_equal(counts, np.arange(1, len(counts) + 1))
+        pmf = np.exp(np.cumsum(np.log(lam / counts)) - lam)  # p_1, p_2, ...
+        np.testing.assert_allclose(weights, pmf, rtol=1e-12 * scale, atol=1e-300)
+        # a count with R p_k at or above the floor is single; below those,
+        # a single count is one of a few that have room, and the other
+        # counts form at most one range below them and one above them
+        big = counts[R * weights >= FLOOR]
+        single = {k for _, k, p, _ in strata if len(p) == 1}
+        ranges = [(k, k + len(p) - 1) for _, k, p, _ in strata if len(p) > 1]
+        assert set(big) <= single
+        if big.size:
+            below = sorted(single - set(big))
+            assert below in ([], list(range(1, big[0])))
+            assert len(below) <= len(big)
+            assert sum(hi < big[0] for _, hi in ranges) <= 1
+            assert sum(lo > big[-1] for lo, _ in ranges) <= 1
+            assert all(hi < big[0] or lo > big[-1] for lo, hi in ranges)
+        else:
+            assert [(label, k) for label, k, _, _ in strata] == [("k>=1", 1)]
+
+    @pytest.mark.parametrize("lam, R, histories", [
+        (2.0, 20000, [6213, 6213, 4152, 2092, 856, 307, 110, 57]),  # the oracle workload
+        (10.0, 20000, [41, 76, 178, 398, 763, 1251, 1773, 2208, 2450, 2450, 2230, 1864,
+                       1441, 1039, 703, 452, 279, 169, 104, 68, 63]),  # spin_flip.json
+        (3.0, 50000, [7836, 11738, 11738, 8812, 5300, 2666, 1161, 455, 173, 74, 47]),
+    ], ids=["oracle", "spin_flip", "random_3level"])
+    def test_strata_of_the_shipped_runs_are_pinned(self, lam, R, histories):
+        # every count below the last is single, and the last stratum is the
+        # range above: the strata, streams and draws of these runs are fixed
+        strata = _strata(lam, R)
+        last = len(histories)
+        labels = [f"k={k}" for k in range(1, last)] + [f"k>={last}"]
+        assert [label for label, *_ in strata] == labels
+        assert [n for *_, n in strata] == histories
 
     @pytest.mark.parametrize("R", [100, 2 * CHUNK + 37, 20000])
     def test_tiny_rate_puts_every_history_in_the_tail(self, R):
-        k_c, weights, histories, _ = _strata(2e-6, R)
-        assert k_c == 1 and histories.tolist() == [R]
-        assert weights[0] == pytest.approx(-math.expm1(-2e-6), rel=1e-12)  # P(k >= 1)
+        (label, k, p, n), = _strata(2e-6, R)
+        assert (label, k, n) == ("k>=1", 1, R)
+        assert p.sum() == pytest.approx(-math.expm1(-2e-6), rel=1e-12)  # P(k >= 1)
         est = monte_carlo_average(ConstantPath(SYM_M), 1e-6, 2.0, R, seed=3)
         assert est.n_samples == R
 
@@ -312,6 +356,19 @@ def test_constant_source_exact_at_rate_10():
     w, v = np.linalg.eigh(SYM_M)
     truth = (v * np.exp(nu * (w - 1.0) * T)) @ v.T @ SYM_M
     assert np.abs(est.mean - truth).max() <= 1e-12
+
+
+def test_long_horizon_on_an_unmixed_source():
+    # 0.999 1 + 0.001 Theta_3 is still far from uniform at nu T = 200; the
+    # histories go to the counts around the mode, where the weight is
+    M = 0.999 * np.eye(3) + 0.001 / 3.0
+    exact, _imag = _modal_solve(M, np.zeros((3, 3)), np.eye(3), 1.0, np.array([200.0]))
+    start = time.perf_counter()
+    est = monte_carlo_average(ConstantPath(M), 1.0, 200.0, 2000, seed=5)
+    elapsed = time.perf_counter() - start
+    assert (np.abs(est.mean - exact[0]) <= 6.0 * est.stderr).all()
+    assert est.stderr.max() < 2e-4
+    assert elapsed < 1.0
 
 
 def test_stderr_of_nearly_equal_products():
