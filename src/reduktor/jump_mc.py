@@ -18,7 +18,8 @@ p_0 M(T) + sum_s p_s m_s and the squared stderr sum_s p_s**2 s_s**2 / R_s,
 from the sample mean m_s and variance s_s**2 of the R_s histories of
 stratum s, summed about the stratum's first product so that products
 agreeing to many digits do not cancel; ``_strata`` sets the strata and the
-R_s.  The weights are formed here, in lgamma form, not from the series.
+R_s.  The weights p_k are ``volterra._poisson_law``'s, the law whose tails
+give the series its order; a count below rounding is in no stratum.
 
 A single count k draws only uniforms, from the counter-based stream
 ``_stream(seed, k)``: a Philox4x64-10 generator keyed (seed mod 2**64, k),
@@ -50,7 +51,7 @@ import numpy as np
 
 from .dstoch import dstoch_residual, validate_dstoch
 from .errors import InputValidationError
-from .volterra import _csv_lines, _matrix_stack, as_path
+from .volterra import _csv_lines, _matrix_stack, _poisson_law, as_path
 
 CHUNK = 2048  # histories per partial sum; fixed, so the summation order is too
 FLOOR = 32    # fewest histories in a stratum, and the R p_k that makes count k one
@@ -141,28 +142,29 @@ class McEstimate:
 
 
 def _strata(lam, R):
-    """Strata of R histories at Poisson mean lam > 0: (label, k, p, histories) each.
+    """Strata of R histories at Poisson mean lam >= 0: (label, k, p, histories) each.
 
-    Count k >= 1 is a single stratum when R p_k >= FLOOR; these counts are
-    contiguous, as the pmf is unimodal.  The counts below them are single
-    too if they are no more and every stratum still gets FLOOR histories,
-    else one range; the counts above, to where the law holds < exp(-45),
-    are one range.  A range of one count is single.  ``p`` holds the
+    Of the counts k >= 1 of ``volterra._poisson_law``, k is a single stratum
+    when R p_k >= FLOOR; these counts are contiguous, as the pmf is
+    unimodal.  The counts below them are single too if they are no more and
+    every stratum still gets FLOOR histories, else one range; the counts
+    above are one range.  A range of one count is single.  ``p`` holds the
     weights of counts k, k + 1, ...  Each stratum gets FLOOR histories and a
     share of the rest by weight, rounded by largest remainder.
     """
-    ks = range(int(lam + 10.0 * math.sqrt(lam)) + 41)
-    p = np.array([math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) for k in ks])
-    single = [k for k in ks[1:] if R * p[k] >= FLOOR]
-    lo, hi = (single[0], single[-1] + 1) if single else (1, 1)
-    lo = 1 if lo - 1 <= hi - lo and FLOOR * hi <= R else lo  # few below, and room for them
-    edges = sorted({1, *range(lo, hi + 1), len(p)})
+    first, law = _poisson_law(lam)
+    k1, p = max(first, 1), law[max(1 - first, 0):]  # the counts k1, k1 + 1, ... and weights
+    single = [i for i in range(len(p)) if R * p[i] >= FLOOR]
+    lo, hi = (single[0], single[-1] + 1) if single else (0, 0)
+    lo = 0 if lo <= hi - lo and FLOOR * (hi + 1) <= R else lo  # few below, and room for them
+    edges = sorted({0, *range(lo, hi + 1), len(p)})
     weights = np.array([p[a:b].sum() for a, b in zip(edges, edges[1:])])
     share = (R - FLOOR * len(weights)) * weights / weights.sum()
     histories = FLOOR + np.floor(share).astype(int)
     histories[np.argsort(np.floor(share) - share, kind="stable")[:R - histories.sum()]] += 1
-    return [(f"k={a}" if b == a + 1 else f"k>={a}" if b == len(p) else f"k<={b - 1}",
-             a, p[a:b], n) for a, b, n in zip(edges, edges[1:], histories.tolist())]
+    return [(f"k={k1 + a}" if b == a + 1 else f"k>={k1 + a}" if b == len(p)
+             else f"{k1 + a}<=k<={k1 + b - 1}", k1 + a, p[a:b], n)
+            for a, b, n in zip(edges, edges[1:], histories.tolist())]
 
 
 def _counts(p, k, n, stream):
@@ -239,13 +241,10 @@ def monte_carlo_average(m, nu, T, R, seed, *, workers=1) -> McEstimate:
         raise ValueError(f"need finite nu >= 0 and T > 0, got nu={nu}, T={T}")
     path = as_path(m)
     m_T = _matrix_stack(path, np.array([T]))[0]
-    if nu == 0:
-        # every history is the bare evolution; the average is exact
-        return McEstimate(mean=m_T.copy(), stderr=np.zeros_like(m_T),
-                          n_samples=R, seed=int(seed))
     ranges = _stream(seed, 0)  # both range strata draw from it, in count order
     run = np.empty((max(1, BATCH_BYTES // m_T.nbytes // 2) + 1, 2) + m_T.shape)
-    mean, var = 0.0 + math.exp(-nu * T) * m_T, 0.0
+    first, law = _poisson_law(nu * T)  # [1] at nu T = 0: no stratum, and the mean exact
+    mean, var = 0.0 + (law[0] if first == 0 else 0.0) * m_T, np.zeros_like(m_T)
     for label, k, p, n in _strata(nu * T, R):
         stream = _stream(seed, k) if len(p) == 1 else ranges  # a single count draws no count
         counts = [(k, n)] if len(p) == 1 else _counts(p, k, n, stream)

@@ -680,48 +680,50 @@ def _series_levels(M, h, nu):
         yield F, u[:, 0, 0]
 
 
-def _poisson_sf(k, mu):
-    """P[X > k] for X ~ Poisson(mu), mu > 0, by direct summation.
+def _poisson_law(mu):
+    """(first, p): the Poisson(mu) weights of the counts first, first + 1, ...
 
-    Sums the pmf from k + 1 upward, each term formed on its own as
-    exp(-mu + j log mu - lgamma(j + 1)), so nothing drifts or underflows as
-    a running product would (that reaches 0 once mu > 745).  Stops when a
-    term falls below 1e-17 of the running sum, but never while j <= mu,
-    where the terms still grow.
+    From the mode m = floor(mu), p_m = 1, p_{k+1} = p_k mu / (k + 1) and
+    p_{k-1} = p_k k / mu run out to the first term below 2**-60 p_m on each
+    side, and one fsum normalizes.  Neither e^{-mu} (0 past mu = 745) nor an
+    exponent of size mu log mu is formed, so the weights are exact to
+    rounding.  mu = 0 gives [1].
     """
-    log_mu, total, j = math.log(mu), 0.0, k + 1
-    while True:
-        term = math.exp(-mu + j * log_mu - math.lgamma(j + 1))
-        total += term
-        if j > mu and term <= 1e-17 * total:
-            return total
-        j += 1
+    m, cut = int(mu), 2.0 ** -60
+    up, k = [1.0], m
+    while (p := up[-1] * mu / (k := k + 1)) >= cut:
+        up.append(p)
+    down, k = [1.0], m + 1
+    while (k := k - 1) and (p := down[-1] * k / mu) >= cut:
+        down.append(p)
+    w = np.array(down[:0:-1] + up)
+    return m + 1 - len(down), w / math.fsum(w)
 
 
 def _pick_series_order(nu, T, n_max, tail_tol):
+    """Order n_max, else the first k >= max(1, nu T), with tail P[K > k] <= tail_tol."""
     mu = nu * T
-    if n_max is not None:
-        tail = _poisson_sf(n_max, mu) if mu > 0 else 0.0
-        if tail > tail_tol:
-            raise TailBoundExceededError(
-                f"Poisson tail P[K > {n_max}] = {tail:.3e} exceeds {tail_tol:g} at nu*T={mu:g}")
-        return n_max, tail
-    if mu == 0:
-        return 0, 0.0
-    k = max(1, int(math.ceil(mu)))
-    while (tail := _poisson_sf(k, mu)) > tail_tol:
-        k += 1
-    return k, tail
+    first, p = _poisson_law(mu)
+    # P[K > k] for k = 0, 1, ..., summed from the top of the law; 0.0 past it
+    sf = np.append(np.cumsum(np.concatenate([np.zeros(first), p])[:0:-1])[::-1], 0.0)
+    if n_max is None:
+        n_max = max(1, math.ceil(mu)) if mu else 0
+        while n_max < len(sf) and sf[n_max] > tail_tol:
+            n_max += 1
+    tail = min(float(sf[n_max]), 1.0) if n_max < len(sf) else 0.0  # the sum can round past 1
+    if tail > tail_tol:
+        raise TailBoundExceededError(
+            f"Poisson tail P[K > {n_max}] = {tail:.3e} exceeds {tail_tol:g} at nu*T={mu:g}")
+    return n_max, tail
 
 
 def neumann_series(m, cfg: SolverConfig, T) -> SeriesResult:
-    """Realization-count expansion truncated by the Poisson tail bound TOL_TAIL.
+    """Realization-count expansion to where the tail of ``_poisson_law`` is TOL_TAIL.
 
     Evaluates sum_{k=0}^{n_max} nu^k F_{k+1}(T) over the normalizing unit
-    series, where F_1 = M and F_{m+1}(T) = int_0^T M(T-t) F_m(t) dt by
-    iterated trapezoid quadrature.  The e^{-nu T} prefactor cancels in the
-    normalization, so no large exponentials are formed: the levels are
-    summed tilted (see ``neumann_series_trajectory``).
+    series, F_1 = M and F_{m+1}(T) = int_0^T M(T-t) F_m(t) dt by iterated
+    trapezoid quadrature, summed tilted (``neumann_series_trajectory``), so
+    no large exponential is formed.
     """
     traj = neumann_series_trajectory(m, cfg, horizon=T)
     nmax, tail = _pick_series_order(cfg.nu, T, cfg.n_max, TOL_TAIL)
@@ -755,9 +757,7 @@ def neumann_series_trajectory(m, cfg: SolverConfig, *, horizon=None) -> Trajecto
     nmax, _tail = _pick_series_order(nu, T, cfg.n_max, TOL_TAIL)
     total = np.zeros_like(M)
     mass = np.zeros(K + 1)
-    gen = _series_levels(M, h, nu)
-    for level in range(nmax + 1):
-        F, u = next(gen)
+    for _, (F, u) in zip(range(nmax + 1), _series_levels(M, h, nu)):
         total += F
         mass += u
     out = total / mass[:, None, None]

@@ -8,7 +8,7 @@ the sums run over chunks of CHUNK histories, combined in chunk order, and
 the strata are combined in count order from +0.0, as the library does.
 """
 
-import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -20,6 +20,22 @@ from reduktor.jump_mc import (
     _stream,
     evolve_realization,
 )
+from reduktor.volterra import _poisson_law
+
+
+def poisson_pmf(mu, ks):
+    """Poisson(mu) weights of the increasing counts ks, in 60-digit decimal arithmetic."""
+    out, j = [], 0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        m = Decimal(mu)  # the float's exact value
+        log_mu, log_fact = m.ln(), Decimal(0)
+        for k in ks:
+            while j < k:
+                j += 1
+                log_fact += Decimal(j).ln()
+            out.append(float((k * log_mu - m - log_fact).exp()))
+    return np.array(out)
 
 
 def strata(nu, T, R, seed):
@@ -51,7 +67,8 @@ def average(path, nu, T, R, seed):
     products x, x_0 the first of them.
     """
     m_T = evolve_realization(path, PoissonRealization(T, ()))
-    mean, var = 0.0 + math.exp(-nu * T) * m_T, 0.0
+    first, law = _poisson_law(nu * T)
+    mean, var = 0.0 + (law[0] if first == 0 else 0.0) * m_T, 0.0
     for _, p, reals in strata(nu, T, R, seed):
         shift = evolve_realization(path, reals[0])
         total = total_sq = 0.0

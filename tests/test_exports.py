@@ -1,10 +1,13 @@
 """The package's lazy export table (PEP 562): a stale entry fails only on first use.
 
-Also pins the optional parameters of every public callable.
+Also pins the optional parameters of every public callable, and keeps
+``print`` out of the library.
 """
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -49,3 +52,15 @@ def test_optional_parameters_are_pinned(name):
     params = inspect.signature(getattr(reduktor, name)).parameters.values()
     got = {p.name: repr(p.default) for p in params if p.default is not p.empty}
     assert got == OPTIONS.get(name, {})
+
+
+PACKAGE = Path(reduktor.__file__).parent
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "cli.py"))
+def test_library_does_not_print(module):
+    # library code logs through logging; only the CLI writes to the terminal
+    tree = ast.parse((PACKAGE / module).read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    assert lines == [], f"print called at {module}:{lines}"

@@ -30,6 +30,7 @@ from reduktor.volterra import (
     SolverConfig,
     TimeGrid,
     _modal_solve,
+    _poisson_law,
     _SmoothPath,
     march_solve,
 )
@@ -298,15 +299,18 @@ class TestStrata:
         histories = np.array([n for *_, n in strata])
         assert histories.sum() == R
         assert histories.min() >= FLOOR
-        # the weights' lgamma-form exponents, of size lam log(lam), are
-        # rounded, so the tolerances grow with it past lam = 30
-        scale = max(1.0, lam * math.log(lam) / 110.0)
         weights = np.concatenate([p for _, _, p, _ in strata])
-        assert math.exp(-lam) + weights.sum() == pytest.approx(1.0, abs=1e-14 * scale)
         counts = np.concatenate([k + np.arange(len(p)) for _, k, p, _ in strata])
-        np.testing.assert_array_equal(counts, np.arange(1, len(counts) + 1))
-        pmf = np.exp(np.cumsum(np.log(lam / counts)) - lam)  # p_1, p_2, ...
-        np.testing.assert_allclose(weights, pmf, rtol=1e-12 * scale, atol=1e-300)
+        # consecutive counts from 1 or, past lam = 100 or so, from the first
+        # count whose weight is not below rounding, and up to the last
+        np.testing.assert_array_equal(counts, np.arange(counts[0], counts[-1] + 1))
+        cut = 2.0 ** -60 * ref.poisson_pmf(lam, [int(lam)])[0]  # of the mode's weight
+        assert ref.poisson_pmf(lam, [counts[-1] + 1])[0] < cut
+        assert counts[0] == 1 or ref.poisson_pmf(lam, [counts[0] - 1])[0] < cut
+        first, law = _poisson_law(lam)
+        assert math.fsum([law[0] if first == 0 else 0.0, *weights]) == pytest.approx(
+            1.0, rel=0.0, abs=2e-16)
+        np.testing.assert_allclose(weights, ref.poisson_pmf(lam, counts), rtol=1e-14, atol=0.0)
         # a count with R p_k at or above the floor is single; below those,
         # a single count is one of a few that have room, and the other
         # counts form at most one range below them and one above them
@@ -316,13 +320,15 @@ class TestStrata:
         assert set(big) <= single
         if big.size:
             below = sorted(single - set(big))
-            assert below in ([], list(range(1, big[0])))
+            assert below in ([], list(range(counts[0], big[0])))
             assert len(below) <= len(big)
             assert sum(hi < big[0] for _, hi in ranges) <= 1
             assert sum(lo > big[-1] for lo, _ in ranges) <= 1
             assert all(hi < big[0] or lo > big[-1] for lo, hi in ranges)
+            assert all(label == f"{k}<=k<={k + len(p) - 1}" for label, k, p, _ in strata
+                       if len(p) > 1 and k < big[0])  # a lower range names both ends
         else:
-            assert [(label, k) for label, k, _, _ in strata] == [("k>=1", 1)]
+            assert [(label, k) for label, k, _, _ in strata] == [(f"k>={counts[0]}", counts[0])]
 
     @pytest.mark.parametrize("lam, R, histories", [
         (2.0, 20000, [6213, 6213, 4152, 2092, 856, 307, 110, 57]),  # the oracle workload

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from reduktor.dstoch import compression_many, theta
+import mc_reference as ref
+from reduktor.dstoch import compression_many, dstoch_residual, theta
 from reduktor.errors import (
     GridTooCoarseError,
     KernelNormalizationViolation,
@@ -16,6 +17,8 @@ from reduktor.errors import (
 from reduktor.presets import random_model, spin_flip_model
 from reduktor.scalar import CosineInput, LiftedPath, PiecewiseInput
 from reduktor.volterra import (
+    TOL_TAIL,
+    TOL_TRAJ,
     ConstantPath,
     Kernel,
     SolverConfig,
@@ -23,7 +26,7 @@ from reduktor.volterra import (
     Trajectory,
     _csv_lines,
     _pick_series_order,
-    _poisson_sf,
+    _poisson_law,
     _SmoothPath,
     _validate_nodes,
     derivative_consistency,
@@ -133,6 +136,20 @@ class TestMarch:
         assert np.abs(sums_c - 1.0).max() < 1e-12
         assert traj.values.min() >= 0.0
 
+    @settings(max_examples=6, deadline=None)
+    @given(n=st.sampled_from([2, 3]), n2=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
+           nu=st.floats(0.1, 4.0), K=st.integers(1, 2000), hnu=st.floats(0.01, 0.5))
+    @example(n=3, n2=2, seed=5, nu=1.0, K=2000, hnu=0.5)
+    @example(n=2, n2=2, seed=7, nu=2.5, K=1600, hnu=0.45)
+    def test_random_bath_stays_doubly_stochastic(self, n, n2, seed, nu, K, hnu):
+        # nu T = K h nu reaches 1000; past 709.8 e^{nu T} overflows, so only
+        # a march that stays tilted gets there
+        cfg = SolverConfig(nu=nu, grid=TimeGrid(K * hnu / nu, K))
+        traj = march_solve(random_model(n, n2, seed).m_path(), cfg)
+        values = np.array([*traj.values, *traj.left_values.values()])
+        assert np.isfinite(values).all()
+        assert dstoch_residual(values).max() <= TOL_TRAJ
+
     def test_compression_bounded_along_trajectory(self, generic_model):
         cfg = SolverConfig(nu=1.0, grid=TimeGrid(6.0, 600))
         traj = march_solve(generic_model.m_path(), cfg)
@@ -234,15 +251,28 @@ class TestSeries:
 
 
 class TestPoissonTail:
-    """The numpy-only Poisson tail, checked against scipy as an oracle."""
+    """The Poisson law and its tails, checked against decimal and scipy as oracles."""
+
+    @pytest.mark.parametrize("mu", [0.5, 2.0, 30.0, 200.0, 1000.0])
+    def test_law_is_exact_to_rounding(self, mu):
+        first, p = _poisson_law(mu)
+        assert abs(p.sum() - 1.0) <= 2e-16
+        want = ref.poisson_pmf(mu, range(first, first + len(p)))
+        np.testing.assert_allclose(p, want, rtol=1e-14, atol=0.0)
+
+    def test_zero_mean_is_the_count_zero(self):
+        first, p = _poisson_law(0.0)
+        assert first == 0 and p.tolist() == [1.0]
 
     @settings(max_examples=300, deadline=None)
     @given(mu=st.floats(0.0, 1000.0, exclude_min=True), data=st.data())
     def test_sf_matches_scipy(self, mu, data):
         k = data.draw(st.integers(0, int(mu + 60)))
-        # scipy flushes tails below the normal range to zero
-        assert _poisson_sf(k, mu) == pytest.approx(
-            float(stats.poisson.sf(k, mu)), rel=1e-11, abs=np.finfo(float).tiny)
+        # the law leaves out the terms below 2**-60 of the mode's, which
+        # bounds the error of a tail near its end (and sets one past it to 0)
+        left_out = 2.0 ** -56 * _poisson_law(mu)[1].max()
+        assert _pick_series_order(mu, 1.0, k, 1.0)[1] == pytest.approx(
+            float(stats.poisson.sf(k, mu)), rel=1e-11, abs=left_out)
 
     def test_series_order_matches_scipy_pick(self):
         def pick(mu, tol):
@@ -254,6 +284,15 @@ class TestPoissonTail:
         for mu in np.linspace(0.02, 60.0, 151):
             for tol in (1e-6, 1e-10, 1e-12, 1e-14):
                 assert _pick_series_order(mu, 1.0, None, tol)[0] == pick(mu, tol)
+
+    def test_series_orders_are_pinned(self):
+        # the orders the lgamma-form tails gave, so no series output moves
+        mus = (2.0, 3.0, 10.0, 1000.0)
+        assert [_pick_series_order(mu, 1.0, None, TOL_TAIL)[0] for mu in mus] == [16, 19, 36, 1208]
+
+    def test_explicit_order_past_the_law_has_no_tail(self):
+        first, p = _poisson_law(2.0)
+        assert _pick_series_order(2.0, 1.0, first + len(p), 0.0) == (first + len(p), 0.0)
 
     def test_explicit_order_below_mean(self):
         # an explicit n_max below nu*T sums the tail across the mode
