@@ -260,7 +260,7 @@ def cmd_simulate(args):
     source = _source_from(cfg)
     est = monte_carlo_average(source, nu, grid.t_max, R, seed)
     _write(args.out, mc_estimate_to_csv(est, nu=nu, T=grid.t_max))
-    _say(args, lambda: f"mean max stderr = {est.stderr.max():.6g} over {R} histories")
+    _say(args, lambda: f"mean max stderr = {est.stderr.max():.6g} over {est.n_samples} histories")
     return EXIT_OK
 
 

@@ -127,7 +127,7 @@ def evolve_realization(m, r: PoissonRealization) -> np.ndarray:
 
 @dataclass
 class McEstimate:
-    """Entrywise mean and standard error of a Monte Carlo average over R histories."""
+    """Entrywise mean and standard error of a Monte Carlo average over n_samples histories."""
 
     mean: np.ndarray
     stderr: np.ndarray
@@ -228,13 +228,13 @@ def _check_run(R, seed):
 def monte_carlo_average(m, nu, T, R, seed, *, workers=1) -> McEstimate:
     """Average the composed evolution over R histories, stratified by count.
 
-    Exact for the no-event term p_0 M(T); the R histories go to the strata
-    of the counts k >= 1 as the module docstring sets out.  Deterministic
-    for fixed (seed, R): each stratum has its own keyed stream, and the sums
-    are formed in a fixed order.  ``workers`` is accepted for compatibility
-    and ignored.  Each product is checked to be doubly stochastic within
-    TOL_PRODUCT; the first that is not raises ``InputValidationError``
-    naming its stratum and history.
+    Exact for the no-event term p_0 M(T); the R histories go to the strata of
+    the counts k >= 1 as the module docstring sets out, and ``n_samples``
+    counts those drawn, 0 if no stratum forms.  Deterministic for fixed (seed,
+    R): each stratum has its own keyed stream, and the sums are formed in a
+    fixed order.  ``workers`` is accepted for compatibility and ignored.  Each
+    product is checked to be doubly stochastic within TOL_PRODUCT; the first
+    that is not raises ``InputValidationError`` naming its stratum and history.
     """
     _check_run(R, seed)  # before any evaluation
     if not (0 <= nu < math.inf and 0 < T < math.inf):  # NaN fails too
@@ -245,7 +245,8 @@ def monte_carlo_average(m, nu, T, R, seed, *, workers=1) -> McEstimate:
     run = np.empty((max(1, BATCH_BYTES // m_T.nbytes // 2) + 1, 2) + m_T.shape)
     first, law = _poisson_law(nu * T)  # [1] at nu T = 0: no stratum, and the mean exact
     mean, var = 0.0 + (law[0] if first == 0 else 0.0) * m_T, np.zeros_like(m_T)
-    for label, k, p, n in _strata(nu * T, R):
+    strata = _strata(nu * T, R)
+    for label, k, p, n in strata:
         stream = _stream(seed, k) if len(p) == 1 else ranges  # a single count draws no count
         counts = [(k, n)] if len(p) == 1 else _counts(p, k, n, stream)
         (total, total_sq), shift = _stratum_sums(path, T, counts, stream, run, label)
@@ -253,7 +254,8 @@ def monte_carlo_average(m, nu, T, R, seed, *, workers=1) -> McEstimate:
         mean = mean + w * m_s
         dev = m_s - shift
         var = var + w * w * (np.maximum(total_sq - n * dev * dev, 0.0) / (n - 1)) / n
-    return McEstimate(mean=mean, stderr=np.sqrt(var), n_samples=R, seed=int(seed))
+    drawn = sum(n for *_, n in strata)
+    return McEstimate(mean=mean, stderr=np.sqrt(var), n_samples=drawn, seed=int(seed))
 
 
 def mc_estimate_to_csv(est: McEstimate, *, nu, T) -> str:

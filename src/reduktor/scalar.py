@@ -172,21 +172,19 @@ def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid) -> ScalarTrajectory:
     the scheme.  Both are solved tilted, as e^{-nu t} N from the source
     e^{-nu t} alpha(t) and the factor from e^{-nu t}, so nothing overflows
     at large nu T, and each is one lower-triangular system solved in
-    blocks of ``volterra.MARCH_BLOCK`` nodes.  Quadrature panels use
-    one-sided limits at discontinuities of alpha, which therefore must
-    sit on grid nodes.  A node that leaves [0, 1] by more than
+    blocks of ``volterra.MARCH_BLOCK`` nodes.  Quadrature panels use the
+    one-sided limits of alpha read at each jump time, which must lie on
+    the grid (``volterra._limits``).  A node that leaves [0, 1] by more than
     SCALAR_ESCAPE_TOL, or is not finite, raises ValueEscapeError.
     """
     SolverConfig(nu=nu, grid=grid)  # a negative or non-finite nu fails here
-    ts = grid.nodes
-    aL, aR, jump_idx = _limits(alpha, grid, matrix=False)
-    out, left = _march(aL[:, None, None], aR[:, None, None], jump_idx, grid.h, nu)
+    out, left = _march(*_limits(alpha, grid, matrix=False), grid.h, nu)
     betaR = out[:, 0, 0]
     lo, hi = betaR.min(), betaR.max()  # nan if any node is, and nan escapes too
     if not (lo >= -SCALAR_ESCAPE_TOL and hi <= 1.0 + SCALAR_ESCAPE_TOL):
         k = int(np.argmin(betaR) if not lo >= -SCALAR_ESCAPE_TOL else np.argmax(betaR))
         raise ValueEscapeError(k, float(betaR[k]))
-    jumps_log = [(float(ts[j]), float(left[j][0, 0]), float(betaR[j])) for j in jump_idx]
+    jumps_log = [(float(grid.nodes[j]), float(v[0, 0]), float(betaR[j])) for j, v in left.items()]
     return ScalarTrajectory(grid=grid, beta=betaR, jumps=jumps_log)
 
 

@@ -56,18 +56,18 @@ Sources are time paths: subclasses of ``_SmoothPath``, which supplies
 ``left``/``right`` with ``jump_times`` of a continuous source.  Constant
 matrices, bath models (``channels.BathModel``), scalar inputs alpha(t)
 (``scalar``) and their matrix lifts are all such paths; ``as_path`` wraps
-a plain callable t -> (n, n) array.  ``_limits`` samples every path's
-one-sided limits on the grid for the marches, so quadrature panels never
-straddle a discontinuity (jumps must sit on grid nodes).  A panel that
-ends on jump nodes pairs the right limit of M with the left limit of X
-and vice versa, averaged.  With node averages Mbar = (ML + MR) / 2,
-Xbar = (XL + XR) / 2 and jumps D = MR - ML = XR - XL, that pair is
+a plain callable t -> (n, n) array.  ``_limits`` alone reads a path for
+the marches: the node values M and the left limit L at each jump node,
+both limits read at the jump time, which must lie on the grid.  A panel
+ending on jump nodes pairs the right limit of M with the left limit of X
+and vice versa, averaged.  With node averages Mbar = (L + M) / 2,
+Xbar = (XL + XR) / 2 and jumps D = M - L = XR - XL, that pair is
 
-    (MR[s] XL[t] + ML[s] XR[t]) / 2 = Mbar[s] Xbar[t] - D[s] D[t] / 4,
+    (M[s] XL[t] + L[s] XR[t]) / 2 = Mbar[s] Xbar[t] - D[s] D[t] / 4,
 
 so each step is still one contraction of Mbar with Xbar, and the march
 solves for Xbar.  The only extra terms are the t = 0 endpoint,
-which uses the left limit ML[k], the implicit endpoint, which uses
+which uses the left limit L[k], the implicit endpoint, which uses
 XL[k] = Xbar[k] - D[k] / 2, and the pairs where both t and k - t are
 jump nodes; none depends on X, and ``_march_terms`` forms them once.
 
@@ -330,18 +330,17 @@ def _validate_nodes(values, tol, what="trajectory", nodes=None):
                                 detail=what)
 
 
-def _validate_source(ML, MR, jump_idx):
+def _validate_source(M, left):
     """Check a 2 x 2 source doubly stochastic within TOL_TRAJ at every node and left limit.
 
     The march lifts a doubly stochastic output from any 2 x 2 source (see
     ``_march``), so the output check cannot catch a bad one; larger
     sources are left to the output check.
     """
-    if ML.shape[-1] != 2:
-        return
-    _validate_nodes(MR, TOL_TRAJ, "source")
-    if jump_idx:
-        _validate_nodes(ML[jump_idx], TOL_TRAJ, "source left limit", jump_idx)
+    if M.shape[-1] == 2:
+        _validate_nodes(M, TOL_TRAJ, "source")
+        if left:
+            _validate_nodes(np.stack([*left.values()]), TOL_TRAJ, "source left limit", [*left])
 
 
 def _block_pull(Mbar, H, j0, X):
@@ -364,34 +363,35 @@ def _block_pull(Mbar, H, j0, X):
         X[j1:] += np.einsum("kijt,tjl->kil", window, H[::-1])
 
 
-def _march_terms(ML, MR, jump_idx, h, b):
+def _march_terms(M, left, h, b):
     """Weights, node averages and jump terms of the march with constant weight b.
 
     Returns w, the trapezoid weights times b (h b, and h b / 2 at t = 0);
-    Mbar = (ML + MR) / 2, the source of the history sums; f, the known
-    right-hand side of the implicit step for the node averages Xbar; and
-    the shift s[j] = (MR[j] - ML[j]) / 2 = XR[j] - Xbar[j] = Xbar[j] - XL[j]
-    at each jump node j.  f is Mbar, plus at each jump node k the t = 0
-    endpoint on the left limit and the implicit endpoint on XL[k], together
-    -w_0 (M[0] s[k] + s[k] M[0]) since X[0] = M[0], and at each node k the
-    pairs -w_t s[k - t] s[t] of jump nodes t and k - t.  Without jumps
-    Mbar and f are ML itself.
+    Mbar, the source of the history sums, M with (L[j] + M[j]) / 2 at each
+    jump node j of ``left``; f, the known right-hand side of the implicit
+    step for the node averages Xbar; and the shift s[j] = (M[j] - L[j]) / 2
+    = XR[j] - Xbar[j] = Xbar[j] - XL[j], by jump node in order.  f is Mbar,
+    plus at each jump node k the t = 0 endpoint on the left limit and the
+    implicit endpoint on XL[k], together -w_0 (M[0] s[k] + s[k] M[0]) since
+    X[0] = M[0], and at each node k the pairs -w_t s[k - t] s[t] of jump
+    nodes t and k - t.  Without jumps Mbar and f are M itself.
     """
-    K = len(ML) - 1
+    K = len(M) - 1
     w = np.full(K + 1, h)
     w[0] = 0.5 * h
     w *= b
-    if not jump_idx:
-        return w, ML, ML, {}
-    Mbar = 0.5 * (ML + MR)
-    jumps = np.array(jump_idx)
-    s = 0.5 * (MR[jumps] - ML[jumps])
+    if not left:
+        return w, M, M, {}
+    jumps = np.array(sorted(left))
+    L, R = np.stack([left[j] for j in jumps]), M[jumps]
+    Mbar, s = M.copy(), 0.5 * (R - L)
+    Mbar[jumps] = 0.5 * (L + R)
     f = Mbar.copy()
-    for i, k in enumerate(jump_idx):
+    for i, k in enumerate(jumps):
         f[k] -= w[0] * (Mbar[0] @ s[i] + s[i] @ Mbar[0])
         pairs = jumps <= K - k  # partners t, in order, with k + t on the grid
         f[k + jumps[pairs]] -= w[jumps[pairs], None, None] * (s[i] @ s[pairs])
-    return w, Mbar, f, dict(zip(jump_idx, s))
+    return w, Mbar, f, dict(zip(jumps.tolist(), s))
 
 
 def _blocked_solve(w, Mbar, f):
@@ -451,15 +451,15 @@ def _constant_march(M, w, tilt):
     return X[:, :n, :n].copy(), X[:, n:, n:]
 
 
-def _march(ML, MR, jump_idx, h, b):
+def _march(M, left, h, b):
     """Trapezoid march of X(T_k) = M(T_k) + b sum_{t<=k} w_t M(T_k - t) X(t).
 
-    ML and MR are the (K+1, n, n) left and right limits of M on the grid,
-    equal off the jump nodes ``jump_idx`` (all > 0), and b is the constant
+    M is the (K+1, n, n) source on the grid and ``left`` its left limits by
+    jump node (all > 0), as ``_limits`` returns them; b is the constant
     memory weight.  The endpoint t = k is solved implicitly.  Returns the
-    node values and the left limits at the jump nodes, both divided by the
-    unit mode sigma, the march of the unit source.  X and sigma are marched
-    tilted, from the sources e^{-b t} M and e^{-b t}, so nothing overflows.
+    node values and the left limits, both divided by the unit mode sigma,
+    the march of the unit source.  X and sigma are marched tilted, from the
+    sources e^{-b t} M and e^{-b t}, so nothing overflows.
 
     A 2 x 2 source is marched as the (K+1, 1, 1) stacks of its scalar mode
     beta = 1 - M[0, 1] - M[1, 0] and lifted back to beta 1 + (1 - beta)
@@ -473,22 +473,23 @@ def _march(ML, MR, jump_idx, h, b):
     node averages Xbar by ``_blocked_solve``, and the node values and left
     limits are Xbar + s and Xbar - s, s the shift of ``_march_terms``.
     """
-    if ML.shape[-1] == 2:
-        bL, bR = ((1.0 - M[:, 0, 1] - M[:, 1, 0]).reshape(-1, 1, 1) for M in (ML, MR))
-        out, left = _march(bL, bR, jump_idx, h, b)
-        return lift(out[:, 0, 0], 2), {j: lift(v[0, 0], 2) for j, v in left.items()}
-    tilt = np.exp(-b * h * np.arange(len(ML))).reshape(-1, 1, 1)  # e^{-b t}
-    w, Mbar, f, shift = _march_terms(tilt * ML, tilt * MR, jump_idx, h, b)
-    if ML.strides[0] == 0 and not jump_idx:
-        X, sigma = _constant_march(ML[0], w, tilt[:, 0, 0])
+    if M.shape[-1] == 2:
+        def beta(A):  # the scalar mode, as a 1 x 1 matrix or stack of them
+            return (1.0 - A[..., 0, 1] - A[..., 1, 0])[..., None, None]
+        out, out_left = _march(beta(M), {j: beta(L) for j, L in left.items()}, h, b)
+        return lift(out[:, 0, 0], 2), {j: lift(v[0, 0], 2) for j, v in out_left.items()}
+    tilt = np.exp(-b * h * np.arange(len(M))).reshape(-1, 1, 1)  # e^{-b t}
+    w, Mbar, f, shift = _march_terms(tilt * M, {j: tilt[j] * L for j, L in left.items()}, h, b)
+    if M.strides[0] == 0 and not left:
+        X, sigma = _constant_march(M[0], w, tilt[:, 0, 0])
     else:
         X = _blocked_solve(w, Mbar, f)
         sigma = _blocked_solve(w, tilt, tilt)
-    left = {j: (X[j] - s) / sigma[j] for j, s in shift.items()}
+    out_left = {j: (X[j] - s) / sigma[j] for j, s in shift.items()}
     for j, s in shift.items():
         X[j] += s
     X /= sigma
-    return X, left
+    return X, out_left
 
 
 def _general_march(M, a, h, b):
@@ -529,23 +530,24 @@ def _matrix_stack(path, ts):
 
 
 def _limits(path, grid, matrix=True):
-    """Left and right limits of a path at the grid nodes, and its jump nodes.
+    """A path's values at the grid nodes and its left limits at the jump nodes.
 
-    Returns (ML, MR, jump_idx): ``path.many`` at the nodes, checked to be a
-    matrix stack unless ``matrix`` is false (a scalar input), with the
-    one-sided limits put in at the jump nodes in (0, t_max], which must lie
-    on the grid.  ML and MR are one array when there is no jump.
+    Returns (M, left): ``path.many`` at the nodes, checked to be a matrix
+    stack unless ``matrix`` is false (a scalar input, as 1 x 1 matrices),
+    and a map, in node order, from the node j of each jump time t > 0 on
+    the grid to ``path.left(t)``, with M[j] = ``path.right(t)``: both
+    read at t, so a jump a rounding off its node keeps both its limits.
     """
-    ts = grid.nodes
-    jumps = np.asarray(path.jump_times(0.0, grid.t_max), dtype=float)
-    jump_idx = sorted({grid.index_of(t) for t in jumps if 0.0 < t <= grid.t_max})
-    ML = MR = _matrix_stack(path, ts) if matrix else np.asarray(path.many(ts), dtype=float)
-    if jump_idx:
-        ML, MR = ML.copy(), ML.copy()
-        for j in jump_idx:
-            ML[j] = path.left(ts[j])
-            MR[j] = path.right(ts[j])
-    return ML, MR, jump_idx
+    M = (_matrix_stack(path, grid.nodes) if matrix
+         else np.asarray(path.many(grid.nodes), dtype=float)[:, None, None])
+    t_end = grid.t_max + TOL_GRID * max(1.0, grid.t_max)  # a jump that close is on t_max
+    jumps = sorted(t for t in np.asarray(path.jump_times(0.0, t_end), dtype=float) if t > 0.0)
+    M, left = (M.copy() if jumps else M), {}
+    for t in jumps:
+        j = grid.index_of(t)
+        M[j] = path.right(t)
+        left[j] = np.reshape(np.asarray(path.left(t), dtype=float), M.shape[1:])
+    return M, left
 
 
 def march_solve(m, cfg: SolverConfig) -> Trajectory:
@@ -557,14 +559,13 @@ def march_solve(m, cfg: SolverConfig) -> Trajectory:
     stochastic at every node and every left limit within TOL_TRAJ.
     """
     grid = cfg.grid
-    ML, MR, jump_idx = _limits(as_path(m), grid)
-    _validate_source(ML, MR, jump_idx)
-    out, left = _march(ML, MR, jump_idx, grid.h, cfg.nu)
+    M, left = _limits(as_path(m), grid)
+    _validate_source(M, left)
+    out, out_left = _march(M, left, grid.h, cfg.nu)
     _validate_nodes(out, TOL_TRAJ)
-    if jump_idx:
-        _validate_nodes(np.stack([left[j] for j in jump_idx]), TOL_TRAJ, "left limit",
-                        jump_idx)
-    return Trajectory(grid=grid, values=out, left_values=left)
+    if out_left:
+        _validate_nodes(np.stack([*out_left.values()]), TOL_TRAJ, "left limit", [*out_left])
+    return Trajectory(grid=grid, values=out, left_values=out_left)
 
 
 def march_solve_general(m, kernel: Kernel, grid: TimeGrid) -> Trajectory:
@@ -582,12 +583,11 @@ def march_solve_general(m, kernel: Kernel, grid: TimeGrid) -> Trajectory:
         res = kernel_normalization_residual(kernel, T, quad_steps=quad_steps)
         if res > TOL_NORM:
             raise KernelNormalizationViolation(T, res)
-    path = as_path(m)
-    if np.asarray(path.jump_times(0.0, grid.t_max)).size:
+    M, left = _limits(as_path(m), grid)
+    if left:
         raise ValueError("the generalized-kernel solver requires a continuous source")
+    _validate_source(M, left)
     ts = grid.nodes
-    M = _matrix_stack(path, ts)
-    _validate_source(M, M, [])
     a = np.broadcast_to(np.asarray(kernel.a(ts), dtype=float), ts.shape)
     out = _general_march(M, a, grid.h, lambda k: kernel.b(ts[:k + 1], ts[k]))
     _validate_nodes(out, TOL_TRAJ)

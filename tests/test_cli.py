@@ -152,6 +152,14 @@ class TestSimulate:
         vals = [float(x) for row in stderr_rows for x in row.split(",")]
         assert max(vals) == 0.0
 
+    def test_zero_rate_draws_no_history(self, tmp_path, capsys):
+        # no stratum forms, so none of the config's R histories is drawn
+        cfg = write_config(tmp_path / "cfg.json", nu=0.0)
+        out = tmp_path / "mc.csv"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 0
+        assert "# histories=0\n" in out.read_text()
+        assert capsys.readouterr().out.endswith(" over 0 histories\n")
+
     def test_workers_do_not_change_output(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         outs = []
@@ -500,6 +508,22 @@ class TestScalarCommand:
         assert run(["scalar", "--config", cfg, "--out", tmp_path / "b.csv"]) == 0
         assert "ode route" in capsys.readouterr().out
 
+    def test_a_typed_period_writes_the_grid_periods_bytes(self, tmp_path):
+        # every jump of 0.3333333333 lies 3e-10 or less before its node at
+        # h = 1/3; both limits are read at the jump time, so the jump rows
+        # and every beta are those of tau = 1/3
+        outs = []
+        for tau in (0.3333333333, 1.0 / 3.0):
+            cfg = tmp_path / "scalar.json"
+            cfg.write_text(json.dumps({
+                "scalar": {"variant": "piecewise", "tau": tau, "pattern": [1, 0]},
+                "nu": 1.0,
+                "grid": {"t_max": 10.0, "steps": 30},
+            }))
+            outs.append(tmp_path / f"beta{len(outs)}.csv")
+            assert run(["scalar", "--config", cfg, "--out", outs[-1], "--quiet"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_trig_cross_check_at_any_rate(self, tmp_path, capsys):
         # the ODE route covers every cosine input at every rate
         cfg = tmp_path / "scalar.json"
@@ -549,8 +573,8 @@ class TestScalarCommand:
         # a march that returns NaN must fail before anything is written
         import reduktor.scalar
 
-        def nan_march(ML, MR, jump_idx, h, b):
-            return np.full(ML.shape, np.nan), {}
+        def nan_march(M, left, h, b):
+            return np.full(M.shape, np.nan), {}
 
         monkeypatch.setattr(reduktor.scalar, "_march", nan_march)
         out = tmp_path / "beta.csv"

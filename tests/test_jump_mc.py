@@ -127,6 +127,15 @@ class TestAverage:
         est.mean[0, 0] = 1.0
         np.testing.assert_array_equal(m, SYM_M)
 
+    @pytest.mark.parametrize("nu", [1e-20, 0.0])
+    def test_no_stratum_draws_no_history(self, nu):
+        # at nu T = 1e-20, as at nu = 0, no count k >= 1 has weight above
+        # rounding: no stratum forms, the mean is M(T), and no history is drawn
+        est = monte_carlo_average(ConstantPath(SYM_M), nu, 1.0, 100, seed=0)
+        np.testing.assert_array_equal(est.mean, SYM_M)
+        assert est.n_samples == 0
+        assert "# histories=0\n" in mc_estimate_to_csv(est, nu=nu, T=1.0)
+
     def test_minimum_sample_size(self, generic_model):
         with pytest.raises(ValueError):
             monte_carlo_average(generic_model.m_path(), 1.0, 1.0, 50, seed=0)

@@ -184,7 +184,7 @@ def test_unit_mode_is_unit_growth():
     # sigma is marched tilted, as the march of the source e^{-nu t}
     K = GRID.steps
     tilt = np.exp(-NU * GRID.h * np.arange(K + 1)).reshape(-1, 1, 1)
-    w = volterra._march_terms(tilt, tilt, [], GRID.h, NU)[0]
+    w = volterra._march_terms(tilt, {}, GRID.h, NU)[0]
     sigma = volterra._blocked_solve(w, tilt, tilt)
     want = ref.unit_growth(NU, GRID.h, K) * tilt[:, 0, 0]
     assert np.abs(sigma[:, 0, 0] / want - 1.0).max() < TOL
@@ -214,12 +214,34 @@ def test_two_level_route_is_the_lifted_scalar_march(alpha):
         assert np.abs(traj.left_values[j] - want.left_values[j]).max() < 1e-14
 
 
+@pytest.mark.parametrize("typed, period, grid", [
+    (0.3333333333, 1.0 / 3.0, TimeGrid(10.0, 30)),
+    (0.3333333333, 1.0 / 3.0, TimeGrid(10.0, 3000)),
+    (0.1 + 5e-11, 0.1, TimeGrid(1.0, 10)),
+], ids=["third-30", "third-3000", "tenth"])
+def test_a_period_a_rounding_off_the_grid_marches_as_the_grid_period(typed, period, grid):
+    # each jump of the typed period lies within TOL_GRID of a node, before it
+    # (a third) or after it (a tenth, the last one past t_max); both of its
+    # limits are read at the jump time, so the march sees the grid period's
+    # source bit for bit
+    got, want = (scalar_march(PiecewiseInput(tau), NU, grid) for tau in (typed, period))
+    assert got.beta.tobytes() == want.beta.tobytes()
+    assert got.jumps == want.jumps
+    assert len(want.jumps) == round(grid.t_max / period)
+    got, want = (march_solve(LiftedPath(PiecewiseInput(tau), 3), SolverConfig(NU, grid))
+                 for tau in (typed, period))
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.jump_nodes == want.jump_nodes
+    for j in want.jump_nodes:
+        assert got.left_values[j].tobytes() == want.left_values[j].tobytes()
+
+
 LONG_MARCH = """
 import hashlib, numpy as np
 from reduktor.volterra import _march
 K = 12000
 S = np.cos(np.linspace(0.0, 60.0, K + 1)).reshape(-1, 1, 1)
-out, _ = _march(S, S, [], 60.0 / K, 1.0)
+out, _ = _march(S, {}, 60.0 / K, 1.0)
 print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
@@ -322,7 +344,7 @@ def scalar_source(K, jump_nodes, seed=0):
 
 def march_1x1(lo, hi, jump_nodes, nu, h):
     """The kernel on a 1 x 1 stack: normalized node values and left limits."""
-    out, left = _march(lo.reshape(-1, 1, 1), hi.reshape(-1, 1, 1), list(jump_nodes), h, nu)
+    out, left = _march(hi.reshape(-1, 1, 1), {j: lo[j].reshape(1, 1) for j in jump_nodes}, h, nu)
     return out[:, 0, 0], {j: v[0, 0] for j, v in left.items()}
 
 
@@ -378,7 +400,7 @@ def test_blocked_solve_property(seed, K, h, hnu, data):
     nu = hnu / h
     assert_matches_scalar_reference(lo, hi, jump_nodes, nu, h)
     ML, MR = lift(lo, 2), lift(hi, 2)
-    out, left = _march(ML, MR, jump_nodes, h, nu)
+    out, left = _march(MR, {j: ML[j] for j in jump_nodes}, h, nu)
     want, want_left = ref.march_two_limit(ML, MR, nu, h)
     assert np.abs(out - want).max() < TOL
     for j in jump_nodes:
@@ -436,7 +458,7 @@ def test_jump_terms_match_the_double_loop(n):
     ML = rng.uniform(0.0, 1.0, (K + 1, n, n))
     MR = ML.copy()
     MR[jump_idx] += rng.uniform(-0.1, 0.1, (len(jump_idx), n, n))
-    w, Mbar, f, shift = volterra._march_terms(ML, MR, jump_idx, h, b)
+    w, Mbar, f, shift = volterra._march_terms(MR, {j: ML[j] for j in jump_idx}, h, b)
     s = {j: 0.5 * (MR[j] - ML[j]) for j in jump_idx}
     want = Mbar.copy()
     for k in jump_idx:
@@ -525,9 +547,9 @@ def test_constant_route_matches_the_blocked_route(monkeypatch):
     # the blocked history sum
     K, h = 2000, 3.0 / 2000
     ML = np.broadcast_to(np.array(CONSTANT_3X3), (K + 1, 3, 3))
-    blocked, _ = _march(np.ascontiguousarray(ML), np.ascontiguousarray(ML), [], h, NU)
+    blocked, _ = _march(np.ascontiguousarray(ML), {}, h, NU)
     monkeypatch.setattr(volterra, "_blocked_solve", None)
-    constant, _ = _march(ML, ML, [], h, NU)
+    constant, _ = _march(ML, {}, h, NU)
     assert np.abs(constant - blocked).max() < 1e-12
 
 
