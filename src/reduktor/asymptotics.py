@@ -43,6 +43,8 @@ TAIL_WINDOW = 0.1   # share of the trajectory's nodes whose distance must not ri
 MAX_ORDER = 64      # largest cyclic order cyclic_order looks for
 CYCLIC_STEPS = 600  # grid steps of cyclic_example's closed-form trajectory
 PERIOD = 2.0 * np.pi  # period of the sources rescaling_check takes
+DELTA_HORIZON = 40.0  # delta_statistic's upper limit; the tail it drops is e^{-40}
+DELTA_STEPS = 40000   # delta_statistic's trapezoid panels on [0, DELTA_HORIZON]
 
 
 @dataclass
@@ -60,18 +62,18 @@ class DeltaEstimate:
         return self.value
 
 
-def delta_statistic(alpha: _SmoothPath, horizon=40.0, steps=20000) -> DeltaEstimate:
+def delta_statistic(alpha: _SmoothPath) -> DeltaEstimate:
     """Contraction statistic of a scalar input.
 
-    Composite trapezoid on [0, horizon] with panels split at the input's
+    Composite trapezoid on [0, DELTA_HORIZON] with panels split at the input's
     discontinuities; values below one certify the contraction that drives
     the decay of the scalar solution.
     """
     def integrate(m):
-        base = np.linspace(0.0, horizon, m + 1)
-        cuts = np.asarray(alpha.jump_times(0.0, horizon), dtype=float)
-        edges = np.unique(np.concatenate([[0.0, horizon], cuts]))
-        pad = 1e-12 * max(1.0, horizon)  # drop fp-ambiguous points at cuts
+        base = np.linspace(0.0, DELTA_HORIZON, m + 1)
+        cuts = np.asarray(alpha.jump_times(0.0, DELTA_HORIZON), dtype=float)
+        edges = np.unique(np.concatenate([[0.0, DELTA_HORIZON], cuts]))
+        pad = 1e-12 * DELTA_HORIZON  # drop fp-ambiguous points at cuts
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             inner = base[(base > a + pad) & (base < b - pad)]
@@ -83,12 +85,12 @@ def delta_statistic(alpha: _SmoothPath, horizon=40.0, steps=20000) -> DeltaEstim
             total += float(np.sum(0.5 * np.diff(xs) * (fs[:-1] + fs[1:])))
         return total
 
-    fine = integrate(steps)
-    coarse = integrate(max(2, steps // 2))
+    fine = integrate(DELTA_STEPS)
+    coarse = integrate(DELTA_STEPS // 2)
     # |fine - coarse| is about three times the fine-grid error for a
     # second-order rule; used unscaled as a conservative bound
     quad_err = abs(fine - coarse)
-    return DeltaEstimate(value=fine, error_bound=float(np.exp(-horizon) + quad_err + 1e-14))
+    return DeltaEstimate(fine, float(np.exp(-DELTA_HORIZON) + quad_err + 1e-14))
 
 
 @dataclass

@@ -1,15 +1,19 @@
 """Batch command-line front end.
 
 Commands: solve | series | simulate | compare | asymptote | genericity
-| scalar.  Every command reads a JSON config, writes CSV and/or JSON, and
-is deterministic given the config, the seed, and any worker count.
+| scalar.  Every command reads a JSON config, writes CSV or JSON, and is
+deterministic given the config, the seed, and any worker count.
+
+``main`` reads the config and its grid, calls ``cmd(args, cfg, grid)`` for
+(output text, summary thunk, exit code), and writes the text to --out or
+stdout: without --out, stdout holds only the output.  The summary line is
+made and printed only with --out and without --quiet.
 
 Exit codes: 0 success, 1 usage or config error, 2 input validation error,
 3 numerical failure.
 
 Each command imports the library modules it uses when it runs, so a
-process pays only for its own command; with --quiet it also skips the work
-that only feeds its summary line.
+process pays only for its own command.
 """
 
 from __future__ import annotations
@@ -22,12 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    InputValidationError,
-    NumericalError,
-    ReduktorError,
-)
+from .errors import ConfigError, InputValidationError, NumericalError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -191,12 +190,6 @@ def _write(path, text):
         sys.stdout.write(text)
 
 
-def _say(args, summary):
-    """Print the line ``summary()`` makes; under --quiet it is not called."""
-    if not args.quiet:
-        print(summary())
-
-
 def _n_max(cfg):
     n_max = cfg.get("N_max")
     return None if n_max is None else _integral(n_max, "N_max")
@@ -211,15 +204,12 @@ def _histories_and_seed(args, cfg):
     return R, seed
 
 
-def cmd_solve(args):
+def cmd_solve(args, cfg, grid):
     from .volterra import SolverConfig, march_solve, trajectory_to_csv
 
-    cfg = _load_config(args.config)
-    grid = _grid_from(cfg)
     nu = _nu_from(cfg)
     source = _source_from(cfg)
     traj = march_solve(source, SolverConfig(nu=nu, grid=grid))
-    _write(args.out, trajectory_to_csv(traj))
 
     def summary():
         from .asymptotics import predict_limit
@@ -230,46 +220,38 @@ def cmd_solve(args):
         return (f"final c(Mbar) = {compression(traj.final):.6g}; "
                 f"distance to predicted limit = {dist:.6g}")
 
-    _say(args, summary)
-    return EXIT_OK
+    return trajectory_to_csv(traj), summary, EXIT_OK
 
 
-def cmd_series(args):
+def cmd_series(args, cfg, grid):
     from .dstoch import compression
     from .volterra import SolverConfig, neumann_series_trajectory, trajectory_to_csv
 
-    cfg = _load_config(args.config)
-    grid = _grid_from(cfg)
     nu = _nu_from(cfg)
     n_max = _n_max(cfg)
     source = _source_from(cfg)
     traj = neumann_series_trajectory(
         source, SolverConfig(nu=nu, grid=grid, n_max=n_max))
-    _write(args.out, trajectory_to_csv(traj))
-    _say(args, lambda: f"final c(Mbar) = {compression(traj.final):.6g}")
-    return EXIT_OK
+    return (trajectory_to_csv(traj),
+            lambda: f"final c(Mbar) = {compression(traj.final):.6g}", EXIT_OK)
 
 
-def cmd_simulate(args):
+def cmd_simulate(args, cfg, grid):
     from .jump_mc import mc_estimate_to_csv, monte_carlo_average
 
-    cfg = _load_config(args.config)
-    grid = _grid_from(cfg)
     nu = _nu_from(cfg)
     R, seed = _histories_and_seed(args, cfg)
     source = _source_from(cfg)
     est = monte_carlo_average(source, nu, grid.t_max, R, seed)
-    _write(args.out, mc_estimate_to_csv(est, nu=nu, T=grid.t_max))
-    _say(args, lambda: f"mean max stderr = {est.stderr.max():.6g} over {est.n_samples} histories")
-    return EXIT_OK
+    return (mc_estimate_to_csv(est, nu=nu, T=grid.t_max),
+            lambda: f"mean max stderr = {est.stderr.max():.6g} over {est.n_samples} histories",
+            EXIT_OK)
 
 
-def cmd_compare(args):
+def cmd_compare(args, cfg, grid):
     from .jump_mc import monte_carlo_average
     from .volterra import SolverConfig, TimeGrid, march_solve, neumann_series_trajectory
 
-    cfg = _load_config(args.config)
-    grid = _grid_from(cfg)
     nu = _nu_from(cfg)
     R, seed = _histories_and_seed(args, cfg)
     source = _source_from(cfg)
@@ -313,54 +295,42 @@ def cmd_compare(args):
     failure |= not pair["pass"]
     verdict["overall_pass"] = not failure
     text = json.dumps(verdict, indent=2, sort_keys=True) + "\n"
-    _write(args.out, text)
-    if args.out:
-        _say(args, text.rstrip)
-    return EXIT_NUMERICAL if failure else EXIT_OK
+    return text, text.rstrip, EXIT_NUMERICAL if failure else EXIT_OK
 
 
-def cmd_asymptote(args):
+def cmd_asymptote(args, cfg, grid):
     from .asymptotics import convergence_report, convergence_report_to_csv
     from .volterra import SolverConfig
 
-    cfg = _load_config(args.config)
-    grid = _grid_from(cfg)
     nu = _nu_from(cfg)
     source = _source_from(cfg)
     report = convergence_report(source, nu, SolverConfig(nu=nu, grid=grid))
-    _write(args.out, convergence_report_to_csv(report))
-    verdict = {
-        "verdict": report.verdict,
-        "final_distance": report.final_distance,
-        "final_compression": float(report.c_values[-1]),
-        "max_compression": float(report.c_values.max()),
-        "blocks": [list(b) for b in report.partition.blocks],
-        "id_sector": list(report.partition.id_sector),
-    }
-    _say(args, lambda: json.dumps(verdict, indent=2, sort_keys=True))
-    return EXIT_OK
+
+    def summary():
+        return json.dumps({
+            "verdict": report.verdict,
+            "final_distance": report.final_distance,
+            "final_compression": float(report.c_values[-1]),
+            "max_compression": float(report.c_values.max()),
+            "blocks": [list(b) for b in report.partition.blocks],
+            "id_sector": list(report.partition.id_sector),
+        }, indent=2, sort_keys=True)
+
+    return convergence_report_to_csv(report), summary, EXIT_OK
 
 
-def cmd_genericity(args):
+def cmd_genericity(args, cfg, grid):
     from .channels import genericity_check
 
-    cfg = _load_config(args.config)
-    grid = _grid_from(cfg)
     model = _model_from(cfg)
     report = genericity_check(model, grid.nodes[1:])
-    verdict = {
-        "generic": report.generic,
-        "witness_t": report.witness_t,
-        "c_min": report.c_min,
-    }
+    verdict = {"generic": report.generic, "witness_t": report.witness_t,
+               "c_min": report.c_min}
     text = json.dumps(verdict, indent=2, sort_keys=True) + "\n"
-    _write(args.out, text)
-    if args.out:
-        _say(args, text.rstrip)
-    return EXIT_OK
+    return text, text.rstrip, EXIT_OK
 
 
-def cmd_scalar(args):
+def cmd_scalar(args, cfg, grid):
     from .scalar import (
         CosineInput,
         PiecewiseInput,
@@ -369,20 +339,19 @@ def cmd_scalar(args):
         scalar_trajectory_to_csv,
         trig_ode_solve,
     )
+    from .volterra import TOL_GRID
 
-    cfg = _load_config(args.config)
-    grid = _grid_from(cfg)
     nu = _nu_from(cfg)
     alpha = _scalar_input_from(cfg)
     traj = scalar_march(alpha, nu, grid)
-    _write(args.out, scalar_trajectory_to_csv(traj))
 
     def summary():
         notes = []
         if isinstance(alpha, PiecewiseInput) and tuple(alpha.pattern) == (1.0, 0.0):
             k = int(round(grid.t_max / alpha.tau))
-            if abs(k * alpha.tau - grid.t_max) < 1e-9 and k >= 1 \
-                    and grid.steps % k == 0:
+            # t_max lies on the k-th jump as closely as TimeGrid.index_of puts a jump on a node
+            if abs(k * alpha.tau - grid.t_max) <= TOL_GRID * max(1.0, grid.t_max) \
+                    and k >= 1 and grid.steps % k == 0:
                 exact = piecewise_delay_solve(alpha.tau, nu, k,
                                               nodes_per_interval=grid.steps // k)
                 gap = float(np.abs(exact.beta - traj.beta).max())
@@ -393,8 +362,7 @@ def cmd_scalar(args):
             notes.append(f"max |march - ode route| = {gap:.3e}")
         return f"final beta = {traj.beta[-1]:.6g}" + ("; " + "; ".join(notes) if notes else "")
 
-    _say(args, summary)
-    return EXIT_OK
+    return scalar_trajectory_to_csv(traj), summary, EXIT_OK
 
 
 _COMMANDS = {
@@ -434,7 +402,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _load_config(args.config)
+        text, summary, code = _COMMANDS[args.command](args, cfg, _grid_from(cfg))
+        _write(args.out, text)
+        if args.out and not args.quiet:  # without --out, stdout holds only the output
+            print(summary())
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -443,9 +416,6 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ReduktorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except np.linalg.LinAlgError as exc:  # a ValueError, but not an input error
         print(f"numerical failure: {exc}", file=sys.stderr)

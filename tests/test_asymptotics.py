@@ -24,28 +24,28 @@ from reduktor.volterra import SolverConfig, TimeGrid
 
 class TestDeltaStatistic:
     def test_unit_input(self):
-        est = delta_statistic(ConstantInput(1.0), horizon=35.0, steps=4000)
+        est = delta_statistic(ConstantInput(1.0))
         assert abs(est.value - 1.0) <= est.error_bound
 
     def test_zero_input(self):
-        est = delta_statistic(ConstantInput(0.0), horizon=35.0, steps=1000)
+        est = delta_statistic(ConstantInput(0.0))
         assert est.value == 0.0
 
     def test_exponential_input(self):
         # alpha(t) = e^{-t} tabulated: integral of e^{-2t} equals 1/2
         ts = np.linspace(0.0, 35.0, 20001)
         alpha = TabulatedInput(ts, np.exp(-ts))
-        est = delta_statistic(alpha, horizon=35.0, steps=20000)
+        est = delta_statistic(alpha)
         assert abs(est.value - 0.5) < 1e-6 + est.error_bound
 
     def test_alternating_input_analytic(self):
         # closed form: (1 - e^{-tau}) / (1 - e^{-2 tau}) = 1 / (1 + e^{-tau})
         tau = 0.8
-        est = delta_statistic(PiecewiseInput(tau), horizon=40.0, steps=40000)
+        est = delta_statistic(PiecewiseInput(tau))
         assert abs(est.value - 1.0 / (1.0 + np.exp(-tau))) < 1e-7
 
     def test_raised_cosine_analytic(self):
-        est = delta_statistic(CosineInput(), horizon=40.0, steps=40000)
+        est = delta_statistic(CosineInput())
         assert abs(est.value - 0.75) < 1e-7
 
 

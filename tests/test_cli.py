@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -524,6 +525,21 @@ class TestScalarCommand:
             assert run(["scalar", "--config", cfg, "--out", outs[-1], "--quiet"]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    @pytest.mark.parametrize("tau", [0.3333333333, 0.3333333334])
+    def test_a_typed_period_keeps_the_method_of_steps_check(self, tmp_path, capsys, tau):
+        # 30 tau misses t_max = 10 by 3e-9 or 2e-9, within the grid's
+        # tolerance, so the march puts t_max on the 30th jump and the summary
+        # checks it against the method of steps, as it does at tau = 1/3
+        cfg = tmp_path / "scalar.json"
+        cfg.write_text(json.dumps({
+            "scalar": {"variant": "piecewise", "tau": tau, "pattern": [1, 0]},
+            "nu": 1.0,
+            "grid": {"t_max": 10.0, "steps": 3000},
+        }))
+        assert run(["scalar", "--config", cfg, "--out", tmp_path / "b.csv"]) == 0
+        note = capsys.readouterr().out.split("max |march - method of steps| = ")[1]
+        assert float(note) < 1e-5
+
     def test_trig_cross_check_at_any_rate(self, tmp_path, capsys):
         # the ODE route covers every cosine input at every rate
         cfg = tmp_path / "scalar.json"
@@ -584,13 +600,16 @@ class TestScalarCommand:
         assert "numerical failure" in err and "nan" in err
 
 
-@pytest.mark.parametrize("command,config", [
+SHIPPED_RUNS = [  # command/config pairs on configs/ that exit 0
     ("solve", "constant_matrix.json"), ("solve", "random_3level.json"),
     ("solve", "spin_flip.json"), ("scalar", "scalar_alternating.json"),
     ("scalar", "scalar_cosine.json"), ("series", "spin_flip.json"),
     ("simulate", "spin_flip.json"), ("compare", "spin_flip.json"),
     ("asymptote", "spin_flip.json"), ("genericity", "spin_flip.json"),
-])
+]
+
+
+@pytest.mark.parametrize("command,config", SHIPPED_RUNS)
 def test_quiet_does_not_change_output(tmp_path, command, config):
     # --quiet skips the work behind the summary line (in solve and scalar),
     # and nothing else; the other commands only skip a print
@@ -600,6 +619,20 @@ def test_quiet_does_not_change_output(tmp_path, command, config):
         code = run([command, "--config", CONFIGS / config, "--out", out] + flags)
         results.append((code, out.read_bytes() if out.exists() else None))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("command,config", SHIPPED_RUNS)
+def test_stdout_without_out_holds_only_the_output(tmp_path, capsys, command, config):
+    # the summary line goes to stdout only next to an --out file, so a pipe
+    # reads exactly the bytes --out would hold
+    out = tmp_path / "out"
+    assert run([command, "--config", CONFIGS / config, "--out", out, "--quiet"]) == 0
+    capsys.readouterr()
+    assert run([command, "--config", CONFIGS / config]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.encode() == out.read_bytes()
+    if command in ("solve", "series", "scalar"):  # scalar's jump rows are '#' comments
+        np.loadtxt(io.StringIO(stdout), delimiter=",", skiprows=1, comments="#")
 
 
 def test_scalar_command_loads_only_its_modules(tmp_path):

@@ -38,7 +38,6 @@ OPTIONS = {
     "ScalarTrajectory": {"jumps": "<factory>"},
     "SolverConfig": {"n_max": "None"},
     "Trajectory": {"left_values": "<factory>"},
-    "delta_statistic": {"horizon": "40.0", "steps": "20000"},
     "kernel_normalization_residual": {"quad_steps": "1000"},
     "monte_carlo_average": {"workers": "1"},
     "neumann_series_trajectory": {"horizon": "None"},
