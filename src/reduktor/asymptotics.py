@@ -79,7 +79,6 @@ def delta_statistic(alpha: _SmoothPath) -> DeltaEstimate:
             inner = base[(base > a + pad) & (base < b - pad)]
             xs = np.concatenate([[a], inner, [b]])
             vals = np.asarray(alpha.many(xs), dtype=float)
-            vals[0] = float(alpha.right(a))
             vals[-1] = float(alpha.left(b))
             fs = vals * np.exp(-xs)
             total += float(np.sum(0.5 * np.diff(xs) * (fs[:-1] + fs[1:])))
@@ -166,7 +165,7 @@ class CyclicReport:
 
 def cyclic_order(p):
     """Smallest k <= MAX_ORDER with P^k = identity within TOL_CYCLE, or None."""
-    p = np.asarray(getattr(p, "entries", p), dtype=float)
+    p = np.asarray(p, dtype=float)
     n = p.shape[0]
     acc = np.eye(n)
     for k in range(1, MAX_ORDER + 1):
@@ -186,7 +185,7 @@ def cyclic_example(p, k, nu, T) -> CyclicReport:
     omega = 1, so the limit is the projector onto the fixed vectors of P,
     the power average (1/k) sum_{r<k} P^r.
     """
-    p = np.asarray(getattr(p, "entries", p), dtype=float)
+    p = np.asarray(p, dtype=float)
     order = cyclic_order(p)
     if order != k:
         raise NotCyclicOfOrderK(
@@ -214,7 +213,7 @@ def rescaling_check(m, tau, nu, cfg: SolverConfig) -> float:
     """
     path = as_path(m)
     probe = np.linspace(0.13, PERIOD, 7)
-    dev = max(float(np.abs(path(t + PERIOD) - path(t)).max()) for t in probe)
+    dev = float(np.abs(path.many(probe + PERIOD) - path.many(probe)).max())
     if dev > TOL_PERIOD:
         raise PeriodMismatchError(
             f"source is not {PERIOD:g}-periodic (deviation {dev:.3e})")
@@ -236,9 +235,6 @@ class _RescaledPath(_SmoothPath):
 
     def left(self, t):
         return self.path.left(self.scale * t)
-
-    def right(self, t):
-        return self.path.right(self.scale * t)
 
     def jump_times(self, t0, t1):
         inner = np.asarray(self.path.jump_times(self.scale * t0, self.scale * t1))

@@ -163,20 +163,14 @@ def _source_from(cfg):
 def _scalar_input_from(cfg):
     from .scalar import ConstantInput, CosineInput, PiecewiseInput, TabulatedInput
 
+    inputs = {"constant": ConstantInput, "piecewise": PiecewiseInput, "trig": CosineInput,
+              "tabulated": TabulatedInput}
     _one_source(cfg)
     try:
         entry = cfg["scalar"]
         variant = entry["variant"]
-        if variant == "constant":
-            return ConstantInput(float(entry["value"]))
-        if variant == "piecewise":
-            return PiecewiseInput(float(entry["tau"]),
-                                  tuple(entry.get("pattern", (1.0, 0.0))))
-        if variant == "trig":
-            return CosineInput(float(entry.get("mean", 0.5)),
-                               float(entry.get("amplitude", 0.5)))
-        if variant == "tabulated":
-            return TabulatedInput(entry["times"], entry["values"])
+        if isinstance(variant, str) and variant in inputs:
+            return inputs[variant](**{k: entry[k] for k in SCALAR_KEYS[variant] if k in entry})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scalar input entry: {exc}") from exc
     raise ConfigError(f"unknown scalar variant {variant!r}")
@@ -404,7 +398,11 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         text, summary, code = _COMMANDS[args.command](args, cfg, _grid_from(cfg))
-        _write(args.out, text)
+        try:
+            _write(args.out, text)
+        except OSError as exc:
+            where = args.out or "stdout"
+            raise ConfigError(f"cannot write {where}: {exc.strerror or exc}") from exc
         if args.out and not args.quiet:  # without --out, stdout holds only the output
             print(summary())
         return code

@@ -32,11 +32,6 @@ TOL_SUPPORT = 1e-8          # entries above it are support_blocks' edges
 TOL_WITNESS_SUPPORT = 1e-9  # entries above it are decomposability_witness' edges
 
 
-def _entries(m):
-    """Accept a DStochMatrix or a plain array and return a float ndarray."""
-    return np.asarray(getattr(m, "entries", m), dtype=float)
-
-
 class DStochMatrix:
     """Validated doubly stochastic matrix.
 
@@ -74,8 +69,10 @@ class DStochMatrix:
     def __repr__(self):
         return f"DStochMatrix(n={self.n})"
 
-    def __array__(self, dtype=None):
-        return np.asarray(self.entries, dtype=dtype)
+    def __array__(self, dtype=None, copy=None):
+        if copy is None:  # numpy 1 passes no copy, and its np.array refuses copy=None
+            return np.asarray(self.entries, dtype=dtype)
+        return np.array(self.entries, dtype=dtype, copy=copy)
 
 
 def validate_dstoch(raw, tol_sum=TOL_SUM, tol_entry=TOL_ENTRY) -> DStochMatrix:
@@ -126,7 +123,7 @@ def compression(m) -> float:
     every doubly stochastic matrix; 1 for permutations, 0 for the uniform
     projector.
     """
-    a = _entries(m)
+    a = np.asarray(m, dtype=float)
     n = a.shape[0]
     if n == 1:
         return 0.0
@@ -275,7 +272,7 @@ def decomposability_witness(m):
     decomposability after a permutation, so for exact inputs a witness
     exists exactly when the compression is one.
     """
-    a = _entries(m)
+    a = np.asarray(m, dtype=float)
     n = a.shape[0]
     if compression(a) < 1.0 - UNIT_COMPRESSION_TOL:
         return None
@@ -303,7 +300,7 @@ def support_blocks(samples) -> BlockPartition:
     connected components become blocks, singletons go to the identity
     sector.
     """
-    mats = [_entries(s) for s in samples]
+    mats = [np.asarray(s, dtype=float) for s in samples]
     if not mats:
         raise EmptySampleListError("need at least one sample matrix")
     n = mats[0].shape[0]

@@ -46,13 +46,13 @@ ScalarInput = _SmoothPath
 
 
 class ConstantInput(ScalarInput):
-    def __init__(self, c):
-        if not 0.0 <= c <= 1.0:
-            raise ValueError(f"constant input must lie in [0, 1], got {c}")
-        self.c = float(c)
+    def __init__(self, value):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"constant input must lie in [0, 1], got {value}")
+        self.value = float(value)
 
     def many(self, ts):
-        return np.full(len(np.atleast_1d(ts)), self.c)
+        return np.full(len(np.atleast_1d(ts)), self.value)
 
 
 class PiecewiseInput(ScalarInput):
@@ -202,9 +202,6 @@ class LiftedPath(_SmoothPath):
 
     def left(self, t):
         return lift(self.alpha.left(t), self.n)
-
-    def right(self, t):
-        return lift(self.alpha.right(t), self.n)
 
     def jump_times(self, t0, t1):
         return self.alpha.jump_times(t0, t1)

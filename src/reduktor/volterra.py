@@ -51,14 +51,14 @@ history, and sigma's, in one running term (``_constant_march``).
 Every route solves for the tilted e^{-b T} X from the source e^{-b t} M(t),
 since T_k = T_{k-t} + T_t on the grid, so nothing overflows at large b T.
 
-Sources are time paths: subclasses of ``_SmoothPath``, which supplies
-``__call__``, ``many(ts)`` for batched evaluation and the one-sided limits
-``left``/``right`` with ``jump_times`` of a continuous source.  Constant
-matrices, bath models (``channels.BathModel``), scalar inputs alpha(t)
-(``scalar``) and their matrix lifts are all such paths; ``as_path`` wraps
-a plain callable t -> (n, n) array.  ``_limits`` alone reads a path for
-the marches: the node values M and the left limit L at each jump node,
-both limits read at the jump time, which must lie on the grid.  A panel
+Sources are time paths: ``many(ts)``, the right-continuous values, with
+``left(t)`` and ``jump_times``; ``_SmoothPath`` supplies them (and
+``__call__``) for a continuous source.  Constant matrices, bath models
+(``channels.BathModel``), scalar inputs alpha(t) (``scalar``) and their
+matrix lifts are all such paths; ``as_path`` wraps a plain callable
+t -> (n, n) array.  ``_limits`` alone reads a path for the marches: the
+node values M and the left limit L at each jump node, both read at the
+jump time, which must lie on the grid.  A panel
 ending on jump nodes pairs the right limit of M with the left limit of X
 and vice versa, averaged.  With node averages Mbar = (L + M) / 2,
 Xbar = (XL + XR) / 2 and jumps D = M - L = XR - XL, that pair is
@@ -210,9 +210,10 @@ class _SmoothPath:
     """Time-path protocol with the defaults of a continuous source.
 
     Subclasses define ``__call__`` or ``many`` (each default calls the
-    other) and override ``left``, ``right`` and ``jump_times`` only when
-    the source jumps.  A matrix path's ``many`` returns an (len(ts), n, n)
-    stack, a scalar input's a 1-d array of len(ts) values.
+    other) and override ``left`` and ``jump_times`` only when the source
+    jumps; the library reads ``many``, ``left`` and ``jump_times`` alone.
+    A matrix path's ``many`` returns an (len(ts), n, n) stack, a scalar
+    input's a 1-d array of len(ts) values.
     """
 
     def __call__(self, t):
@@ -222,9 +223,6 @@ class _SmoothPath:
         return np.stack([self(t) for t in np.asarray(ts, dtype=float)])
 
     def left(self, t):
-        return self(t)
-
-    def right(self, t):
         return self(t)
 
     def jump_times(self, t0, t1):
@@ -238,15 +236,14 @@ class _CallablePath(_SmoothPath):
         self._fn = fn
 
     def __call__(self, t):
-        out = self._fn(t)
-        return np.asarray(getattr(out, "entries", out), dtype=float)
+        return np.asarray(self._fn(t), dtype=float)
 
 
 class ConstantPath(_SmoothPath):
     """Time-independent matrix source."""
 
     def __init__(self, matrix):
-        self.matrix = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
+        self.matrix = np.asarray(matrix, dtype=float)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise InputValidationError(
                 f"constant source must be a square matrix, got shape {self.matrix.shape}")
@@ -263,7 +260,7 @@ class ConstantPath(_SmoothPath):
 
 def as_path(m):
     """Coerce a solver input into the time-path protocol."""
-    if all(hasattr(m, k) for k in ("many", "left", "right", "jump_times")):
+    if all(hasattr(m, k) for k in ("many", "left", "jump_times")):
         return m
     if callable(m):
         return _CallablePath(m)
@@ -535,18 +532,22 @@ def _limits(path, grid, matrix=True):
     Returns (M, left): ``path.many`` at the nodes, checked to be a matrix
     stack unless ``matrix`` is false (a scalar input, as 1 x 1 matrices),
     and a map, in node order, from the node j of each jump time t > 0 on
-    the grid to ``path.left(t)``, with M[j] = ``path.right(t)``: both
+    the grid to ``path.left(t)``, with M[j] = ``path.many`` at t: both
     read at t, so a jump a rounding off its node keeps both its limits.
     """
-    M = (_matrix_stack(path, grid.nodes) if matrix
-         else np.asarray(path.many(grid.nodes), dtype=float)[:, None, None])
+    def sample(ts):
+        return (_matrix_stack(path, ts) if matrix
+                else np.asarray(path.many(ts), dtype=float)[:, None, None])
+
+    M, left = sample(grid.nodes), {}
     t_end = grid.t_max + TOL_GRID * max(1.0, grid.t_max)  # a jump that close is on t_max
     jumps = sorted(t for t in np.asarray(path.jump_times(0.0, t_end), dtype=float) if t > 0.0)
-    M, left = (M.copy() if jumps else M), {}
-    for t in jumps:
-        j = grid.index_of(t)
-        M[j] = path.right(t)
-        left[j] = np.reshape(np.asarray(path.left(t), dtype=float), M.shape[1:])
+    if jumps:
+        M = M.copy()
+        for t, right in zip(jumps, sample(np.array(jumps))):
+            j = grid.index_of(t)
+            M[j] = right
+            left[j] = np.reshape(np.asarray(path.left(t), dtype=float), M.shape[1:])
     return M, left
 
 

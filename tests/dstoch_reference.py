@@ -9,9 +9,10 @@ use it only for small n.
 
 import itertools
 
+import numpy as np
+
 from reduktor.dstoch import (
     UNIT_COMPRESSION_TOL,
-    _entries,
     _partition_from_components,
     _support_components,
     compression,
@@ -21,7 +22,7 @@ from reduktor.dstoch import (
 
 def exhaustive_witness(m, tol=UNIT_COMPRESSION_TOL, *, support_tol=1e-9):
     """(perm, BlockPartition) of the first splitting permutation, or None."""
-    a = _entries(m)
+    a = np.asarray(m, dtype=float)
     n = a.shape[0]
     if compression(a) < 1.0 - tol:
         return None

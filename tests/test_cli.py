@@ -77,6 +77,13 @@ class TestExitCodes:
         assert not out.exists()
         assert "square matrix" in capsys.readouterr().err
 
+    def test_out_into_a_missing_directory_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run(["solve", "--config", CONFIGS / "spin_flip.json", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write {out}: No such file or directory\n"
+        assert not out.parent.exists()
+
     def test_numerical_failure(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json",
                            constant_M=[[0.7, 0.4], [0.4, 0.7]])
@@ -559,6 +566,30 @@ class TestScalarCommand:
             "grid": {"t_max": 1.0, "steps": 100},
         }))
         assert run(["scalar", "--config", cfg]) == 1
+
+    BAD_ENTRIES = {
+        "constant-no-value": {"variant": "constant"},
+        "constant-string": {"variant": "constant", "value": "0.5"},
+        "constant-null": {"variant": "constant", "value": None},
+        "piecewise-no-tau": {"variant": "piecewise", "pattern": [1, 0]},
+        "piecewise-string": {"variant": "piecewise", "tau": "0.5"},
+        "piecewise-null": {"variant": "piecewise", "tau": None},
+        "trig-string": {"variant": "trig", "mean": "0.5"},
+        "trig-null": {"variant": "trig", "amplitude": None},
+        "tabulated-no-values": {"variant": "tabulated", "times": [0.0, 2.0]},
+        "null-variant": {"variant": None},
+        "list-variant": {"variant": [1]},
+        "no-variant": {"value": 0.5},
+    }
+
+    @pytest.mark.parametrize("entry", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+    def test_a_bad_entry_is_a_config_error(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "scalar.json"
+        cfg.write_text(json.dumps({"scalar": entry, "nu": 1.0,
+                                   "grid": {"t_max": 1.0, "steps": 100}}))
+        assert run(["scalar", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and not captured.out
 
     def test_long_horizon_unit_input_is_exactly_one(self, tmp_path):
         # nu T = 800: the tilted march does not overflow

@@ -1,10 +1,12 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from reduktor.dstoch import (
     BlockPartition,
+    DStochMatrix,
     compression,
     compression_many,
     decomposability_witness,
@@ -114,6 +116,20 @@ class TestValidate:
         m = validate_dstoch(np.eye(2))
         with pytest.raises(ValueError):
             m.entries[0, 0] = 0.5
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy 1 passes no copy keyword to __array__")
+    def test_numpy_2_array_protocol(self):
+        # numpy 2 warns when __array__ does not take its copy keyword
+        m = theta(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            copied = np.array(m)
+            shared = np.asarray(m, copy=False)
+            DStochMatrix(m)
+        copied[0, 0] = 0.0
+        assert m.entries[0, 0] == 1.0 / 3.0
+        assert np.shares_memory(shared, m.entries)
 
 
 class TestCompression:

@@ -65,9 +65,6 @@ class Switched:
     def left(self, t):
         return self.models[int(self._segment(t - self.tau / 2))].m_many(np.array([t]))[0]
 
-    def right(self, t):
-        return self.many(np.array([t]))[0]
-
     def jump_times(self, t0, t1):
         ks = np.arange(1, int(t1 / self.tau + 1e-9) + 1)
         return ks * self.tau
@@ -78,7 +75,7 @@ def limits(path, grid, jump_nodes):
     MR = ML.copy()
     for j in jump_nodes:
         ML[j] = path.left(grid.nodes[j])
-        MR[j] = path.right(grid.nodes[j])
+        MR[j] = path.many(grid.nodes[j:j + 1])[0]
     return ML, MR
 
 
@@ -173,7 +170,7 @@ def test_scalar_march(alpha):
     hi = lo.copy()
     for t, _, _ in traj.jumps:
         j = GRID.index_of(t)
-        lo[j], hi[j] = alpha.left(t), alpha.right(t)
+        lo[j], hi[j] = alpha.left(t), alpha(t)
     want, want_left = ref.march_scalar(lo, hi, NU, GRID.h)
     assert np.abs(traj.beta - want).max() < TOL
     for t, left, _ in traj.jumps:

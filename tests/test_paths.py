@@ -79,7 +79,6 @@ def test_path_contract(path):
     jumps = np.asarray(path.jump_times(0.0, T_END), dtype=float)
     for t in np.concatenate([SAMPLES, jumps]):
         assert np.array_equal(path(t), path.many(np.array([t]))[0])
-        assert np.array_equal(path.right(t), path(t))
     smooth = [t for t in SAMPLES if not np.any(np.abs(jumps - t) < 1e-9)]
     for t in smooth:
         assert np.array_equal(path.left(t), path(t))
@@ -95,7 +94,7 @@ def test_jumps_have_distinct_limits():
     # pattern (1, 0, 0.5, 0.5) at tau = 0.75 / 2: the 0.5 -> 0.5 boundary is no jump
     np.testing.assert_allclose(jumps, [0.375, 0.75, 1.5, 1.875, 2.25, 3.0, 3.375, 3.75])
     for t in jumps:
-        assert not np.array_equal(path.left(t), path.right(t))
+        assert not np.array_equal(path.left(t), path(t))
 
 
 @st.composite

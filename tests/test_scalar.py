@@ -54,7 +54,7 @@ class TestInputs:
         assert alpha(0.49) == 1.0
         assert alpha(0.5) == 0.0
         assert alpha.left(0.5) == 1.0
-        assert alpha.right(0.5) == 0.0
+        assert alpha(0.5) == 0.0
         np.testing.assert_allclose(alpha.jump_times(0.0, 2.0), [0.5, 1.0, 1.5, 2.0])
 
     def test_tabulated_interpolates(self):

@@ -58,9 +58,6 @@ class OneBadMatrix(_SmoothPath):
         out = self.path.left(t)
         return out + 0.1 * np.eye(len(out)) if self.at_left and abs(t - self.t) < 1e-9 else out
 
-    def right(self, t):
-        return self(t)
-
     def jump_times(self, t0, t1):
         return self.path.jump_times(t0, t1)
 
@@ -204,9 +201,6 @@ class TestMarch:
                 return path.many(2.0 * np.asarray(ts))
 
             def left(self, t):
-                return self(t)
-
-            def right(self, t):
                 return self(t)
 
             def jump_times(self, t0, t1):
