@@ -64,6 +64,8 @@ class PiecewiseInput(ScalarInput):
     def __init__(self, tau, pattern=(1.0, 0.0)):
         if not 0 < tau < np.inf:  # NaN fails too
             raise ValueError(f"tau must be positive and finite, got {tau}")
+        if isinstance(pattern, str):  # else "10" would read as (1, 0)
+            raise ValueError(f"pattern must be a sequence of numbers, got the string {pattern!r}")
         pattern = tuple(float(p) for p in pattern)
         if not pattern or any(not 0.0 <= p <= 1.0 for p in pattern):
             raise ValueError("pattern values must lie in [0, 1]")

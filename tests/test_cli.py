@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -437,6 +438,30 @@ def test_integral_float_reads_as_its_integer(tmp_path, field, command, whole):
 RATE_COMMANDS = ("solve", "series", "simulate", "compare", "asymptote", "scalar")
 
 
+@pytest.mark.parametrize("key, command, config", [
+    ("nu", "solve", "spin_flip.json"), ("grid.t_max", "solve", "spin_flip.json"),
+    ("scalar.tau", "scalar", "scalar_alternating.json")])
+def test_integer_too_large_for_a_float_is_config_error(tmp_path, key, command, config):
+    # a Python int compares exactly, so 10^400 passes a finiteness test and
+    # only float() fails on it; the process must report it, not raise
+    cfg = json.loads((CONFIGS / config).read_text())
+    *parents, name = key.split(".")
+    entry = cfg
+    for parent in parents:
+        entry = entry[parent]
+    entry[name] = 10 ** 400
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "reduktor.cli", command, "--config", str(path), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.startswith("config error: ") and "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
 @pytest.mark.parametrize("field, command", [
     *(("nu", command) for command in RATE_COMMANDS),
@@ -574,6 +599,7 @@ class TestScalarCommand:
         "piecewise-no-tau": {"variant": "piecewise", "pattern": [1, 0]},
         "piecewise-string": {"variant": "piecewise", "tau": "0.5"},
         "piecewise-null": {"variant": "piecewise", "tau": None},
+        "piecewise-string-pattern": {"variant": "piecewise", "tau": 0.5, "pattern": "10"},
         "trig-string": {"variant": "trig", "mean": "0.5"},
         "trig-null": {"variant": "trig", "amplitude": None},
         "tabulated-no-values": {"variant": "tabulated", "times": [0.0, 2.0]},
@@ -655,13 +681,15 @@ def test_quiet_does_not_change_output(tmp_path, command, config):
 @pytest.mark.parametrize("command,config", SHIPPED_RUNS)
 def test_stdout_without_out_holds_only_the_output(tmp_path, capsys, command, config):
     # the summary line goes to stdout only next to an --out file, so a pipe
-    # reads exactly the bytes --out would hold
+    # reads exactly the bytes --out would hold; and main never touches gc
+    policy = gc.isenabled(), gc.get_freeze_count()
     out = tmp_path / "out"
     assert run([command, "--config", CONFIGS / config, "--out", out, "--quiet"]) == 0
     capsys.readouterr()
     assert run([command, "--config", CONFIGS / config]) == 0
     stdout = capsys.readouterr().out
     assert stdout.encode() == out.read_bytes()
+    assert (gc.isenabled(), gc.get_freeze_count()) == policy
     if command in ("solve", "series", "scalar"):  # scalar's jump rows are '#' comments
         np.loadtxt(io.StringIO(stdout), delimiter=",", skiprows=1, comments="#")
 
@@ -679,11 +707,45 @@ def test_scalar_command_loads_only_its_modules(tmp_path):
 
 
 def test_cli_imports_without_scipy():
-    # scipy is a test-only dependency; the library must not load it
+    # scipy is a test-only dependency; the library must not load it.  Nor
+    # may the module load numpy, which cli.run imports with the collector off
     code = ("import reduktor.cli, sys; "
-            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
+            "assert not any(m.split('.')[0] in ('scipy', 'numpy') for m in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_run_turns_the_collector_off_and_freezes_the_heap(tmp_path):
+    # the process entry point of python -m reduktor.cli and the console script
+    code = ("import gc; from reduktor.cli import run; "
+            f"assert run(['genericity', '--config', {str(CONFIGS / 'spin_flip.json')!r}, "
+            f"'--out', {str(tmp_path / 'out.json')!r}, '--quiet']) == 0; "
+            "assert not gc.isenabled() and gc.get_freeze_count() > 0")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("command, key, size", [("simulate", "R", 1000),
+                                                ("solve", "steps", 300)])
+def test_a_command_makes_no_more_cyclic_garbage_for_more_work(tmp_path, command, key, size):
+    # cli.run keeps the collector off through a command, so a cycle made per
+    # history or per node would grow the process's memory unseen
+    cfg = json.loads((CONFIGS / "random_3level.json").read_text())
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    unreachable = []
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for work in (size, size, 4 * size):  # the first run pays for the imports
+            (cfg["grid"] if key == "steps" else cfg)[key] = work
+            path.write_text(json.dumps(cfg))
+            gc.collect()
+            assert run([command, "--config", path, "--out", out, "--quiet"]) == 0
+            unreachable.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert unreachable[2] <= unreachable[1], unreachable
 
 
 def outputs_at_blas_threads(tmp_path, command, config=CONFIGS / "random_3level.json"):

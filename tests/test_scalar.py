@@ -29,6 +29,8 @@ class TestInputs:
             CosineInput(mean=0.5, amplitude=0.7)
         with pytest.raises(ValueError):
             PiecewiseInput(tau=1.0, pattern=(1.0, 1.5))
+        with pytest.raises(ValueError, match="string"):  # not read as (1, 0)
+            PiecewiseInput(tau=1.0, pattern="10")
         with pytest.raises(ValueError):
             TabulatedInput([0.0, 1.0], [0.5, 1.5])
 
