@@ -31,9 +31,9 @@ _EXPORTS = {name: module for module, names in {
                "validate_dstoch", "zero_sum_basis"),
     "jump_mc": ("McEstimate", "PoissonRealization", "evolve_realization",
                 "monte_carlo_average", "sample_realization"),
-    "scalar": ("ConstantInput", "CosineInput", "LiftedPath", "PiecewiseInput",
-               "ScalarInput", "ScalarTrajectory", "TabulatedInput", "TrigSolution",
-               "lift_scalar", "piecewise_delay_solve", "scalar_march", "trig_ode_solve"),
+    "scalar": ("ConstantInput", "CosineInput", "LiftedPath", "PiecewiseInput", "ScalarInput",
+               "TabulatedInput", "TrigSolution", "lift_scalar", "piecewise_delay_solve",
+               "scalar_march", "trig_ode_solve"),
     "volterra": ("ConstantPath", "Kernel", "SeriesResult", "SolverConfig", "TimeGrid",
                  "Trajectory", "derivative_consistency", "kernel_normalization_residual",
                  "march_solve", "march_solve_general", "neumann_series",

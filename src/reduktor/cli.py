@@ -10,7 +10,8 @@ stdout: without --out, stdout holds only the output.  The summary line is
 made and printed only with --out and without --quiet.
 
 Exit codes: 0 success, 1 usage or config error, 2 input validation error,
-3 numerical failure.
+3 numerical failure.  A config number must be a JSON number, and a source
+that is not doubly stochastic is an input error in every command.
 
 Each command imports the library modules it uses when it runs, numpy
 among them, so a process pays only for its own command.
@@ -71,27 +72,17 @@ def complex_to_pairs(a):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _json_int(digits):
-    """A JSON integer; one too large for a float is refused, as no config field takes one."""
-    value = int(digits)
-    try:
-        float(value)
-    except OverflowError:
-        raise ConfigError(f"integer {digits[:8]}... of {len(digits)} digits is too large "
-                          "for a float") from None
-    return value
-
-
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_int=_json_int)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if isinstance(cfg, dict):
         _check_keys(cfg)
+        _check_numbers(cfg)
     return cfg
 
 
@@ -121,6 +112,28 @@ def _check_keys(cfg):
                           "no command reads them")
 
 
+def _check_numbers(entry, path=""):
+    """Refuse, by key path, a config value that is not a JSON number a float holds.
+
+    Every field but scalar.variant holds numbers or null: true and "1.0" are not numbers.
+    """
+    if path == "scalar.variant":  # the one string field, which the scalar command checks
+        return
+    if isinstance(entry, dict):
+        for key, value in entry.items():
+            _check_numbers(value, f"{path}.{key}" if path else key)
+    elif isinstance(entry, list):
+        for i, value in enumerate(entry):
+            _check_numbers(value, f"{path}[{i}]")
+    elif isinstance(entry, (bool, str)):
+        integer = path in {"N_max", "R", "grid.steps", "n", "n2", "seed"}
+        raise ConfigError(f"{path} must be {'an integer' if integer else 'a number'}, "
+                          f"got {entry!r}")
+    elif isinstance(entry, int) and abs(entry) > sys.float_info.max:
+        raise ConfigError(f"{path} is an integer of {len(str(entry))} digits, too large "
+                          "for a float")
+
+
 def _one_source(cfg):
     """Refuse a config that gives more than one source, by key, before any solver runs."""
     sources = [[key] for key in ("constant_M", "scalar") if key in cfg]
@@ -132,7 +145,7 @@ def _one_source(cfg):
 
 def _integral(value, what):
     """An integer config field: an int or an integral float such as 1e4, never truncated."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if isinstance(value, int):  # never a bool: _check_numbers refuses those
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -377,13 +390,13 @@ def cmd_scalar(args, cfg, grid):
                     and k >= 1 and grid.steps % k == 0:
                 exact = piecewise_delay_solve(alpha.tau, nu, k,
                                               nodes_per_interval=grid.steps // k)
-                gap = float(abs(exact.beta - traj.beta).max())
+                gap = float(abs(exact.values - traj.values).max())
                 notes.append(f"max |march - method of steps| = {gap:.3e}")
         if isinstance(alpha, CosineInput):
             ode = trig_ode_solve(alpha, nu, grid)
-            gap = float(abs(ode.trajectory.beta - traj.beta).max())
+            gap = float(abs(ode.trajectory.values - traj.values).max())
             notes.append(f"max |march - ode route| = {gap:.3e}")
-        return f"final beta = {traj.beta[-1]:.6g}" + ("; " + "; ".join(notes) if notes else "")
+        return f"final beta = {traj.final:.6g}" + ("; " + "; ".join(notes) if notes else "")
 
     return scalar_trajectory_to_csv(traj), summary, EXIT_OK
 

@@ -98,6 +98,14 @@ class ValidationFailure(NumericalError):
         super().__init__(msg)
 
 
+class SourceViolation(InputValidationError):
+    def __init__(self, node, residual, detail="source"):
+        self.node = node
+        self.residual = residual
+        super().__init__(
+            f"node {node} violates double stochasticity (residual {residual:.3e}): {detail}")
+
+
 class KernelNormalizationViolation(NumericalError):
     def __init__(self, T, residual):
         self.T = T

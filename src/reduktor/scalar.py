@@ -21,12 +21,13 @@ alpha(t) * 1 + (1 - alpha(t)) * Theta_n of an input.
 Three solution methods are provided: trapezoid marching (any input), an
 exact polynomial method of steps for the alternating 1/0 input with period
 tau, and the constant-coefficient ODE route for the cosine input at any
-reduction rate, mean and amplitude (``volterra._modal_solve``).
+reduction rate, mean and amplitude (``volterra._modal_solve``).  Each
+returns a ``volterra.Trajectory``: beta, and its left limits by jump node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,40 +134,22 @@ class TabulatedInput(ScalarInput):
         return np.interp(np.asarray(ts, dtype=float), self.times, self.table)
 
 
-# -- scalar trajectory -------------------------------------------------------
+# -- scalar trajectory CSV ---------------------------------------------------
 
-@dataclass
-class ScalarTrajectory:
-    """beta values on a uniform grid plus a log of discontinuities.
-
-    Node values are right-continuous; ``jumps`` holds (t, left, right)
-    triples at the discontinuity times.
-    """
-
-    grid: TimeGrid
-    beta: np.ndarray
-    jumps: list = field(default_factory=list)
-
-    @property
-    def times(self):
-        return self.grid.nodes
-
-    def at_time(self, t):
-        return float(self.beta[self.grid.index_of(t)])
-
-
-def scalar_trajectory_to_csv(traj: ScalarTrajectory) -> str:
-    """CSV with a commented ``jumps`` sidecar listing discontinuities."""
-    lines = ["t,beta"] + _csv_lines(traj.times, traj.beta)
-    if traj.jumps:
+def scalar_trajectory_to_csv(traj: Trajectory) -> str:
+    """``t,beta`` rows and a commented ``# t,left,right`` row per jump node."""
+    lines = ["t,beta"] + _csv_lines(traj.times, traj.values)
+    if traj.left_values:
+        j = list(traj.jump_nodes)
         lines += ["# jumps", "# t,left,right"]
-        lines += ["# " + line for line in _csv_lines(np.array(traj.jumps))]
+        lines += ["# " + line for line in _csv_lines(
+            traj.times[j], [traj.left_values[k] for k in j], traj.values[j])]
     return "\n".join(lines) + "\n"
 
 
 # -- marching solver ---------------------------------------------------------
 
-def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid) -> ScalarTrajectory:
+def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid) -> Trajectory:
     """Trapezoid marching of the scalar equation.
 
     The n = 1 case of the matrix march (``volterra._march``): the march
@@ -186,8 +169,7 @@ def scalar_march(alpha: ScalarInput, nu, grid: TimeGrid) -> ScalarTrajectory:
     if not (lo >= -SCALAR_ESCAPE_TOL and hi <= 1.0 + SCALAR_ESCAPE_TOL):
         k = int(np.argmin(betaR) if not lo >= -SCALAR_ESCAPE_TOL else np.argmax(betaR))
         raise ValueEscapeError(k, float(betaR[k]))
-    jumps_log = [(float(grid.nodes[j]), float(v[0, 0]), float(betaR[j])) for j, v in left.items()]
-    return ScalarTrajectory(grid=grid, beta=betaR, jumps=jumps_log)
+    return Trajectory(grid, betaR, {j: float(v[0, 0]) for j, v in left.items()})
 
 
 # -- lift to matrices --------------------------------------------------------
@@ -209,19 +191,18 @@ class LiftedPath(_SmoothPath):
         return self.alpha.jump_times(t0, t1)
 
 
-def lift_scalar(traj: ScalarTrajectory, n) -> Trajectory:
-    """Lift a scalar trajectory to matrices beta * 1 + (1 - beta) * Theta_n."""
+def lift_scalar(traj: Trajectory, n) -> Trajectory:
+    """Lift a scalar trajectory, left limits included, to beta * 1 + (1 - beta) * Theta_n."""
     if n < 2:
         raise ValueError("matrix lift needs n >= 2")
-    values = lift(traj.beta, n)
+    values = lift(traj.values, n)
     _validate_nodes(values, 1e-9, "lifted trajectory")
-    left_values = {traj.grid.index_of(t): lift(lo, n) for t, lo, _ in traj.jumps}
-    return Trajectory(grid=traj.grid, values=values, left_values=left_values)
+    return Trajectory(traj.grid, values, {j: lift(v, n) for j, v in traj.left_values.items()})
 
 
 # -- exact method of steps for the alternating input -------------------------
 
-def piecewise_delay_solve(tau, nu, n_intervals, *, nodes_per_interval=200) -> ScalarTrajectory:
+def piecewise_delay_solve(tau, nu, n_intervals, *, nodes_per_interval=200) -> Trajectory:
     """Exact interval-by-interval solution for the alternating 1/0 input.
 
     On each interval [i tau, (i+1) tau) the derivative of beta is a lag
@@ -233,7 +214,8 @@ def piecewise_delay_solve(tau, nu, n_intervals, *, nodes_per_interval=200) -> Sc
     Since the interval-0 solution is constant, every interval is a
     polynomial in the local coordinate; the recursion integrates those
     polynomials exactly, so the first two intervals reproduce the analytic
-    solutions 1 and 1 + (nu tau - nu T - 1) e^{-nu tau} to roundoff.
+    solutions 1 and 1 + (nu tau - nu T - 1) e^{-nu tau} to roundoff.  The
+    left limit at the k-th jump is recorded at its node k nodes_per_interval.
     """
     from numpy.polynomial import Polynomial
 
@@ -251,20 +233,15 @@ def piecewise_delay_solve(tau, nu, n_intervals, *, nodes_per_interval=200) -> Sc
         start = polys[i - 1](tau) + decay[i]
         polys.append(deriv.integ(1, k=[start]))
 
-    grid = TimeGrid(t_max=K * tau, steps=K * int(nodes_per_interval))
-    ts = grid.nodes
-    beta = np.empty(len(ts))
-    for idx, t in enumerate(ts):
-        i = min(int(np.floor(t / tau + 1e-12)), K - 1)
-        u = t - i * tau
-        if idx == len(ts) - 1:
-            # Final node: store the right-continuous value like scalar_march.
-            beta[idx] = polys[K - 1](tau) + decay[K]
-        else:
-            beta[idx] = polys[i](u)
-    jumps = [(k * tau, float(polys[k - 1](tau)),
-              float(polys[k - 1](tau) + decay[k])) for k in range(1, K + 1)]
-    return ScalarTrajectory(grid=grid, beta=beta, jumps=jumps)
+    per = int(nodes_per_interval)
+    grid = TimeGrid(t_max=K * tau, steps=K * per)
+    i = np.minimum(np.floor(grid.nodes / tau + 1e-12).astype(int), K - 1)
+    u = grid.nodes - i * tau
+    beta = np.empty(len(u))
+    for k in range(K):
+        beta[i == k] = polys[k](u[i == k])
+    beta[-1] = polys[K - 1](tau) + decay[K]  # the right-continuous final node, as scalar_march
+    return Trajectory(grid, beta, {k * per: float(polys[k - 1](tau)) for k in range(1, K + 1)})
 
 
 # -- ODE route for the cosine input -------------------------------------------
@@ -278,7 +255,7 @@ _COSINE_Y0 = np.array([[1.0], [1.0], [0.0]])
 class TrigSolution:
     """Cosine-input solution of the ODE route and its imaginary residue."""
 
-    trajectory: ScalarTrajectory
+    trajectory: Trajectory
     imag_residual: float
 
 
@@ -294,5 +271,4 @@ def trig_ode_solve(alpha: CosineInput, nu, grid: TimeGrid) -> TrigSolution:
     SolverConfig(nu=nu, grid=grid)  # a negative or non-finite nu fails here
     c = np.array([[alpha.mean, alpha.amplitude, 0.0]])
     values, imag = _modal_solve(c, _COSINE_L, _COSINE_Y0, nu, grid.nodes)
-    return TrigSolution(trajectory=ScalarTrajectory(grid=grid, beta=values[:, 0, 0]),
-                        imag_residual=imag)
+    return TrigSolution(trajectory=Trajectory(grid, values[:, 0, 0]), imag_residual=imag)

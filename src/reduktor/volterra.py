@@ -12,7 +12,8 @@ equivalently, with N(t) = e^{nu t} Mbar(t),
 The equation has no differential form, so it is marched with the
 composite trapezoid rule on a uniform grid, the endpoint t = k solved
 implicitly.  The paper's equation has a constant memory weight, and one
-kernel, ``_march``, marches it for ``march_solve`` and the scalar route:
+kernel, ``_march``, marches it for ``march_solve`` and the scalar route,
+each returning a ``Trajectory``, node values and left limits by jump node:
 
     X(T_k) = M(T_k) + b sum_{t <= k} w_t M(T_k - t) X(t),
 
@@ -40,7 +41,7 @@ commute and share the eigenvectors (1, 1) and (1, -1), so the march
 splits exactly into the unit mode and one scalar mode beta, which is
 marched on its own and lifted back (the paper's scalar reduction, which
 for n = 2 covers every source).  The lift is doubly stochastic whatever
-beta is, so ``march_solve`` checks a 2 x 2 source before marching it.
+beta is, so no output check can catch a bad source; ``_limits`` checks it.
 
 The march of an n x n source (sigma, a scalar input and the beta mode of
 a 2 x 2 source have n = 1) is one block lower-triangular system in the
@@ -58,7 +59,8 @@ Sources are time paths: ``many(ts)``, the right-continuous values, with
 matrix lifts are all such paths; ``as_path`` wraps a plain callable
 t -> (n, n) array.  ``_limits`` alone reads a path for the marches: the
 node values M and the left limit L at each jump node, both read at the
-jump time, which must lie on the grid.  A panel
+jump time, which must lie on the grid; a source not doubly stochastic
+there is an input error (``SourceViolation``), as in the series.  A panel
 ending on jump nodes pairs the right limit of M with the left limit of X
 and vice versa, averaged.  With node averages Mbar = (L + M) / 2,
 Xbar = (XL + XR) / 2 and jumps D = M - L = XR - XL, that pair is
@@ -101,11 +103,12 @@ from .errors import (
     InputValidationError,
     KernelNormalizationViolation,
     NonRealReconstructionError,
+    SourceViolation,
     TailBoundExceededError,
     ValidationFailure,
 )
 
-TOL_TRAJ = 1e-7    # double stochasticity of every march node and left limit
+TOL_TRAJ = 1e-7    # double stochasticity of every source and march node and left limit
 TOL_NORM = 1e-6    # kernel normalization |int_0^T b(t, T) dt + a(T) - 1|
 TOL_TAIL = 1e-10   # Poisson tail P[K > n_max] left out of the series
 TOL_GRID = 1e-9    # distance of a time from its node, relative to max(1, |t|)
@@ -269,7 +272,7 @@ def as_path(m):
 
 @dataclass
 class Trajectory:
-    """Matrix values on a uniform grid, right-continuous at jump nodes (keys of left_values)."""
+    """(K+1, n, n) matrices or a scalar's (K+1,) beta on a grid; left limits by jump node."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -290,8 +293,10 @@ class Trajectory:
     def at_time(self, t) -> np.ndarray:
         return self.values[self.grid.index_of(t)]
 
-    def __len__(self):
-        return len(self.values)
+    @property
+    def beta(self) -> np.ndarray:
+        """The values of a scalar solution, by the name of its coefficient."""
+        return self.values
 
 
 def _csv_lines(*columns):
@@ -313,31 +318,25 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _validate_nodes(values, tol, what="trajectory", nodes=None):
-    """Raise ValidationFailure at the first matrix of a stack not within tol.
+def _validate_nodes(values, tol, what="trajectory", nodes=None, error=ValidationFailure):
+    """Raise ``error`` (ValidationFailure) at the first matrix of a stack not within tol.
 
-    The failure names that matrix by its entry of ``nodes``, by default by
+    The error names that matrix by its entry of ``nodes``, by default by
     its index in the stack.
     """
     res = dstoch_residual(values)
     bad = np.flatnonzero(~(res <= tol))
     if bad.size:
         k = bad[0]
-        raise ValidationFailure(int(k if nodes is None else nodes[k]), float(res[k]),
-                                detail=what)
+        raise error(int(k if nodes is None else nodes[k]), float(res[k]), detail=what)
 
 
-def _validate_source(M, left):
-    """Check a 2 x 2 source doubly stochastic within TOL_TRAJ at every node and left limit.
-
-    The march lifts a doubly stochastic output from any 2 x 2 source (see
-    ``_march``), so the output check cannot catch a bad one; larger
-    sources are left to the output check.
-    """
-    if M.shape[-1] == 2:
-        _validate_nodes(M, TOL_TRAJ, "source")
-        if left:
-            _validate_nodes(np.stack([*left.values()]), TOL_TRAJ, "source left limit", [*left])
+def _validate_limits(values, left, what, error=ValidationFailure):
+    """``_validate_nodes`` within TOL_TRAJ on the node values and on the left limits by node."""
+    _validate_nodes(values, TOL_TRAJ, what, error=error)
+    if left:
+        _validate_nodes(np.stack([*left.values()]), TOL_TRAJ, f"{what} left limit", [*left],
+                        error)
 
 
 def _block_pull(Mbar, H, j0, X):
@@ -464,7 +463,7 @@ def _march(M, left, h, b):
     commute and share the eigenvectors (1, 1) and (1, -1), so the 2 x 2
     march is the unit mode sigma and the beta mode, each marched on its
     own.  Only the doubly stochastic part of the source reaches the
-    output, so callers check a 2 x 2 source first.  A jump-free source of
+    output, so ``_limits`` checks the source first.  A jump-free source of
     zero stride in t (``ConstantPath``) is marched with its sigma by
     ``_constant_march``.  Every other source and sigma are solved for the
     node averages Xbar by ``_blocked_solve``, and the node values and left
@@ -534,6 +533,8 @@ def _limits(path, grid, matrix=True):
     and a map, in node order, from the node j of each jump time t > 0 on
     the grid to ``path.left(t)``, with M[j] = ``path.many`` at t: both
     read at t, so a jump a rounding off its node keeps both its limits.
+    A matrix source not doubly stochastic within TOL_TRAJ at either raises
+    SourceViolation, an input error, naming the node.
     """
     def sample(ts):
         return (_matrix_stack(path, ts) if matrix
@@ -548,6 +549,8 @@ def _limits(path, grid, matrix=True):
             j = grid.index_of(t)
             M[j] = right
             left[j] = np.reshape(np.asarray(path.left(t), dtype=float), M.shape[1:])
+    if matrix:
+        _validate_limits(M, left, "source", SourceViolation)
     return M, left
 
 
@@ -556,16 +559,12 @@ def march_solve(m, cfg: SolverConfig) -> Trajectory:
 
     Composite trapezoid on the uniform grid with the implicit endpoint
     term solved exactly; jumps of the source use one-sided limits.  The
-    output is N divided by the discrete growth factor, validated doubly
-    stochastic at every node and every left limit within TOL_TRAJ.
+    output, N over the discrete growth factor, and the source are checked
+    doubly stochastic at every node and left limit within TOL_TRAJ.
     """
     grid = cfg.grid
-    M, left = _limits(as_path(m), grid)
-    _validate_source(M, left)
-    out, out_left = _march(M, left, grid.h, cfg.nu)
-    _validate_nodes(out, TOL_TRAJ)
-    if out_left:
-        _validate_nodes(np.stack([*out_left.values()]), TOL_TRAJ, "left limit", [*out_left])
+    out, out_left = _march(*_limits(as_path(m), grid), grid.h, cfg.nu)
+    _validate_limits(out, out_left, "trajectory")
     return Trajectory(grid=grid, values=out, left_values=out_left)
 
 
@@ -587,7 +586,6 @@ def march_solve_general(m, kernel: Kernel, grid: TimeGrid) -> Trajectory:
     M, left = _limits(as_path(m), grid)
     if left:
         raise ValueError("the generalized-kernel solver requires a continuous source")
-    _validate_source(M, left)
     ts = grid.nodes
     a = np.broadcast_to(np.asarray(kernel.a(ts), dtype=float), ts.shape)
     out = _general_march(M, a, grid.h, lambda k: kernel.b(ts[:k + 1], ts[k]))
@@ -741,7 +739,8 @@ def neumann_series_trajectory(m, cfg: SolverConfig, *, horizon=None) -> Trajecto
     weighted by nu^m and tilted by e^{-gamma t}, gamma the trapezoid unit
     mode's growth rate (``_series_levels``), so every sum stays near 1 at
     any nu T; a tilt by nu leaves them growing as e^{(gamma - nu) t}, 3e7
-    at h nu = 0.5 and nu T = 800.  The tilt cancels in the ratio.
+    at h nu = 0.5 and nu T = 800.  The tilt cancels in the ratio.  A bad
+    source raises SourceViolation before the first level.
     """
     grid, nu = cfg.grid, cfg.nu
     h = grid.h
@@ -755,6 +754,7 @@ def neumann_series_trajectory(m, cfg: SolverConfig, *, horizon=None) -> Trajecto
     if np.asarray(path.jump_times(0.0, T)).size:
         raise ValueError("the series evaluator requires a continuous source")
     M = _matrix_stack(path, grid.nodes[:K + 1])
+    _validate_limits(M, {}, "source", SourceViolation)
     nmax, _tail = _pick_series_order(nu, T, cfg.n_max, TOL_TAIL)
     total = np.zeros_like(M)
     mass = np.zeros(K + 1)
@@ -779,10 +779,11 @@ def derivative_consistency(m, traj: Trajectory, cfg: SolverConfig) -> float:
     second-order finite differences of the node values; the returned value
     is the largest sup-norm residual over the nodes.  The convolution of
     e^{-nu t} M with Mbar' gives e^{-nu T} times the integral, so nothing
-    overflows at large nu T.
+    overflows at large nu T.  The nodes and h are the trajectory's own;
+    ``cfg`` gives only nu.
     """
-    nu, h = cfg.nu, cfg.grid.h
-    ts = cfg.grid.nodes
+    nu, h = cfg.nu, traj.grid.h
+    ts = traj.grid.nodes
     M = _matrix_stack(as_path(m), ts)
     Mbar = traj.values
 

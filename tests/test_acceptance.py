@@ -118,17 +118,18 @@ def test_criterion_3_alternating_input_exact_pieces():
         exact = piecewise_delay_solve(tau, nu, 10, nodes_per_interval=400)
         ts = exact.times
         first = (ts >= 0) & (ts < tau)
-        worst_piece = max(worst_piece, float(np.abs(exact.beta[first] - 1.0).max()))
+        worst_piece = max(worst_piece, float(np.abs(exact.values[first] - 1.0).max()))
         second = (ts >= tau) & (ts < 2.0 * tau)
         analytic = 1.0 + (nu * tau - nu * ts[second] - 1.0) * np.exp(-nu * tau)
         worst_piece = max(worst_piece,
-                          float(np.abs(exact.beta[second] - analytic).max()))
+                          float(np.abs(exact.values[second] - analytic).max()))
         for k in range(1, 6):
-            _, lo, hi = exact.jumps[k - 1]
+            j = exact.jump_nodes[k - 1]
+            lo, hi = exact.left_values[j], exact.values[j]
             worst_jump = max(worst_jump,
                              abs((hi - lo) - (-1.0) ** k * np.exp(-nu * k * tau)))
         march = scalar_march(PiecewiseInput(tau), nu, exact.grid)
-        worst_cross = max(worst_cross, float(np.abs(exact.beta - march.beta).max()))
+        worst_cross = max(worst_cross, float(np.abs(exact.values - march.values).max()))
     ok = worst_piece <= 1e-10 and worst_jump <= 1e-8 and worst_cross <= 1e-6
     report(3, ok,
            f"analytic intervals {worst_piece:.3e} (tol 1e-10); jumps k=1..5 "
@@ -141,8 +142,8 @@ def test_criterion_4_cosine_input_cross_method():
     grid = TimeGrid(5.0, 5000)
     sol = trig_ode_solve(CosineInput(), 1.0, grid)
     march = scalar_march(CosineInput(), 1.0, grid)
-    gap = float(np.abs(sol.trajectory.beta - march.beta).max())
-    beta0 = sol.trajectory.beta[0]
+    gap = float(np.abs(sol.trajectory.values - march.values).max())
+    beta0 = sol.trajectory.values[0]
     ok = gap <= 1e-6 and sol.imag_residual <= 1e-9 and beta0 == 1.0
     report(4, ok,
            f"ode vs march {gap:.3e} (tol 1e-6); imaginary residue "

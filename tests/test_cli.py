@@ -86,9 +86,24 @@ class TestExitCodes:
         assert not out.parent.exists()
 
     def test_numerical_failure(self, tmp_path):
+        # a source that is not doubly stochastic is an input error, exit 2
         cfg = write_config(tmp_path / "cfg.json",
                            constant_M=[[0.7, 0.4], [0.4, 0.7]])
-        assert run(["solve", "--config", cfg]) == 3
+        assert run(["solve", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("matrix", [
+        [[0.5, 0.6, 0.0], [0.5, 0.4, 0.0], [0.0, 0.0, 1.0]],
+        [[1.2, -0.1, -0.1], [-0.1, 0.6, 0.5], [-0.1, 0.5, 0.6]]],
+        ids=["row-sums", "negative-entry"])
+    @pytest.mark.parametrize("command", ["solve", "series", "simulate", "compare", "asymptote"])
+    def test_source_not_doubly_stochastic_is_an_input_error(self, tmp_path, capsys, command,
+                                                            matrix):
+        cfg = write_config(tmp_path / "cfg.json", constant_M=matrix)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", out]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("validation error: ")
 
     def test_singular_step_is_numerical_failure(self, tmp_path, capsys):
         # h nu / 2 = 1 makes the implicit step I - M(0) singular
@@ -435,6 +450,56 @@ def test_integral_float_reads_as_its_integer(tmp_path, field, command, whole):
     assert texts[0] == texts[1]
 
 
+NOT_NUMBERS = {  # command, the config's source, the key path set to a non-number, its value
+    "nu-true": ("solve", {}, "nu", True),
+    "nu-false": ("solve", {}, "nu", False),
+    "nu-string": ("solve", {}, "nu", "1.0"),
+    "t_max-true": ("series", {}, "grid.t_max", True),
+    "t_max-string": ("series", {}, "grid.t_max", "3.0"),
+    "constant_M-strings": ("solve", {"constant_M": [["0.5", "0.5"], ["0.5", "0.5"]]},
+                           "constant_M[0][0]", "0.5"),
+    "constant_M-booleans": ("simulate", {"constant_M": [[True, False], [False, True]]},
+                            "constant_M[0][0]", True),
+    "value-true": ("scalar", {"scalar": {"variant": "constant", "value": True}},
+                   "scalar.value", True),
+    "tau-string": ("scalar", {"scalar": {"variant": "piecewise", "tau": "0.5"}},
+                   "scalar.tau", "0.5"),
+    "pattern-strings": ("scalar", {"scalar": {"variant": "piecewise", "tau": 0.5,
+                                              "pattern": ["1", "0"]}}, "scalar.pattern[0]", "1"),
+    "times-strings": ("scalar", {"scalar": {"variant": "tabulated", "times": ["0", "2"],
+                                            "values": [1.0, 0.5]}}, "scalar.times[0]", "0"),
+    "values-strings": ("scalar", {"scalar": {"variant": "tabulated", "times": [0.0, 2.0],
+                                             "values": ["1", "0.5"]}}, "scalar.values[0]", "1"),
+}
+
+
+@pytest.mark.parametrize("command, source, key, value", NOT_NUMBERS.values(),
+                         ids=NOT_NUMBERS.keys())
+def test_a_number_must_be_a_json_number(tmp_path, capsys, monkeypatch, command, source, key,
+                                        value):
+    # neither a boolean nor a numeric string is read as a number; refused by
+    # key path before any solver runs
+    def solver(*args, **kwargs):
+        raise AssertionError(f"{command} ran a solver before it refused {key}")
+
+    for name in ("volterra.march_solve", "volterra.neumann_series_trajectory",
+                 "scalar.scalar_march", "jump_mc.monte_carlo_average"):
+        monkeypatch.setattr(f"reduktor.{name}", solver)
+    cfg = {"nu": 1.0, "grid": {"t_max": 2.0, "steps": 200}, "R": 2000, "seed": 9,
+           **(source or MODEL)}
+    if key in ("nu", "grid.t_max"):
+        *parents, name = key.split(".")
+        (cfg[parents[0]] if parents else cfg)[name] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out", out]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {key} must be a number, got {value!r}\n"
+
+
 RATE_COMMANDS = ("solve", "series", "simulate", "compare", "asymptote", "scalar")
 
 
@@ -664,6 +729,26 @@ SHIPPED_RUNS = [  # command/config pairs on configs/ that exit 0
     ("simulate", "spin_flip.json"), ("compare", "spin_flip.json"),
     ("asymptote", "spin_flip.json"), ("genericity", "spin_flip.json"),
 ]
+
+
+SHIPPED_EXIT_0 = {  # every command/config pair on configs/ that exits 0; the rest exit 1
+    *((command, config) for command in ("solve", "series", "simulate", "compare", "asymptote")
+      for config in ("constant_matrix.json", "random_3level.json", "spin_flip.json")),
+    ("genericity", "random_3level.json"), ("genericity", "spin_flip.json"),
+    ("scalar", "scalar_alternating.json"), ("scalar", "scalar_cosine.json"),
+}
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
+@pytest.mark.parametrize("command", ["solve", "series", "simulate", "compare", "asymptote",
+                                     "genericity", "scalar"])
+def test_shipped_exit_codes(tmp_path, capsys, command, config):
+    # an exit-0 pair writes its output; a pair that exits 1 writes nothing
+    out = tmp_path / "out"
+    code = run([command, "--config", CONFIGS / config, "--out", out, "--quiet"])
+    assert code == (0 if (command, config) in SHIPPED_EXIT_0 else 1)
+    assert out.exists() == (code == 0)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command,config", SHIPPED_RUNS)

@@ -35,7 +35,6 @@ OPTIONS = {
     "CosineInput": {"mean": "0.5", "amplitude": "0.5"},
     "DStochMatrix": {"tol_sum": "1e-09", "tol_entry": "1e-12"},
     "PiecewiseInput": {"pattern": "(1.0, 0.0)"},
-    "ScalarTrajectory": {"jumps": "<factory>"},
     "SolverConfig": {"n_max": "None"},
     "Trajectory": {"left_values": "<factory>"},
     "kernel_normalization_residual": {"quad_steps": "1000"},

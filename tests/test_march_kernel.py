@@ -168,13 +168,12 @@ def test_scalar_march(alpha):
     ts = GRID.nodes
     lo = np.asarray(alpha.many(ts), dtype=float)
     hi = lo.copy()
-    for t, _, _ in traj.jumps:
-        j = GRID.index_of(t)
-        lo[j], hi[j] = alpha.left(t), alpha(t)
+    for j in traj.jump_nodes:
+        lo[j], hi[j] = alpha.left(ts[j]), alpha(ts[j])
     want, want_left = ref.march_scalar(lo, hi, NU, GRID.h)
-    assert np.abs(traj.beta - want).max() < TOL
-    for t, left, _ in traj.jumps:
-        assert abs(left - want_left[GRID.index_of(t)]) < TOL
+    assert np.abs(traj.values - want).max() < TOL
+    for j, left in traj.left_values.items():
+        assert abs(left - want_left[j]) < TOL
 
 
 def test_unit_mode_is_unit_growth():
@@ -222,9 +221,9 @@ def test_a_period_a_rounding_off_the_grid_marches_as_the_grid_period(typed, peri
     # limits are read at the jump time, so the march sees the grid period's
     # source bit for bit
     got, want = (scalar_march(PiecewiseInput(tau), NU, grid) for tau in (typed, period))
-    assert got.beta.tobytes() == want.beta.tobytes()
-    assert got.jumps == want.jumps
-    assert len(want.jumps) == round(grid.t_max / period)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.left_values == want.left_values
+    assert len(want.left_values) == round(grid.t_max / period)
     got, want = (march_solve(LiftedPath(PiecewiseInput(tau), 3), SolverConfig(NU, grid))
                  for tau in (typed, period))
     assert got.values.tobytes() == want.values.tobytes()
@@ -489,7 +488,7 @@ def test_long_horizon_two_level_march_is_doubly_stochastic(path):
 def test_long_horizon_unit_input_is_exactly_one():
     # the tilted source e^{-nu t} * 1 is the unit mode's own source
     traj = scalar_march(ConstantInput(1.0), LONG.nu, LONG.grid)
-    np.testing.assert_array_equal(traj.beta, np.ones(LONG.grid.steps + 1))
+    np.testing.assert_array_equal(traj.values, np.ones(LONG.grid.steps + 1))
 
 
 CONSTANT_3X3 = [[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]]  # configs/constant_matrix.json

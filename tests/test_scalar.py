@@ -10,7 +10,6 @@ from reduktor.scalar import (
     LiftedPath,
     PiecewiseInput,
     ScalarInput,
-    ScalarTrajectory,
     TabulatedInput,
     lift_scalar,
     piecewise_delay_solve,
@@ -18,7 +17,7 @@ from reduktor.scalar import (
     scalar_trajectory_to_csv,
     trig_ode_solve,
 )
-from reduktor.volterra import SolverConfig, TimeGrid, march_solve
+from reduktor.volterra import SolverConfig, TimeGrid, Trajectory, march_solve
 
 
 class TestInputs:
@@ -68,11 +67,11 @@ class TestInputs:
 class TestScalarMarch:
     def test_unit_input_is_fixed_point(self):
         traj = scalar_march(ConstantInput(1.0), 1.0, TimeGrid(5.0, 500))
-        np.testing.assert_array_equal(traj.beta, np.ones(501))
+        np.testing.assert_array_equal(traj.values, np.ones(501))
 
     def test_zero_input_collapses(self):
         traj = scalar_march(ConstantInput(0.0), 1.0, TimeGrid(5.0, 500))
-        np.testing.assert_array_equal(traj.beta, np.zeros(501))
+        np.testing.assert_array_equal(traj.values, np.zeros(501))
 
     def test_non_finite_beta_escapes(self):
         # the [0, 1] check must not let NaN through, which compares false
@@ -91,7 +90,7 @@ class TestScalarMarch:
 
     def test_initial_value_matches_input(self):
         traj = scalar_march(CosineInput(), 1.0, TimeGrid(1.0, 100))
-        assert traj.beta[0] == 1.0
+        assert traj.values[0] == 1.0
 
     def test_constant_input_closed_form(self):
         # beta(T) = exp(nu (c - 1) T) * c for a constant input c
@@ -100,7 +99,7 @@ class TestScalarMarch:
         traj = scalar_march(ConstantInput(c), nu, grid)
         truth = np.exp(nu * (c - 1.0) * grid.nodes) * c
         truth[0] = c
-        assert np.abs(traj.beta - truth).max() < 1e-7
+        assert np.abs(traj.values - truth).max() < 1e-7
 
     def test_piecewise_first_two_intervals(self):
         tau, nu = 1.0, 1.0
@@ -108,18 +107,19 @@ class TestScalarMarch:
         traj = scalar_march(PiecewiseInput(tau), nu, grid)
         ts = grid.nodes
         first = ts < tau
-        assert np.abs(traj.beta[first] - 1.0).max() < 1e-8
+        assert np.abs(traj.values[first] - 1.0).max() < 1e-8
         second = (ts >= tau) & (ts < 2.0 * tau)
         truth = 1.0 + (nu * tau - nu * ts[second] - 1.0) * np.exp(-nu * tau)
-        assert np.abs(traj.beta[second] - truth).max() < 1e-8
+        assert np.abs(traj.values[second] - truth).max() < 1e-8
 
     def test_jump_log_matches_formula(self):
         # jumps carry the scheme's O(h^2) growth-factor deviation, about
         # exp(t nu^3 h^2 / 12) - 1 relative at these parameters
         tau, nu = 0.5, 2.0
         traj = scalar_march(PiecewiseInput(tau), nu, TimeGrid(3.0, 600))
-        assert len(traj.jumps) == 6
-        for k, (t, lo, hi) in enumerate(traj.jumps, start=1):
+        assert len(traj.left_values) == 6
+        for k, j in enumerate(traj.jump_nodes, start=1):
+            t, lo, hi = traj.times[j], traj.left_values[j], traj.values[j]
             assert t == pytest.approx(k * tau)
             assert hi - lo == pytest.approx((-1.0) ** k * np.exp(-nu * k * tau), abs=1e-5)
 
@@ -132,8 +132,8 @@ class TestScalarMarch:
         h = grid.h
         for k in (1, 2, 3):
             j = grid.index_of(k * tau)
-            left = 3.0 * traj.beta[j - 1] - 3.0 * traj.beta[j - 2] + traj.beta[j - 3]
-            right = 3.0 * traj.beta[j + 1] - 3.0 * traj.beta[j + 2] + traj.beta[j + 3]
+            left = 3.0 * traj.values[j - 1] - 3.0 * traj.values[j - 2] + traj.values[j - 3]
+            right = 3.0 * traj.values[j + 1] - 3.0 * traj.values[j + 2] + traj.values[j + 3]
             jump = right - left
             assert jump == pytest.approx((-1.0) ** k * np.exp(-nu * k * tau), abs=1e-5)
 
@@ -143,21 +143,51 @@ class TestScalarMarch:
             scalar_march(PiecewiseInput(tau=1.0 / 3.0), 1.0, TimeGrid(1.0, 100))
 
 
+def delay_reference(tau, nu, K, per):
+    """The method of steps evaluated one node at a time, with each node's interval
+    found by its own floor; the final node holds the right limit."""
+    from numpy.polynomial import Polynomial
+
+    decay = [(-1.0) ** k * np.exp(-nu * k * tau) for k in range(K + 1)]
+    polys = [Polynomial([1.0])]
+    for i in range(1, K):
+        deriv = Polynomial([0.0])
+        for k in range(1, i + 1):
+            deriv = deriv + (nu * decay[k]) * polys[i - k]
+        polys.append(deriv.integ(1, k=[polys[i - 1](tau) + decay[i]]))
+    ts = TimeGrid(t_max=K * tau, steps=K * per).nodes
+    beta = np.empty(len(ts))
+    for idx, t in enumerate(ts):
+        i = min(int(np.floor(t / tau + 1e-12)), K - 1)
+        beta[idx] = polys[i](t - i * tau)
+    beta[-1] = polys[K - 1](tau) + decay[K]
+    return beta, {k * per: float(polys[k - 1](tau)) for k in range(1, K + 1)}
+
+
 class TestDelaySolve:
+    @pytest.mark.parametrize("tau, nu, K, per", [(1.0, 1.0, 10, 400), (1.0 / 3.0, 1.0, 30, 7),
+                                                 (0.1, 3.0, 40, 13), (0.8, 1.3, 1, 5)])
+    def test_equals_the_node_by_node_evaluation(self, tau, nu, K, per):
+        traj = piecewise_delay_solve(tau, nu, K, nodes_per_interval=per)
+        beta, left = delay_reference(tau, nu, K, per)
+        assert traj.values.tobytes() == beta.tobytes()
+        assert traj.left_values == left
+
     @pytest.mark.parametrize("tau,nu", [(1.0, 1.0), (0.5, 2.0)])
     def test_first_two_intervals_analytic(self, tau, nu):
         traj = piecewise_delay_solve(tau, nu, 6, nodes_per_interval=100)
         ts = traj.times
         first = (ts >= 0) & (ts < tau)
-        assert np.abs(traj.beta[first] - 1.0).max() < 1e-10
+        assert np.abs(traj.values[first] - 1.0).max() < 1e-10
         second = (ts >= tau) & (ts < 2.0 * tau)
         truth = 1.0 + (nu * tau - nu * ts[second] - 1.0) * np.exp(-nu * tau)
-        assert np.abs(traj.beta[second] - truth).max() < 1e-10
+        assert np.abs(traj.values[second] - truth).max() < 1e-10
 
     def test_jump_conditions(self):
         tau, nu = 0.8, 1.3
         traj = piecewise_delay_solve(tau, nu, 6, nodes_per_interval=50)
-        for k, (t, lo, hi) in enumerate(traj.jumps, start=1):
+        for k, j in enumerate(traj.jump_nodes, start=1):
+            t, lo, hi = traj.times[j], traj.left_values[j], traj.values[j]
             assert t == pytest.approx(k * tau)
             assert hi - lo == pytest.approx((-1.0) ** k * np.exp(-nu * k * tau), abs=1e-8)
 
@@ -172,7 +202,7 @@ class TestDelaySolve:
         K = 10
         exact = piecewise_delay_solve(tau, nu, K, nodes_per_interval=400)
         march = scalar_march(PiecewiseInput(tau), nu, exact.grid)
-        assert np.abs(exact.beta - march.beta).max() < 1e-6
+        assert np.abs(exact.values - march.values).max() < 1e-6
 
 
 COSINE_CASES = [(0.5, 0.5, 1.0), (0.6, -0.3, 0.7), (0.3, 0.2, 3.0), (0.5, 0.5, 2.0),
@@ -182,13 +212,13 @@ COSINE_CASES = [(0.5, 0.5, 1.0), (0.6, -0.3, 0.7), (0.3, 0.2, 3.0), (0.5, 0.5, 2
 class TestTrigOde:
     def test_initial_value_exact(self):
         sol = trig_ode_solve(CosineInput(), 1.0, TimeGrid(1.0, 10))
-        assert sol.trajectory.beta[0] == 1.0
+        assert sol.trajectory.values[0] == 1.0
 
     def test_agrees_with_march(self):
         grid = TimeGrid(5.0, 5000)
         sol = trig_ode_solve(CosineInput(), 1.0, grid)
         march = scalar_march(CosineInput(), 1.0, grid)
-        assert np.abs(sol.trajectory.beta - march.beta).max() < 1e-6
+        assert np.abs(sol.trajectory.values - march.values).max() < 1e-6
 
     @pytest.mark.parametrize("mean, amplitude, nu", COSINE_CASES[1:])
     def test_agrees_with_march_at_any_rate(self, mean, amplitude, nu):
@@ -196,7 +226,7 @@ class TestTrigOde:
         alpha = CosineInput(mean, amplitude)
         sol = trig_ode_solve(alpha, nu, grid)
         march = scalar_march(alpha, nu, grid)
-        assert np.abs(sol.trajectory.beta - march.beta).max() < 1e-6
+        assert np.abs(sol.trajectory.values - march.values).max() < 1e-6
 
     def test_reconstruction_real(self):
         sol = trig_ode_solve(CosineInput(), 1.0, TimeGrid(5.0, 500))
@@ -212,7 +242,7 @@ class TestTrigOde:
         S = L + nu * np.outer(y0, c) - nu * np.eye(3)
         expected = [c @ sla.expm(S * t) @ y0 for t in grid.nodes]
         sol = trig_ode_solve(CosineInput(mean, amplitude), nu, grid)
-        np.testing.assert_allclose(sol.trajectory.beta, expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(sol.trajectory.values, expected, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("nu", [-1.0, np.nan, np.inf])
     def test_bad_rate_rejected(self, nu):
@@ -225,7 +255,7 @@ class TestTrigOde:
         grid = TimeGrid(30.0, 3000)
         sol = trig_ode_solve(CosineInput(), 1.0, grid)
         window = 500  # 5 time units
-        sups = [np.abs(sol.trajectory.beta[k:k + window]).max()
+        sups = [np.abs(sol.trajectory.values[k:k + window]).max()
                 for k in range(500, 2500, window)]
         assert all(a > b for a, b in zip(sups[:-1], sups[1:]))
         assert sups[-1] < 0.1
@@ -235,14 +265,14 @@ class TestLift:
     def test_non_finite_beta_is_rejected(self):
         # NaN fails every comparison, so the check must be one NaN fails
         grid = TimeGrid(1.0, 4)
-        traj = ScalarTrajectory(grid=grid, beta=np.array([1.0, np.nan, 0.5, 0.5, 0.5]))
+        traj = Trajectory(grid, np.array([1.0, np.nan, 0.5, 0.5, 0.5]))
         with pytest.raises(ValidationFailure) as err:
             lift_scalar(traj, 3)
         assert err.value.node == 1
 
     def test_first_negative_node_is_named(self):
         grid = TimeGrid(1.0, 4)
-        traj = ScalarTrajectory(grid=grid, beta=np.array([1.0, 0.5, 1.5, -1.0, 2.0]))
+        traj = Trajectory(grid, np.array([1.0, 0.5, 1.5, -1.0, 2.0]))
         with pytest.raises(ValidationFailure) as err:
             lift_scalar(traj, 3)
         assert err.value.node == 2
@@ -296,4 +326,4 @@ class TestCsv:
         assert lines[0] == "t,beta"
         sidecar = [ln for ln in lines if ln.startswith("#")]
         assert sidecar[0] == "# jumps"
-        assert len(sidecar) == 2 + len(traj.jumps)
+        assert len(sidecar) == 2 + len(traj.left_values)

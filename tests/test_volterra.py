@@ -11,6 +11,7 @@ from reduktor.dstoch import compression_many, dstoch_residual, theta
 from reduktor.errors import (
     GridTooCoarseError,
     KernelNormalizationViolation,
+    SourceViolation,
     TailBoundExceededError,
     ValidationFailure,
 )
@@ -155,7 +156,7 @@ class TestMarch:
     def test_validation_failure_on_bad_source(self):
         bad = np.array([[0.7, 0.4], [0.4, 0.7]])  # row sums 1.1
         cfg = SolverConfig(nu=1.0, grid=TimeGrid(2.0, 100))
-        with pytest.raises(ValidationFailure):
+        with pytest.raises(SourceViolation):
             march_solve(ConstantPath(bad), cfg)
 
     @pytest.mark.parametrize("t, left, node, detail", [
@@ -163,10 +164,11 @@ class TestMarch:
         ids=["node", "left-limit"])
     def test_two_level_source_names_its_bad_node(self, t, left, node, detail):
         # a 2 x 2 march lifts a doubly stochastic output from any source,
-        # so the source itself is checked; jumps at nodes 25, 50 and 75
+        # so the source itself is checked, as an input; jumps at nodes 25,
+        # 50 and 75
         path = OneBadMatrix(LiftedPath(PiecewiseInput(0.5), 2), t, left)
         cfg = SolverConfig(nu=1.0, grid=TimeGrid(2.0, 100))
-        with pytest.raises(ValidationFailure) as err:
+        with pytest.raises(SourceViolation) as err:
             march_solve(path, cfg)
         assert err.value.node == node
         assert abs(err.value.residual - 0.1) < 1e-12
@@ -174,7 +176,7 @@ class TestMarch:
 
     def test_general_two_level_source_names_its_bad_node(self):
         path = OneBadMatrix(LiftedPath(CosineInput(), 2), 0.74)
-        with pytest.raises(ValidationFailure) as err:
+        with pytest.raises(SourceViolation) as err:
             march_solve_general(path, poisson_kernel(1.0), TimeGrid(2.0, 100))
         assert err.value.node == 37
         assert str(err.value).endswith(": source")
@@ -398,6 +400,17 @@ class TestDerivativeConsistency:
         cfg = SolverConfig(nu=1.0, grid=TimeGrid(3.0, 300))
         traj = march_solve(ConstantPath(SYM_M), cfg)
         assert derivative_consistency(ConstantPath(SYM_M), traj, cfg) < 1e-4
+
+    @pytest.mark.parametrize("other", [TimeGrid(4.0, 400), TimeGrid(2.0, 200)],
+                             ids=["longer", "coarser"])
+    def test_grid_is_the_trajectory_s_own(self, generic_model, other):
+        # only nu is read from cfg; a cfg on another grid changes nothing
+        path = generic_model.m_path()
+        cfg = SolverConfig(nu=1.0, grid=TimeGrid(2.0, 400))
+        traj = march_solve(path, cfg)
+        want = derivative_consistency(path, traj, cfg)
+        assert want < 1e-5
+        assert derivative_consistency(path, traj, SolverConfig(nu=1.0, grid=other)) == want
 
     def test_long_horizon_residual_is_finite(self):
         # nu T = 800: e^{nu t} overflows, so the integral is formed tilted
