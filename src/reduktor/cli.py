@@ -72,10 +72,21 @@ def complex_to_pairs(a):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
+class _Digits(str):
+    """A JSON integer longer than ``int`` reads, kept as its digits for ``_check_numbers``."""
+
+    @classmethod
+    def parse_int(cls, digits):
+        try:
+            return int(digits)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            return cls(digits)
+
+
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_int=_Digits.parse_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -125,13 +136,13 @@ def _check_numbers(entry, path=""):
     elif isinstance(entry, list):
         for i, value in enumerate(entry):
             _check_numbers(value, f"{path}[{i}]")
+    elif isinstance(entry, _Digits) or isinstance(entry, int) and abs(entry) > sys.float_info.max:
+        raise ConfigError(f"{path} is an integer of {len(str(entry))} digits, too large "
+                          "for a float")
     elif isinstance(entry, (bool, str)):
         integer = path in {"N_max", "R", "grid.steps", "n", "n2", "seed"}
         raise ConfigError(f"{path} must be {'an integer' if integer else 'a number'}, "
                           f"got {entry!r}")
-    elif isinstance(entry, int) and abs(entry) > sys.float_info.max:
-        raise ConfigError(f"{path} is an integer of {len(str(entry))} digits, too large "
-                          "for a float")
 
 
 def _one_source(cfg):

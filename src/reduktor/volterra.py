@@ -23,10 +23,9 @@ int_0^T b(t, T) dt = 1 - a(T),
 
     X(T_k) = a(T_k) M(T_k) + sum_{t <= k} w_t b(t, T_k) M(T_k - t) X(t),
 
-takes only continuous sources and a weight that changes with T_k, and
-``march_solve_general`` marches it in a loop of its own, ``_general_march``,
-which evaluates b(T_0..T_k, T_k) once per node and steps X and sigma
-together.
+takes only continuous sources, and ``march_solve_general`` solves it with
+the same block solver for a ``Kernel`` of either form: a lag function,
+b = psi(T - t), or a rank-one pair, b = u(T) v(t).
 
 The back-rescaling divides by the scheme's own discrete growth factor
 sigma, the same march run on the unit source M = 1, not by
@@ -49,7 +48,7 @@ node averages of X, solved in blocks of MARCH_BLOCK // n nodes
 (``_blocked_solve``; Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
 Comput. 6 (1985) 532).  A constant n >= 3 source instead sums its
 history, and sigma's, in one running term (``_constant_march``).
-Every route solves for the tilted e^{-b T} X from the source e^{-b t} M(t),
+``_march`` solves for the tilted e^{-b T} X from the source e^{-b t} M(t),
 since T_k = T_{k-t} + T_t on the grid, so nothing overflows at large b T.
 
 Sources are time paths: ``many(ts)``, the right-continuous values, with
@@ -170,19 +169,33 @@ class SolverConfig:
 class Kernel:
     """Generalized arrival/memory kernel pair.
 
-    ``a(T)`` weights the bare evolution, ``b(t, T)`` weights the memory
-    integral; both nonnegative with int_0^T b(t, T) dt = 1 - a(T).
-    Each is called on an array of times, and its value is broadcast to it.
+    ``a(T)`` weights the bare evolution and b(t, T) the memory integral;
+    both nonnegative with int_0^T b(t, T) dt = 1 - a(T).  ``memory`` gives
+    b in one of two forms, else TypeError: a lag function psi, b(t, T) =
+    psi(T - t), or a pair (u, v) of rank-one factors, b(t, T) = u(T) v(t)
+    with u > 0.  Each is called on an array of times, its value broadcast.
     """
 
     a: object
-    b: object
+    memory: object
+
+    def __post_init__(self):
+        m = self.memory
+        if not (callable(m) or isinstance(m, tuple) and len(m) == 2 and all(map(callable, m))):
+            raise TypeError("a kernel's memory is a lag function psi, b(t, T) = psi(T - t), or "
+                            f"a pair (u, v) of rank-one factors, b(t, T) = u(T) v(t); got {m!r}")
+
+    def b(self, t, T):
+        """The memory weight b(t, T) of either form."""
+        if callable(self.memory):
+            return self.memory(T - np.asarray(t, dtype=float))
+        return self.memory[0](T) * self.memory[1](np.asarray(t, dtype=float))
 
 
 def poisson_kernel(nu) -> Kernel:
-    """Kernel reproducing the exponential-waiting-time equation."""
+    """Kernel reproducing the exponential-waiting-time equation: the lag nu e^{-nu s}."""
     return Kernel(a=lambda T: np.exp(-nu * np.asarray(T, dtype=float)),
-                  b=lambda t, T: nu * np.exp(-nu * (T - np.asarray(t, dtype=float))))
+                  memory=lambda s: nu * np.exp(-nu * s))
 
 
 def kernel_normalization_residual(kernel: Kernel, T, quad_steps=1000) -> float:
@@ -196,9 +209,7 @@ def kernel_normalization_residual(kernel: Kernel, T, quad_steps=1000) -> float:
         raise ValueError("T must be >= 0")
     if T == 0:
         return float(abs(float(kernel.a(0.0)) - 1.0))
-    m = int(quad_steps)
-    if m % 2:
-        m += 1
+    m = int(quad_steps) + int(quad_steps) % 2
     ts = np.linspace(0.0, T, m + 1)
     vals = np.broadcast_to(np.asarray(kernel.b(ts, T), dtype=float), ts.shape)
     h = T / m
@@ -335,8 +346,7 @@ def _validate_limits(values, left, what, error=ValidationFailure):
     """``_validate_nodes`` within TOL_TRAJ on the node values and on the left limits by node."""
     _validate_nodes(values, TOL_TRAJ, what, error=error)
     if left:
-        _validate_nodes(np.stack([*left.values()]), TOL_TRAJ, f"{what} left limit", [*left],
-                        error)
+        _validate_nodes(np.stack([*left.values()]), TOL_TRAJ, f"{what} left limit", [*left], error)
 
 
 def _block_pull(Mbar, H, j0, X):
@@ -393,35 +403,40 @@ def _march_terms(M, left, h, b):
 def _blocked_solve(w, Mbar, f):
     """Node averages Xbar of the march, block by block.
 
-    Mbar and f are the (K+1, n, n) stacks of ``_march_terms``.  The march
-    is one block lower-triangular system,
+    w are the history weights, trapezoid weights times the memory weight,
+    and Mbar and f (K+1, n, n) stacks, as ``_march_terms`` forms them.  From
+    Xbar[0] = f[0], the march is one block lower-triangular system,
 
-        D Xbar[k] - sum_{t<k} w_t Mbar[k - t] Xbar[t] = f[k],
+        (1 - w_k Mbar[0] / 2) Xbar[k] - sum_{t<k} w_t Mbar[k - t] Xbar[t] = f[k],
 
-    with D = 1 - w_0 Mbar[0] the implicit step.  The nodes go in blocks of
-    B = MARCH_BLOCK // n, at least one (Hairer, Lubich & Schlichte, SIAM
-    J. Sci. Stat. Comput. 6 (1985) 532): each block takes the pull of the
-    finished blocks and applies the inverse of the one Bn x Bn system (a
-    singular implicit step raises LinAlgError), a partial last block its
-    leading block, exact for a block lower-triangular matrix.  Each finished block
-    adds its pull to every later node at once (``_block_pull``), summed in
-    X ahead of the solved nodes, so each node sums its history in block
-    order, in products too small for BLAS to split over threads.
+    solved in blocks of B = MARCH_BLOCK // n nodes, at least one (Hairer,
+    Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).  Each
+    block takes the pull of the finished blocks and applies the inverse of
+    its Bn x Bn system (a singular implicit step raises LinAlgError): one
+    inverse for weights constant past t = 0, its leading block for a
+    partial last block, or one per block for weights that vary.  Each
+    finished block adds its pull to every later node at once
+    (``_block_pull``), in products too small for BLAS to split over threads.
     """
     K, n = len(Mbar) - 1, Mbar.shape[-1]
     B = min(max(MARCH_BLOCK // n, 1), K)
     lag = np.subtract.outer(np.arange(B), np.arange(B))
-    # [u, v] = -w Mbar[u - v] below the diagonal, D on it
-    system = -w[1] * np.where((lag > 0)[:, :, None, None], Mbar[np.abs(lag)], 0.0)
-    system[np.arange(B), np.arange(B)] = np.eye(n) - w[0] * Mbar[0]
-    inverse = np.linalg.inv(system.transpose(0, 2, 1, 3).reshape(B * n, B * n))
+    below = np.where((lag > 0)[:, :, None, None], Mbar[np.abs(lag)], 0.0)
+    def near(ws):  # inverse of [u, v] = -ws[v] Mbar[u - v], 1 - ws[u] Mbar[0] / 2 at u = v
+        b = len(ws)
+        system = -ws[:, None, None] * below[:b, :b]
+        system[np.arange(b), np.arange(b)] = np.eye(n) - 0.5 * ws[:, None, None] * Mbar[0]
+        return np.linalg.inv(system.transpose(0, 2, 1, 3).reshape(b * n, b * n))
+    vary = (w[1:] != w[1]).any()
+    inverse = None if vary else near(w[1:B + 1])
     X = np.zeros_like(Mbar)
-    X[0] = Mbar[0]
+    X[0] = f[0]
     _block_pull(Mbar, w[0] * X[:1], 0, X)
     for k0 in range(1, K + 1, B):
         k1 = min(k0 + B, K + 1)
         rhs = (X[k0:k1] + f[k0:k1]).reshape(-1, n)
-        X[k0:k1] = (inverse[:len(rhs), :len(rhs)] @ rhs).reshape(-1, n, n)
+        inv = near(w[k0:k1]) if vary else inverse[:len(rhs), :len(rhs)]
+        X[k0:k1] = (inv @ rhs).reshape(-1, n, n)
         _block_pull(Mbar, w[k0:k1, None, None] * X[k0:k1], k0, X)
     return X
 
@@ -452,20 +467,14 @@ def _march(M, left, h, b):
 
     M is the (K+1, n, n) source on the grid and ``left`` its left limits by
     jump node (all > 0), as ``_limits`` returns them; b is the constant
-    memory weight.  The endpoint t = k is solved implicitly.  Returns the
-    node values and the left limits, both divided by the unit mode sigma,
-    the march of the unit source.  X and sigma are marched tilted, from the
-    sources e^{-b t} M and e^{-b t}, so nothing overflows.
-
-    A 2 x 2 source is marched as the (K+1, 1, 1) stacks of its scalar mode
-    beta = 1 - M[0, 1] - M[1, 0] and lifted back to beta 1 + (1 - beta)
-    Theta_2.  This is exact: the matrices beta 1 + (1 - beta) Theta_2
-    commute and share the eigenvectors (1, 1) and (1, -1), so the 2 x 2
-    march is the unit mode sigma and the beta mode, each marched on its
-    own.  Only the doubly stochastic part of the source reaches the
-    output, so ``_limits`` checks the source first.  A jump-free source of
-    zero stride in t (``ConstantPath``) is marched with its sigma by
-    ``_constant_march``.  Every other source and sigma are solved for the
+    memory weight.  Returns the node values and the left limits, both
+    divided by the unit mode sigma, the march of the unit source.  X and
+    sigma are marched tilted, from the sources e^{-b t} M and e^{-b t}, so
+    nothing overflows.  A 2 x 2 source is marched as the 1 x 1 stacks of
+    its scalar mode beta = 1 - M[0, 1] - M[1, 0] and lifted back to
+    beta 1 + (1 - beta) Theta_2, exactly, as the module docstring shows.  A
+    jump-free source of zero stride in t (``ConstantPath``) is marched with
+    its sigma by ``_constant_march``.  Every other source and sigma are solved for the
     node averages Xbar by ``_blocked_solve``, and the node values and left
     limits are Xbar + s and Xbar - s, s the shift of ``_march_terms``.
     """
@@ -486,34 +495,6 @@ def _march(M, left, h, b):
         X[j] += s
     X /= sigma
     return X, out_left
-
-
-def _general_march(M, a, h, b):
-    """Trapezoid march of X(T_k) = a_k M(T_k) + sum_{t<=k} w_t b(t, T_k) M(T_k - t) X(t).
-
-    M is the (K+1, n, n) source on the grid, ``a`` the arrival weights per
-    node and ``b`` a callable k -> b(T_0..T_k, T_k), broadcast to k + 1
-    weights, called once per node k >= 1.  X and its unit mode sigma, the
-    same march on M = 1, are stepped together, the endpoint t = k solved
-    implicitly.  Returns X / sigma.
-    """
-    K = len(M) - 1
-    w = np.full(K + 1, h)
-    w[0] = 0.5 * h
-    X, sigma = np.empty_like(M), np.empty(K + 1)
-    X[0], sigma[0] = a[0] * M[0], a[0]
-    diag = None
-    for k in range(1, K + 1):
-        bk = np.broadcast_to(np.asarray(b(k), dtype=float), k + 1)
-        c = w[:k] * bk[:k]
-        ck = 0.5 * h * bk[k]
-        if ck != diag:
-            diag = ck
-            pref = np.linalg.inv(np.eye(M.shape[-1]) - ck * M[0])
-        # np.einsum calls no BLAS, so no sum depends on the thread count
-        X[k] = pref @ (a[k] * M[k] + np.einsum("t,tij,tjk->ik", c, M[k:0:-1], X[:k]))
-        sigma[k] = (a[k] + np.einsum("t,t->", c, sigma[:k])) / (1.0 - ck)
-    return X / sigma[:, None, None]
 
 
 def _matrix_stack(path, ts):
@@ -574,21 +555,30 @@ def march_solve_general(m, kernel: Kernel, grid: TimeGrid) -> Trajectory:
     The kernel normalization is checked on sampled horizons first, by
     Simpson's rule on panels of a sixteenth of a grid step (at least 2048):
     on a kernel the march resolves, its error stays far below TOL_NORM at
-    any horizon.  Each node is divided by the discrete unit-mode factor of
-    the same scheme, keeping the output doubly stochastic to machine
-    precision, and checked within TOL_TRAJ.
+    any horizon.  a and each factor of b are sampled once, on the grid, and
+    ``_blocked_solve`` marches X and sigma, the march of M = 1: a lag kernel
+    from the source psi M and arrival a, a rank-one one as Y = X / u, from M
+    with history weights w u v and arrival a / u.  X / sigma is checked
+    doubly stochastic within TOL_TRAJ at every node.
     """
     for T in (grid.t_max, grid.t_max / 2.0, grid.t_max / 4.0):
         quad_steps = max(2048, math.ceil(16.0 * T / grid.h))
         res = kernel_normalization_residual(kernel, T, quad_steps=quad_steps)
-        if res > TOL_NORM:
+        if not res <= TOL_NORM:  # NaN fails too
             raise KernelNormalizationViolation(T, res)
     M, left = _limits(as_path(m), grid)
     if left:
         raise ValueError("the generalized-kernel solver requires a continuous source")
     ts = grid.nodes
-    a = np.broadcast_to(np.asarray(kernel.a(ts), dtype=float), ts.shape)
-    out = _general_march(M, a, grid.h, lambda k: kernel.b(ts[:k + 1], ts[k]))
+    def sample(g):  # (K+1, 1, 1) values of a factor on the grid
+        return np.broadcast_to(np.asarray(g(ts), dtype=float), ts.shape).reshape(-1, 1, 1)
+    w = _march_terms(M, {}, grid.h, 1.0)[0]  # the trapezoid weights
+    if callable(kernel.memory):  # the lag psi at the lags T_k - T_t = T_{k-t}
+        psi, f = sample(kernel.memory), sample(kernel.a)
+    else:
+        u, v = map(sample, kernel.memory)
+        psi, f, w = np.ones_like(u), sample(kernel.a) / u, w * (u * v)[:, 0, 0]
+    out = _blocked_solve(w, psi * M, f * M) / _blocked_solve(w, psi, f)
     _validate_nodes(out, TOL_TRAJ)
     return Trajectory(grid=grid, values=out)
 
@@ -794,8 +784,7 @@ def derivative_consistency(m, traj: Trajectory, cfg: SolverConfig) -> float:
         d[-1] = (3.0 * stack[-1] - 4.0 * stack[-2] + stack[-3]) / (2.0 * h)
         return d
 
-    dM = fd(M)
-    dMbar = fd(Mbar)
+    dM, dMbar = fd(M), fd(Mbar)
     lag = Mbar[0] - np.eye(M.shape[-1])
     decay = np.exp(-nu * ts)[:, None, None]
     integ = _convolution(decay * M, h)(dMbar)

@@ -96,3 +96,27 @@ def first_bad_history(path, nu, T, R, seed, tol):
             if not dstoch_residual(evolve_realization(path, r)) <= tol:
                 return label, i
     return None
+
+
+def chain_average(path, kernel, draw, T, R, seed):
+    """Mean and stderr of X(T) over R backward chains of a normalized kernel.
+
+    X(T) = a(T) M(T) + int_0^T b(t, T) M(T - t) X(t) dt is the mean of a
+    chain that starts at s = T.  At time s it stops with probability a(s)
+    and multiplies by M(s); otherwise it draws t from b(., s) / (1 - a(s))
+    as ``draw(s, q)``, that law's inverse CDF at the uniforms q, multiplies
+    by M(s - t) and goes on from t.  The chains run side by side, each
+    product from the right, and read the source only through ``path.many``;
+    there is no grid.  The stderr is the sample deviation over sqrt(R).
+    """
+    rng = np.random.default_rng(seed)
+    n = np.asarray(path.many(np.array([T]))).shape[-1]
+    live, s = np.arange(R), np.full(R, float(T))
+    P, out = np.broadcast_to(np.eye(n), (R, n, n)), np.empty((R, n, n))
+    while live.size:
+        stop = rng.random(live.size) < kernel.a(s)
+        t = np.where(stop, 0.0, draw(s, rng.random(live.size)))  # a stop takes M(s - 0)
+        P = P @ np.asarray(path.many(s - t))
+        out[live[stop]] = P[stop]
+        live, s, P = live[~stop], t[~stop], P[~stop]
+    return out.mean(axis=0), out.std(axis=0, ddof=1) / np.sqrt(R)

@@ -259,7 +259,7 @@ def test_criterion_9_generalized_kernel():
     model = random_model(2, 2, seed=31)
     res_poisson = kernel_normalization_residual(poisson_kernel(1.0), 3.0, 1000)
     rational = Kernel(a=lambda T: 1.0 / (1.0 + np.asarray(T, dtype=float)),
-                      b=lambda t, T: np.ones_like(np.asarray(t, dtype=float)) / (1.0 + T))
+                      memory=(lambda T: 1.0 / (1.0 + T), lambda t: np.ones_like(t)))
     res_rational = kernel_normalization_residual(rational, 3.0, 1000)
     grid = TimeGrid(5.0, 1000)
     march = march_solve(model.m_path(), SolverConfig(nu=1.0, grid=grid))

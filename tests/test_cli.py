@@ -527,6 +527,23 @@ def test_integer_too_large_for_a_float_is_config_error(tmp_path, key, command, c
     assert not out.exists()
 
 
+def test_integer_past_the_digit_limit_is_config_error(tmp_path):
+    # json reads an integer through int(), which refuses more than 4,300
+    # digits; the refusal still names the key
+    cfg = json.loads((CONFIGS / "spin_flip.json").read_text())
+    cfg["nu"] = 12345
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"nu": 12345', '"nu": 1' + "0" * 5000))
+    out = tmp_path / "out.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "reduktor.cli", "solve", "--config", str(path), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr == "config error: nu is an integer of 5001 digits, too large for a float\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
 @pytest.mark.parametrize("field, command", [
     *(("nu", command) for command in RATE_COMMANDS),

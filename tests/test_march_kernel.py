@@ -98,12 +98,17 @@ def test_two_limit_march(n):
         assert np.abs(traj.left_values[j] - want_left[j]).max() < TOL
 
 
+RATIONAL = Kernel(lambda T: 1.0 / (1.0 + np.asarray(T, dtype=float)),
+                  (lambda T: 1.0 / (1.0 + T), lambda t: np.ones_like(t)))  # b = 1 / (1 + T)
+
+
 @pytest.mark.parametrize("n", [2, 3, 8])
 @pytest.mark.parametrize("kernel", [
     poisson_kernel(NU),
-    Kernel(a=lambda T: 1.0 / (1.0 + np.asarray(T, dtype=float)),
-           b=lambda t, T: np.ones_like(np.asarray(t, dtype=float)) / (1.0 + T)),
-], ids=["poisson", "rational"])
+    RATIONAL,
+    Kernel(lambda T: 1.0 - np.asarray(T, dtype=float) / 4.0, lambda s: np.full_like(s, 0.25)),
+    poisson_kernel(2.5),  # psi(0) = 2.5 != a(0), so the march must start from a(0) M(0)
+], ids=["poisson", "rational", "quarter-lag", "poisson-2.5"])
 def test_general_kernel(n, kernel):
     model = random_model(n, 2, seed=5)
     traj = march_solve_general(model.m_path(), kernel, GRID)
@@ -111,22 +116,40 @@ def test_general_kernel(n, kernel):
     assert np.abs(traj.values - want).max() < TOL
 
 
-def test_general_kernel_evaluates_b_once_per_node():
-    # three normalization checks, then b(T_0..T_k, T_k) once for k = 1..K
-    poisson = poisson_kernel(NU)
-    horizons = []
-
-    def b(t, T):
-        horizons.append(T)
-        return poisson.b(t, T)
-
-    grid = TimeGrid(2.0, 200)
-    march_solve_general(random_model(3, 2, seed=5).m_path(), Kernel(poisson.a, b), grid)
-    assert len(horizons) == 3 + grid.steps
-    assert horizons[3:] == list(grid.nodes[1:])
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("nu", [NU, 2.5])
+def test_poisson_kernel_is_the_march(n, nu):
+    model = random_model(n, 2, seed=5)
+    traj = march_solve_general(model.m_path(), poisson_kernel(nu), GRID)
+    want = march_solve(model.m_path(), SolverConfig(nu, GRID))
+    assert np.abs(traj.values - want.values).max() < TOL
 
 
-MARCH_CODE = {"_march", "_march_terms", "_blocked_solve", "_constant_march", "_general_march"}
+def recorded(fn, calls):
+    """fn, appending the times of each call to calls."""
+    def call(x):
+        calls.append(np.array(x, dtype=float))
+        return fn(x)
+    return call
+
+
+@pytest.mark.parametrize("form", ["lag", "rank-one"])
+def test_general_kernel_samples_each_factor_once_on_the_grid(form):
+    # a and each factor of b are called once by each of the three
+    # normalization checks, then once on the grid nodes
+    grid, poisson = TimeGrid(2.0, 200), poisson_kernel(NU)
+    factors = [poisson.memory] if form == "lag" else [
+        lambda T: NU * np.exp(-NU * np.asarray(T)), lambda t: np.exp(NU * t)]  # u v = poisson.b
+    calls = [[] for _ in range(1 + len(factors))]
+    a, *memory = (recorded(fn, times) for fn, times in zip([poisson.a, *factors], calls))
+    kernel = Kernel(a, memory[0] if form == "lag" else tuple(memory))
+    march_solve_general(random_model(3, 2, seed=5).m_path(), kernel, grid)
+    for times in calls:
+        assert len(times) == 4
+        np.testing.assert_array_equal(times[-1], grid.nodes)
+
+
+MARCH_CODE = {"_march", "_march_terms", "_blocked_solve", "_constant_march"}
 
 
 def code_names(code):
@@ -259,20 +282,23 @@ def test_long_scalar_mode_does_not_depend_on_blas_threads():
     assert digests[0] == digests[1]
 
 
-LONG_GENERAL_MARCH = """
+LONG_RANK_ONE_MARCH = """
 import hashlib, numpy as np
-from reduktor.volterra import _general_march
+from reduktor.volterra import _blocked_solve, _march_terms
 K = 12000
-S = np.cos(np.linspace(0.0, 60.0, K + 1)).reshape(-1, 1, 1)
-out = _general_march(S, np.ones(K + 1), 60.0 / K, lambda k: np.ones(k + 1))
-print(hashlib.sha256(out.tobytes()).hexdigest())
+ts = np.linspace(0.0, 60.0, K + 1)
+S = np.cos(ts).reshape(-1, 1, 1)
+# the rational kernel's route: b = u(T) v(t) with u = a = 1 / (1 + T), v = 1
+w = _march_terms(S, {}, 60.0 / K, 1.0)[0] / (1.0 + ts)
+X, sigma = _blocked_solve(w, S, S), _blocked_solve(w, np.ones_like(S), np.ones_like(S))
+print(hashlib.sha256((X / sigma).tobytes()).hexdigest())
 """
 
 
 def test_long_stepped_scalar_mode_does_not_depend_on_blas_threads():
-    # the general kernel's loop steps a 1 x 1 source and its sigma node by
-    # node, and its history sums run past 10^4 terms
-    digests = digests_at_blas_threads(LONG_GENERAL_MARCH)
+    # the rank-one route solves each block's own system, its weights vary
+    # within every block, and its history sums run past 10^4 terms
+    digests = digests_at_blas_threads(LONG_RANK_ONE_MARCH)
     assert digests[0] == digests[1]
 
 
@@ -514,7 +540,7 @@ def test_long_horizon_general_kernel_is_doubly_stochastic():
 
 def test_long_horizon_general_kernel_rejects_a_scaled_memory_weight():
     poisson = poisson_kernel(1.0)
-    scaled = Kernel(poisson.a, lambda t, T: 1.001 * poisson.b(t, T))
+    scaled = Kernel(poisson.a, lambda s: 1.001 * poisson.memory(s))
     with pytest.raises(KernelNormalizationViolation):
         march_solve_general(random_model(3, 2, 5).m_path(), scaled, LONG.grid)
 

@@ -41,6 +41,8 @@ from reduktor.volterra import (
 )
 
 SYM_M = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
+RATIONAL = Kernel(a=lambda T: 1.0 / (1.0 + np.asarray(T, dtype=float)),  # b = 1 / (1 + T)
+                  memory=(lambda T: 1.0 / (1.0 + T), lambda t: np.ones_like(t)))
 
 
 class OneBadMatrix(_SmoothPath):
@@ -326,38 +328,63 @@ class TestGeneralKernel:
 
     def test_trivial_kernel_returns_input(self, generic_model):
         triv = Kernel(a=lambda T: np.ones_like(np.asarray(T, dtype=float)),
-                      b=lambda t, T: np.zeros_like(np.asarray(t, dtype=float)))
+                      memory=lambda s: np.zeros_like(s))
         grid = TimeGrid(3.0, 300)
         traj = march_solve_general(generic_model.m_path(), triv, grid)
         np.testing.assert_allclose(traj.values, generic_model.m_many(grid.nodes),
                                    atol=1e-12)
 
     def test_rational_kernel_output_doubly_stochastic(self, generic_model):
-        rat = Kernel(a=lambda T: 1.0 / (1.0 + np.asarray(T, dtype=float)),
-                     b=lambda t, T: np.ones_like(np.asarray(t, dtype=float)) / (1.0 + T))
         grid = TimeGrid(4.0, 400)
-        traj = march_solve_general(generic_model.m_path(), rat, grid)
+        traj = march_solve_general(generic_model.m_path(), RATIONAL, grid)
         assert np.abs(traj.values.sum(axis=2) - 1.0).max() < 1e-12
         assert np.abs(traj.values.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_broken_kernel_rejected(self, generic_model):
         pk = poisson_kernel(1.0)
-        broken = Kernel(a=pk.a, b=lambda t, T: 1.1 * pk.b(t, T))
+        broken = Kernel(a=pk.a, memory=lambda s: 1.1 * pk.memory(s))
         with pytest.raises(KernelNormalizationViolation):
             march_solve_general(generic_model.m_path(), broken, TimeGrid(3.0, 300))
 
+    def test_kernel_with_a_nan_weight_is_rejected(self, generic_model):
+        # the Poisson kernel as u(T) v(t) = e^{-T} e^{t}: at T = 800, u is 0
+        # and v overflows, so the residual is NaN, not a pass
+        exp = Kernel(a=poisson_kernel(1.0).a, memory=(lambda T: np.exp(-T), lambda t: np.exp(t)))
+        with pytest.raises(KernelNormalizationViolation, match="residual nan"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            march_solve_general(generic_model.m_path(), exp, TimeGrid(800.0, 4000))
+
     def test_constant_b_may_be_a_number(self, generic_model):
-        # b's value is broadcast to the shape of the times, in the
-        # normalization check and in the march alike
+        # a factor's value is broadcast to the shape of the times, in the
+        # normalization check and in the march alike, in either form
         grid = TimeGrid(3.0, 300)
-        number = Kernel(a=lambda T: 1.0 - np.asarray(T, dtype=float) / 4.0,
-                        b=lambda t, T: 0.25)
-        array = Kernel(a=number.a, b=lambda t, T: 0.25 + 0.0 * np.asarray(t, dtype=float))
-        assert kernel_normalization_residual(number, 3.0, 100) == \
-            kernel_normalization_residual(array, 3.0, 100)
-        got = march_solve_general(generic_model.m_path(), number, grid)
-        want = march_solve_general(generic_model.m_path(), array, grid)
-        np.testing.assert_array_equal(got.values, want.values)
+        def a(T):
+            return 1.0 - np.asarray(T, dtype=float) / 4.0
+
+        for number, array in [
+                (lambda s: 0.25, lambda s: np.full_like(s, 0.25)),
+                ((lambda T: 0.25, lambda t: 1.0), (lambda T: 0.25, lambda t: np.ones_like(t)))]:
+            number, array = Kernel(a=a, memory=number), Kernel(a=a, memory=array)
+            assert kernel_normalization_residual(number, 3.0, 100) == \
+                kernel_normalization_residual(array, 3.0, 100)
+            got = march_solve_general(generic_model.m_path(), number, grid)
+            want = march_solve_general(generic_model.m_path(), array, grid)
+            np.testing.assert_array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("memory", [
+        0.25, (lambda T: 1.0,), (lambda T: 1.0, 1.0), [lambda T: 1.0, lambda t: 1.0]],
+        ids=["number", "one-factor", "non-callable-factor", "list"])
+    def test_kernel_of_neither_form_is_refused(self, memory):
+        with pytest.raises(TypeError, match=r"lag function psi.*pair \(u, v\) of rank-one"):
+            Kernel(a=lambda T: 1.0, memory=memory)
+
+    def test_rational_kernel_matches_the_backward_chain(self):
+        # an oracle without a grid: 2e5 chains that read only path.many
+        path = random_model(3, 2, 5).m_path()
+        traj = march_solve_general(path, RATIONAL, TimeGrid(4.0, 200))
+        mean, stderr = ref.chain_average(path, RATIONAL, lambda s, q: s * q, 4.0, 200_000,
+                                         seed=3)
+        assert (np.abs(traj.final - mean) / stderr).max() < 4.0
 
 
 class TestKernelNormalization:
@@ -367,12 +394,12 @@ class TestKernelNormalization:
 
     def test_trivial_kernel_exact(self):
         triv = Kernel(a=lambda T: np.ones_like(np.asarray(T, dtype=float)),
-                      b=lambda t, T: np.zeros_like(np.asarray(t, dtype=float)))
+                      memory=lambda s: np.zeros_like(s))
         assert kernel_normalization_residual(triv, 4.0, 100) == 0.0
 
     def test_broken_kernel_residual_analytic(self):
         pk = poisson_kernel(1.0)
-        broken = Kernel(a=pk.a, b=lambda t, T: 1.1 * pk.b(t, T))
+        broken = Kernel(a=pk.a, memory=lambda s: 1.1 * pk.memory(s))
         res = kernel_normalization_residual(broken, 3.0, 2000)
         assert res == pytest.approx(0.1 * (1.0 - np.exp(-3.0)), abs=1e-8)
 
