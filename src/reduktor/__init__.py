@@ -32,12 +32,12 @@ _EXPORTS = {name: module for module, names in {
     "jump_mc": ("McEstimate", "PoissonRealization", "evolve_realization",
                 "monte_carlo_average", "sample_realization"),
     "scalar": ("ConstantInput", "CosineInput", "LiftedPath", "PiecewiseInput", "ScalarInput",
-               "TabulatedInput", "TrigSolution", "lift_scalar", "piecewise_delay_solve",
-               "scalar_march", "trig_ode_solve"),
-    "volterra": ("ConstantPath", "Kernel", "SeriesResult", "SolverConfig", "TimeGrid",
-                 "Trajectory", "derivative_consistency", "kernel_normalization_residual",
-                 "march_solve", "march_solve_general", "neumann_series",
-                 "neumann_series_trajectory", "poisson_kernel", "trajectory_to_csv"),
+               "TabulatedInput", "lift_scalar", "piecewise_delay_solve", "scalar_march",
+               "trig_ode_solve"),
+    "volterra": ("ConstantPath", "Kernel", "SolverConfig", "TimeGrid", "Trajectory",
+                 "derivative_consistency", "kernel_normalization_residual", "march_solve",
+                 "march_solve_general", "neumann_series_trajectory", "poisson_kernel",
+                 "trajectory_to_csv"),
 }.items() for name in names}
 
 __all__ = sorted(set(_EXPORTS) | set(_SUBMODULES))

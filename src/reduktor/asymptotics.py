@@ -29,6 +29,7 @@ from .volterra import (
     TimeGrid,
     Trajectory,
     _csv_lines,
+    _matrix_stack,
     _modal_solve,
     _SmoothPath,
     as_path,
@@ -110,9 +111,8 @@ class ConvergenceReport:
 
 def predict_limit(m, t_max):
     """Blockwise-uniform projector from the supports at LIMIT_SAMPLES times on (0, t_max]."""
-    path = as_path(m)
     ts = np.linspace(t_max / LIMIT_SAMPLES, t_max, LIMIT_SAMPLES)
-    samples = path.many(ts)
+    samples = _matrix_stack(as_path(m), ts)
     part = support_blocks(samples)
     n = samples.shape[-1]
     return theta_of(part, n), part
@@ -125,8 +125,10 @@ def convergence_report(m, nu, cfg: SolverConfig) -> ConvergenceReport:
     tenfold drop of the compression from its maximum, and a nonincreasing
     distance over the trailing TAIL_WINDOW share of the nodes.  When every
     index sits in the identity sector the verdict is ``identity_sector_only``.
+    A ``cfg.nu`` other than ``nu`` is refused (ValueError).
     """
-    cfg = SolverConfig(nu=nu, grid=cfg.grid, n_max=cfg.n_max)
+    if cfg.nu != nu:
+        raise ValueError(f"cfg.nu = {cfg.nu!r} differs from nu = {nu!r}; give one rate")
     traj = march_solve(m, cfg)
     limit, part = predict_limit(m, cfg.grid.t_max)
     diffs = traj.values - limit.entries
@@ -210,14 +212,17 @@ def rescaling_check(m, tau, nu, cfg: SolverConfig) -> float:
     (M'(t) = M(PERIOD * t / tau), nu' = PERIOD * nu / tau) on grids whose
     nodes correspond exactly gives trajectories related by pure time
     rescaling; the sup-norm mismatch over corresponding nodes is returned.
+    A ``cfg.nu`` other than ``nu`` is refused (ValueError).
     """
+    if cfg.nu != nu:
+        raise ValueError(f"cfg.nu = {cfg.nu!r} differs from nu = {nu!r}; give one rate")
     path = as_path(m)
     probe = np.linspace(0.13, PERIOD, 7)
     dev = float(np.abs(path.many(probe + PERIOD) - path.many(probe)).max())
     if dev > TOL_PERIOD:
         raise PeriodMismatchError(
             f"source is not {PERIOD:g}-periodic (deviation {dev:.3e})")
-    base = march_solve(m, SolverConfig(nu=nu, grid=cfg.grid))
+    base = march_solve(m, cfg)
     scale = PERIOD / tau
     scaled_grid = TimeGrid(t_max=cfg.grid.t_max / scale, steps=cfg.grid.steps)
     scaled_path = _RescaledPath(path, scale)

@@ -370,8 +370,8 @@ class GenericityReport:
     c_min: float
 
 
-def genericity_check(model: BathModel, t_samples) -> GenericityReport:
-    """Sample the compression of M(t) and look for a dip below one.
+def genericity_check(path, t_samples) -> GenericityReport:
+    """Sample the compression of a matrix path M(t) and look for a dip below one.
 
     The map is declared generic when some sampled compression is at most
     DELTA_GENERIC; the minimizing sample time is returned as a witness.
@@ -379,7 +379,7 @@ def genericity_check(model: BathModel, t_samples) -> GenericityReport:
     ts = np.asarray(t_samples, dtype=float)
     if ts.size == 0:
         raise ValueError("need a nonempty sample grid")
-    cs = compression_many(model.m_many(ts))
+    cs = compression_many(path.many(ts))
     k = int(np.argmin(cs))
     c_min = float(cs[k])
     generic = c_min <= DELTA_GENERIC

@@ -10,8 +10,9 @@ stdout: without --out, stdout holds only the output.  The summary line is
 made and printed only with --out and without --quiet.
 
 Exit codes: 0 success, 1 usage or config error, 2 input validation error,
-3 numerical failure.  A config number must be a JSON number, and a source
-that is not doubly stochastic is an input error in every command.
+3 numerical failure.  A config number must be a JSON number.  A config
+gives one source, which ``_source_from`` reads for every command, a scalar
+input as its 2 x 2 lift; one not doubly stochastic is an input error.
 
 Each command imports the library modules it uses when it runs, numpy
 among them, so a process pays only for its own command.
@@ -187,7 +188,6 @@ def _nu_from(cfg):
 def _model_from(cfg):
     from .channels import BathModel
 
-    _one_source(cfg)
     try:
         n = _integral(cfg["n"], "n")
         n2 = _integral(cfg["n2"], "n2")
@@ -195,33 +195,30 @@ def _model_from(cfg):
     except KeyError as exc:
         raise ConfigError(f"model config needs n, n2 and B: missing {exc}") from exc
     if blocks.shape != (n2, n2, n, n):
-        raise ConfigError(
-            f"B has shape {blocks.shape}, expected {(n2, n2, n, n)}")
+        raise ConfigError(f"B has shape {blocks.shape}, expected {(n2, n2, n, n)}")
     basis = _pairs_to_complex(cfg["basis"]) if cfg.get("basis") is not None else None
     return BathModel(blocks, basis=basis)
 
 
 def _source_from(cfg):
-    """Matrix source from a config: bath model or constant matrix."""
-    from .volterra import ConstantPath
-
+    """The one source of a config, for every command: constant_M's ``ConstantPath``,
+    the 2 x 2 lift ``LiftedPath(alpha, 2)`` of a scalar input, or the ``BathModel``."""
+    _one_source(cfg)
     if "constant_M" in cfg:
-        _one_source(cfg)
+        from .volterra import ConstantPath
         return ConstantPath(cfg["constant_M"])
-    return _model_from(cfg).m_path()
-
-
-def _scalar_input_from(cfg):
-    from .scalar import ConstantInput, CosineInput, PiecewiseInput, TabulatedInput
+    if "scalar" not in cfg:
+        return _model_from(cfg)
+    from .scalar import ConstantInput, CosineInput, LiftedPath, PiecewiseInput, TabulatedInput
 
     inputs = {"constant": ConstantInput, "piecewise": PiecewiseInput, "trig": CosineInput,
               "tabulated": TabulatedInput}
-    _one_source(cfg)
     try:
         entry = cfg["scalar"]
         variant = entry["variant"]
         if isinstance(variant, str) and variant in inputs:
-            return inputs[variant](**{k: entry[k] for k in SCALAR_KEYS[variant] if k in entry})
+            alpha = inputs[variant](**{k: entry[k] for k in SCALAR_KEYS[variant] if k in entry})
+            return LiftedPath(alpha, 2)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scalar input entry: {exc}") from exc
     raise ConfigError(f"unknown scalar variant {variant!r}")
@@ -270,15 +267,21 @@ def cmd_solve(args, cfg, grid):
 
 def cmd_series(args, cfg, grid):
     from .dstoch import compression
-    from .volterra import SolverConfig, neumann_series_trajectory, trajectory_to_csv
+    from .volterra import (TOL_TAIL, SolverConfig, _pick_series_order,
+                           neumann_series_trajectory, trajectory_to_csv)
 
     nu = _nu_from(cfg)
     n_max = _n_max(cfg)
     source = _source_from(cfg)
     traj = neumann_series_trajectory(
         source, SolverConfig(nu=nu, grid=grid, n_max=n_max))
-    return (trajectory_to_csv(traj),
-            lambda: f"final c(Mbar) = {compression(traj.final):.6g}", EXIT_OK)
+
+    def summary():
+        order, tail = _pick_series_order(nu, grid.t_max, n_max, TOL_TAIL)
+        return (f"final c(Mbar) = {compression(traj.final):.6g}; "
+                f"series order {order}, Poisson tail P[K > {order}] = {tail:.3e}")
+
+    return trajectory_to_csv(traj), summary, EXIT_OK
 
 
 def cmd_simulate(args, cfg, grid):
@@ -369,8 +372,7 @@ def cmd_asymptote(args, cfg, grid):
 def cmd_genericity(args, cfg, grid):
     from .channels import genericity_check
 
-    model = _model_from(cfg)
-    report = genericity_check(model, grid.nodes[1:])
+    report = genericity_check(_source_from(cfg), grid.nodes[1:])
     verdict = {"generic": report.generic, "witness_t": report.witness_t,
                "c_min": report.c_min}
     text = json.dumps(verdict, indent=2, sort_keys=True) + "\n"
@@ -378,18 +380,16 @@ def cmd_genericity(args, cfg, grid):
 
 
 def cmd_scalar(args, cfg, grid):
-    from .scalar import (
-        CosineInput,
-        PiecewiseInput,
-        piecewise_delay_solve,
-        scalar_march,
-        scalar_trajectory_to_csv,
-        trig_ode_solve,
-    )
+    from .scalar import (CosineInput, LiftedPath, PiecewiseInput, piecewise_delay_solve,
+                         scalar_march, scalar_trajectory_to_csv, trig_ode_solve)
     from .volterra import TOL_GRID
 
     nu = _nu_from(cfg)
-    alpha = _scalar_input_from(cfg)
+    source = _source_from(cfg)
+    if not isinstance(source, LiftedPath):
+        raise ConfigError("scalar marches a scalar input, and this config gives a matrix "
+                          "source; give the input under 'scalar'")
+    alpha = source.alpha
     traj = scalar_march(alpha, nu, grid)
 
     def summary():
@@ -405,7 +405,7 @@ def cmd_scalar(args, cfg, grid):
                 notes.append(f"max |march - method of steps| = {gap:.3e}")
         if isinstance(alpha, CosineInput):
             ode = trig_ode_solve(alpha, nu, grid)
-            gap = float(abs(ode.trajectory.values - traj.values).max())
+            gap = float(abs(ode.values - traj.values).max())
             notes.append(f"max |march - ode route| = {gap:.3e}")
         return f"final beta = {traj.final:.6g}" + ("; " + "; ".join(notes) if notes else "")
 

@@ -27,8 +27,6 @@ returns a ``volterra.Trajectory``: beta, and its left limits by jump node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dstoch import lift
@@ -251,15 +249,7 @@ _COSINE_L = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 _COSINE_Y0 = np.array([[1.0], [1.0], [0.0]])
 
 
-@dataclass
-class TrigSolution:
-    """Cosine-input solution of the ODE route and its imaginary residue."""
-
-    trajectory: Trajectory
-    imag_residual: float
-
-
-def trig_ode_solve(alpha: CosineInput, nu, grid: TimeGrid) -> TrigSolution:
+def trig_ode_solve(alpha: CosineInput, nu, grid: TimeGrid) -> Trajectory:
     """Solve the cosine input through the constant-coefficient ODE.
 
     The input is realized on the three states (1, cos t, sin t), so beta
@@ -270,5 +260,5 @@ def trig_ode_solve(alpha: CosineInput, nu, grid: TimeGrid) -> TrigSolution:
     """
     SolverConfig(nu=nu, grid=grid)  # a negative or non-finite nu fails here
     c = np.array([[alpha.mean, alpha.amplitude, 0.0]])
-    values, imag = _modal_solve(c, _COSINE_L, _COSINE_Y0, nu, grid.nodes)
-    return TrigSolution(trajectory=Trajectory(grid, values[:, 0, 0]), imag_residual=imag)
+    values, _imag = _modal_solve(c, _COSINE_L, _COSINE_Y0, nu, grid.nodes)
+    return Trajectory(grid, values[:, 0, 0])

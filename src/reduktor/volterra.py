@@ -96,7 +96,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dstoch import DStochMatrix, dstoch_residual, lift
+from .dstoch import dstoch_residual, lift
 from .errors import (
     GridTooCoarseError,
     InputValidationError,
@@ -602,15 +602,6 @@ def _modal_solve(C, L, B, nu, ts):
     return values.real, imag
 
 
-@dataclass
-class SeriesResult:
-    """Truncated realization-count expansion at one horizon."""
-
-    value: DStochMatrix
-    n_terms: int
-    tail_bound: float
-
-
 def _fft_length(n):
     """Smallest 2^a 3^b 5^c 7^d >= n, a length numpy's FFT transforms fast."""
     L = n
@@ -706,54 +697,40 @@ def _pick_series_order(nu, T, n_max, tail_tol):
     return n_max, tail
 
 
-def neumann_series(m, cfg: SolverConfig, T) -> SeriesResult:
-    """Realization-count expansion to where the tail of ``_poisson_law`` is TOL_TAIL.
+def neumann_series_trajectory(m, cfg: SolverConfig) -> Trajectory:
+    """Realization-count expansion at every grid node; a horizon T is ``.at_time(T)``.
 
-    Evaluates sum_{k=0}^{n_max} nu^k F_{k+1}(T) over the normalizing unit
-    series, F_1 = M and F_{m+1}(T) = int_0^T M(T-t) F_m(t) dt by iterated
-    trapezoid quadrature, summed tilted (``neumann_series_trajectory``), so
-    no large exponential is formed.
-    """
-    traj = neumann_series_trajectory(m, cfg, horizon=T)
-    nmax, tail = _pick_series_order(cfg.nu, T, cfg.n_max, TOL_TAIL)
-    return SeriesResult(value=DStochMatrix(traj.values[-1]),
-                        n_terms=nmax, tail_bound=tail)
-
-
-def neumann_series_trajectory(m, cfg: SolverConfig, *, horizon=None) -> Trajectory:
-    """Series evaluation at every grid node up to the horizon.
-
-    Level F_{m+1} is the trapezoid convolution of M with F_m at all K + 1
-    nodes at once, one FFT product with M transformed once per call, and
-    the unit series is the same recursion on M = 1.  Both are summed
-    weighted by nu^m and tilted by e^{-gamma t}, gamma the trapezoid unit
-    mode's growth rate (``_series_levels``), so every sum stays near 1 at
-    any nu T; a tilt by nu leaves them growing as e^{(gamma - nu) t}, 3e7
-    at h nu = 0.5 and nu T = 800.  The tilt cancels in the ratio.  A bad
-    source raises SourceViolation before the first level.
+    Sums nu^k F_{k+1}, F_1 = M and F_{m+1}(T) = int_0^T M(T-t) F_m(t) dt,
+    over the normalizing unit series, to the order ``_pick_series_order``
+    gives at t_max, where the Poisson tail is largest.  Level F_{m+1} is the
+    trapezoid convolution of M with F_m at all K + 1 nodes at once, one FFT
+    product with M transformed once per call, and the unit series is the
+    same recursion on M = 1.  Both are summed weighted by nu^m and tilted by
+    e^{-gamma t}, gamma the trapezoid unit mode's growth rate
+    (``_series_levels``), so every sum stays near 1 at any nu T; a tilt by
+    nu leaves them growing as e^{(gamma - nu) t}, 3e7 at h nu = 0.5 and
+    nu T = 800.  The tilt cancels in the ratio.  A bad source raises
+    SourceViolation before the first level.
     """
     grid, nu = cfg.grid, cfg.nu
     h = grid.h
     if h * nu > 0.5:
         raise GridTooCoarseError(
             f"h * nu = {h * nu:g} > 0.5; refine the grid for the series expansion")
-    T = grid.t_max if horizon is None else float(horizon)
-    K = grid.index_of(T)
-    sub = TimeGrid(t_max=float(grid.nodes[K]), steps=K)  # equal to grid when K = steps
     path = as_path(m)
-    if np.asarray(path.jump_times(0.0, T)).size:
+    if np.asarray(path.jump_times(0.0, grid.t_max)).size:
         raise ValueError("the series evaluator requires a continuous source")
-    M = _matrix_stack(path, grid.nodes[:K + 1])
+    M = _matrix_stack(path, grid.nodes)
     _validate_limits(M, {}, "source", SourceViolation)
-    nmax, _tail = _pick_series_order(nu, T, cfg.n_max, TOL_TAIL)
+    nmax, _tail = _pick_series_order(nu, grid.t_max, cfg.n_max, TOL_TAIL)
     total = np.zeros_like(M)
-    mass = np.zeros(K + 1)
+    mass = np.zeros(len(M))
     for _, (F, u) in zip(range(nmax + 1), _series_levels(M, h, nu)):
         total += F
         mass += u
     out = total / mass[:, None, None]
     _validate_nodes(out, 1e-9, "series")
-    return Trajectory(grid=sub, values=out)
+    return Trajectory(grid=grid, values=out)
 
 
 def derivative_consistency(m, traj: Trajectory, cfg: SolverConfig) -> float:

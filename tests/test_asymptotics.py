@@ -69,6 +69,17 @@ class TestConvergenceReport:
         np.testing.assert_allclose(rep.predicted_limit.entries,
                                    np.eye(identity_model.n))
 
+    def test_a_second_rate_is_refused(self, spin_model):
+        # the rate of the report and the rate of its solver config must agree
+        cfg = SolverConfig(nu=1.0, grid=TimeGrid(4.0, 400))
+        with pytest.raises(ValueError, match=r"cfg.nu = 1.0 differs from nu = 2.0"):
+            convergence_report(spin_model.m_path(), 2.0, cfg)
+
+    def test_a_scalar_input_is_refused_by_name(self):
+        # predict_limit samples a matrix path; a scalar input needs its lift
+        with pytest.raises(TypeError, match="LiftedPath"):
+            predict_limit(ConstantInput(0.5), 1.0)
+
     def test_block_model_limit(self):
         model = block_diagonal_model(random_model(2, 2, seed=1),
                                      random_model(2, 2, seed=2))
@@ -158,6 +169,11 @@ class TestRescaling:
         for steps in (600, 1200):
             cfg = SolverConfig(nu=1.0, grid=TimeGrid(6.0, steps))
             assert rescaling_check(spin_model.m_path(), np.pi, 1.0, cfg) < 1e-12
+
+    def test_a_second_rate_is_refused(self, spin_model):
+        cfg = SolverConfig(nu=5.0, grid=TimeGrid(6.0, 1200))
+        with pytest.raises(ValueError, match=r"cfg.nu = 5.0 differs from nu = 1.0"):
+            rescaling_check(spin_model.m_path(), np.pi, 1.0, cfg)
 
     def test_aperiodic_source_rejected(self, generic_model):
         cfg = SolverConfig(nu=1.0, grid=TimeGrid(4.0, 400))

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reduktor.cli import complex_to_pairs, main
+from reduktor.cli import MC_SIGMAS, complex_to_pairs, main
+from reduktor.dstoch import compression
 from reduktor.presets import spin_flip_model
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -589,6 +590,14 @@ class TestAsymptoteAndGenericity:
         assert verdict["generic"] is True
         assert abs(verdict["witness_t"] - np.pi / 4.0) < 0.01
 
+    def test_genericity_reads_a_constant_source(self, capsys):
+        # a constant source has one compression, at every sample time
+        config = CONFIGS / "constant_matrix.json"
+        assert run(["genericity", "--config", config]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        matrix = np.array(json.loads(config.read_text())["constant_M"])
+        assert verdict["c_min"] == compression(matrix) == pytest.approx(0.3, abs=1e-15)
+
     def test_genericity_eigenbasis_model(self, tmp_path, capsys):
         diag = np.zeros((1, 1, 2, 2), dtype=complex)
         diag[0, 0] = np.diag([0.0, 1.0])
@@ -741,31 +750,69 @@ class TestScalarCommand:
 
 SHIPPED_RUNS = [  # command/config pairs on configs/ that exit 0
     ("solve", "constant_matrix.json"), ("solve", "random_3level.json"),
-    ("solve", "spin_flip.json"), ("scalar", "scalar_alternating.json"),
-    ("scalar", "scalar_cosine.json"), ("series", "spin_flip.json"),
-    ("simulate", "spin_flip.json"), ("compare", "spin_flip.json"),
-    ("asymptote", "spin_flip.json"), ("genericity", "spin_flip.json"),
+    ("solve", "spin_flip.json"), ("solve", "scalar_alternating.json"),
+    ("scalar", "scalar_alternating.json"), ("scalar", "scalar_cosine.json"),
+    ("series", "spin_flip.json"), ("simulate", "spin_flip.json"),
+    ("compare", "spin_flip.json"), ("asymptote", "spin_flip.json"),
+    ("genericity", "spin_flip.json"), ("genericity", "constant_matrix.json"),
 ]
 
 
-SHIPPED_EXIT_0 = {  # every command/config pair on configs/ that exits 0; the rest exit 1
-    *((command, config) for command in ("solve", "series", "simulate", "compare", "asymptote")
-      for config in ("constant_matrix.json", "random_3level.json", "spin_flip.json")),
-    ("genericity", "random_3level.json"), ("genericity", "spin_flip.json"),
-    ("scalar", "scalar_alternating.json"), ("scalar", "scalar_cosine.json"),
+COMMANDS = ("solve", "series", "simulate", "compare", "asymptote", "genericity", "scalar")
+MATRIX_CONFIGS = ("constant_matrix.json", "random_3level.json", "spin_flip.json")
+SCALAR_CONFIGS = ("scalar_alternating.json", "scalar_cosine.json")
+SHIPPED_EXIT_1 = {  # every command/config pair on configs/ that exits 1, and the cause it names
+    ("series", "scalar_alternating.json"): "requires a continuous source",
+    ("compare", "scalar_alternating.json"): "requires a continuous source",
+    **{("scalar", config): "scalar marches a scalar input" for config in MATRIX_CONFIGS},
 }
+SHIPPED_EXIT_0 = {  # the rest exit 0: a matrix command reads a scalar config as its 2 x 2 lift
+    (command, config) for command in COMMANDS for config in MATRIX_CONFIGS + SCALAR_CONFIGS
+} - set(SHIPPED_EXIT_1)
+
+
+def test_the_shipped_pairs_are_all_counted():
+    shipped = sorted(p.name for p in CONFIGS.glob("*.json"))
+    assert shipped == sorted(MATRIX_CONFIGS + SCALAR_CONFIGS)
+    assert (len(SHIPPED_EXIT_0), len(SHIPPED_EXIT_1)) == (30, 5)
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
-@pytest.mark.parametrize("command", ["solve", "series", "simulate", "compare", "asymptote",
-                                     "genericity", "scalar"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_shipped_exit_codes(tmp_path, capsys, command, config):
-    # an exit-0 pair writes its output; a pair that exits 1 writes nothing
+    # an exit-0 pair writes its output; a pair that exits 1 writes nothing and
+    # names its cause, never a key that a source of another kind would need
     out = tmp_path / "out"
     code = run([command, "--config", CONFIGS / config, "--out", out, "--quiet"])
     assert code == (0 if (command, config) in SHIPPED_EXIT_0 else 1)
     assert out.exists() == (code == 0)
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if code:
+        assert SHIPPED_EXIT_1[command, config] in captured.err
+        assert "missing 'n'" not in captured.err
+
+
+@pytest.mark.parametrize("config", SCALAR_CONFIGS)
+def test_simulate_agrees_with_solve_on_a_scalar_config(tmp_path, config):
+    # Monte Carlo through the CLI on the 2 x 2 lift of each scalar input, a
+    # jump source among them: at the final node within MC_SIGMAS stderr plus
+    # the march's own error |X_K(T) - X_{K/2}(T)|, the band of compare
+    cfg = json.loads((CONFIGS / config).read_text())
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps({**cfg, "grid": {**cfg["grid"],
+                                                "steps": cfg["grid"]["steps"] // 2}}))
+    finals = []
+    for path in (CONFIGS / config, half):
+        out = tmp_path / "solve.csv"
+        assert run(["solve", "--config", path, "--out", out, "--quiet"]) == 0
+        finals.append(np.loadtxt(out, delimiter=",", skiprows=1)[-1, 1:].reshape(2, 2))
+    out = tmp_path / "mc.csv"
+    assert run(["simulate", "--config", CONFIGS / config, "--out", out, "--quiet"]) == 0
+    blocks = np.loadtxt(out, delimiter=",")  # the mean rows, then the stderr rows
+    mean, stderr = blocks[:2], blocks[2:]
+    march_err = np.abs(finals[0] - finals[1])
+    assert (np.abs(mean - finals[0]) <= MC_SIGMAS * stderr + march_err).all()
 
 
 @pytest.mark.parametrize("command,config", SHIPPED_RUNS)

@@ -39,7 +39,6 @@ OPTIONS = {
     "Trajectory": {"left_values": "<factory>"},
     "kernel_normalization_residual": {"quad_steps": "1000"},
     "monte_carlo_average": {"workers": "1"},
-    "neumann_series_trajectory": {"horizon": "None"},
     "piecewise_delay_solve": {"nodes_per_interval": "200"},
     "validate_dstoch": {"tol_sum": "1e-09", "tol_entry": "1e-12"},
 }

@@ -5,6 +5,8 @@ from scipy import linalg as sla
 from reduktor.dstoch import theta
 from reduktor.errors import ValidationFailure, ValueEscapeError
 from reduktor.scalar import (
+    _COSINE_L,
+    _COSINE_Y0,
     ConstantInput,
     CosineInput,
     LiftedPath,
@@ -17,7 +19,7 @@ from reduktor.scalar import (
     scalar_trajectory_to_csv,
     trig_ode_solve,
 )
-from reduktor.volterra import SolverConfig, TimeGrid, Trajectory, march_solve
+from reduktor.volterra import SolverConfig, TimeGrid, Trajectory, _modal_solve, march_solve
 
 
 class TestInputs:
@@ -212,13 +214,13 @@ COSINE_CASES = [(0.5, 0.5, 1.0), (0.6, -0.3, 0.7), (0.3, 0.2, 3.0), (0.5, 0.5, 2
 class TestTrigOde:
     def test_initial_value_exact(self):
         sol = trig_ode_solve(CosineInput(), 1.0, TimeGrid(1.0, 10))
-        assert sol.trajectory.values[0] == 1.0
+        assert sol.values[0] == 1.0
 
     def test_agrees_with_march(self):
         grid = TimeGrid(5.0, 5000)
         sol = trig_ode_solve(CosineInput(), 1.0, grid)
         march = scalar_march(CosineInput(), 1.0, grid)
-        assert np.abs(sol.trajectory.values - march.values).max() < 1e-6
+        assert np.abs(sol.values - march.values).max() < 1e-6
 
     @pytest.mark.parametrize("mean, amplitude, nu", COSINE_CASES[1:])
     def test_agrees_with_march_at_any_rate(self, mean, amplitude, nu):
@@ -226,11 +228,13 @@ class TestTrigOde:
         alpha = CosineInput(mean, amplitude)
         sol = trig_ode_solve(alpha, nu, grid)
         march = scalar_march(alpha, nu, grid)
-        assert np.abs(sol.trajectory.values - march.values).max() < 1e-6
+        assert np.abs(sol.values - march.values).max() < 1e-6
 
     def test_reconstruction_real(self):
-        sol = trig_ode_solve(CosineInput(), 1.0, TimeGrid(5.0, 500))
-        assert sol.imag_residual < 1e-9
+        # the residue trig_ode_solve checks against TOL_IMAG, at a tighter bound
+        c = np.array([[0.5, 0.5, 0.0]])  # CosineInput() on the states (1, cos t, sin t)
+        _values, imag = _modal_solve(c, _COSINE_L, _COSINE_Y0, 1.0, TimeGrid(5.0, 500).nodes)
+        assert imag < 1e-9
 
     @pytest.mark.parametrize("mean, amplitude, nu", COSINE_CASES)
     def test_matches_matrix_exponential(self, mean, amplitude, nu):
@@ -242,7 +246,7 @@ class TestTrigOde:
         S = L + nu * np.outer(y0, c) - nu * np.eye(3)
         expected = [c @ sla.expm(S * t) @ y0 for t in grid.nodes]
         sol = trig_ode_solve(CosineInput(mean, amplitude), nu, grid)
-        np.testing.assert_allclose(sol.trajectory.values, expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(sol.values, expected, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("nu", [-1.0, np.nan, np.inf])
     def test_bad_rate_rejected(self, nu):
@@ -255,7 +259,7 @@ class TestTrigOde:
         grid = TimeGrid(30.0, 3000)
         sol = trig_ode_solve(CosineInput(), 1.0, grid)
         window = 500  # 5 time units
-        sups = [np.abs(sol.trajectory.values[k:k + window]).max()
+        sups = [np.abs(sol.values[k:k + window]).max()
                 for k in range(500, 2500, window)]
         assert all(a > b for a, b in zip(sups[:-1], sups[1:]))
         assert sups[-1] < 0.1
@@ -309,10 +313,24 @@ class TestLift:
         lifted = lift_scalar(scalar, 3)
         assert np.abs(lifted.values - matrix.values).max() < 1e-9
 
+    @pytest.mark.parametrize("alpha, grid, tol", [
+        # the shipped scalar configs' inputs and grids: the 2 x 2 march reads
+        # beta = 1 - (1 - alpha), exact at alpha = 0 and 1 and a rounding off elsewhere
+        (PiecewiseInput(1.0, (1, 0)), TimeGrid(10.0, 4000), 0.0),
+        (CosineInput(0.5, 0.5), TimeGrid(5.0, 5000), 1e-15),
+    ], ids=["alternating", "cosine"])
+    def test_march_of_the_2x2_lift_is_the_lifted_scalar_march(self, alpha, grid, tol):
+        matrix = march_solve(LiftedPath(alpha, 2), SolverConfig(nu=1.0, grid=grid))
+        lifted = lift_scalar(scalar_march(alpha, 1.0, grid), 2)
+        assert np.abs(matrix.values - lifted.values).max() <= tol
+        assert matrix.jump_nodes == lifted.jump_nodes
+        for j in lifted.jump_nodes:
+            assert np.abs(matrix.left_values[j] - lifted.left_values[j]).max() <= tol
+
     def test_cosine_lift_matches_full_solver(self):
         grid = TimeGrid(5.0, 2500)
         sol = trig_ode_solve(CosineInput(), 1.0, grid)
-        lifted = lift_scalar(sol.trajectory, 3)
+        lifted = lift_scalar(sol, 3)
         matrix = march_solve(LiftedPath(CosineInput(), 3),
                              SolverConfig(nu=1.0, grid=grid))
         assert np.abs(lifted.values - matrix.values).max() < 1e-6

@@ -34,7 +34,6 @@ from reduktor.volterra import (
     kernel_normalization_residual,
     march_solve,
     march_solve_general,
-    neumann_series,
     neumann_series_trajectory,
     poisson_kernel,
     trajectory_to_csv,
@@ -217,35 +216,33 @@ class TestMarch:
 class TestSeries:
     def test_nu_zero_is_bare_evolution(self, generic_model):
         cfg = SolverConfig(nu=0.0, grid=TimeGrid(2.0, 100))
-        res = neumann_series(generic_model.m_path(), cfg, 2.0)
+        res = neumann_series_trajectory(generic_model.m_path(), cfg).at_time(2.0)
         truth = generic_model.m_many(np.array([2.0]))[0]
-        np.testing.assert_allclose(res.value.entries, truth, atol=1e-12)
-        assert res.n_terms == 0
+        np.testing.assert_allclose(res, truth, atol=1e-12)
+        assert _pick_series_order(0.0, 2.0, None, TOL_TAIL)[0] == 0
 
     def test_constant_input_closed_form(self):
         cfg = SolverConfig(nu=1.0, grid=TimeGrid(2.0, 2000))
-        res = neumann_series(ConstantPath(SYM_M), cfg, 2.0)
+        res = neumann_series_trajectory(ConstantPath(SYM_M), cfg).at_time(2.0)
         truth = constant_truth(SYM_M, 1.0, np.array([2.0]))[0]
-        assert np.abs(res.value.entries - truth).max() < 1e-6
+        assert np.abs(res - truth).max() < 1e-6
 
     def test_matches_march(self, generic_model):
         cfg = SolverConfig(nu=1.0, grid=TimeGrid(2.0, 500))
         traj = march_solve(generic_model.m_path(), cfg)
-        res = neumann_series(generic_model.m_path(), cfg, 2.0)
-        assert np.abs(res.value.entries - traj.final).max() < 1e-6
+        res = neumann_series_trajectory(generic_model.m_path(), cfg).at_time(2.0)
+        assert np.abs(res - traj.final).max() < 1e-6
 
     def test_truncation_and_grid_guards(self, generic_model):
         with pytest.raises(GridTooCoarseError):
-            neumann_series(generic_model.m_path(),
-                           SolverConfig(nu=1.0, grid=TimeGrid(2.0, 3)), 2.0)
+            neumann_series_trajectory(generic_model.m_path(),
+                                      SolverConfig(nu=1.0, grid=TimeGrid(2.0, 3)))
         with pytest.raises(TailBoundExceededError):
-            neumann_series(generic_model.m_path(),
-                           SolverConfig(nu=1.0, grid=TimeGrid(2.0, 200), n_max=1), 2.0)
+            neumann_series_trajectory(generic_model.m_path(),
+                                      SolverConfig(nu=1.0, grid=TimeGrid(2.0, 200), n_max=1))
 
-    def test_tail_bound_reported(self, generic_model):
-        cfg = SolverConfig(nu=1.0, grid=TimeGrid(2.0, 200))
-        res = neumann_series(generic_model.m_path(), cfg, 2.0)
-        assert 0.0 <= res.tail_bound <= 1e-10
+    def test_tail_bound_reported(self):
+        assert 0.0 <= _pick_series_order(1.0, 2.0, None, TOL_TAIL)[1] <= 1e-10
 
 
 class TestPoissonTail:
